@@ -23,7 +23,7 @@ from .kernel import (
     heat_kernel,
     lp_norm,
 )
-from .solver import ForcingSpec, convolve, duhamel
+from .solver import ForcingSpec, convolve, duhamel, evolve
 
 __all__ = [
     "DecayReport",
@@ -31,12 +31,20 @@ __all__ = [
     "kernel_decay",
     "l2_optimality",
     "large_time_profile",
+    "fourier_symbol_rows",
     "fourier_symbol_check",
     "higher_difference_decay",
     "dyadic_grid",
 ]
 
-KERNEL_QUANTITIES = ("G", "grad", "laplacian")
+# Difference operators applied to G per quantity, and the factor that
+# carries the kernel's tail mass through them.
+_QUANTITY_OPERATORS = {
+    "G": ((), 1.0),
+    "grad": ((forward_difference,), 2.0),
+    "laplacian": ((discrete_laplacian,), 4.0),
+}
+KERNEL_QUANTITIES = tuple(_QUANTITY_OPERATORS)
 
 
 @dataclass(frozen=True)
@@ -92,20 +100,20 @@ def _gate(points, label: str, extras=None) -> DecayReport:
     kept = [(t, v) for t, v, err in points if v > 0.0 and err < v / 100.0]
     dropped = [(t, v) for t, v, err in points if not (v > 0.0 and err < v / 100.0)]
     if len(kept) < 2:
-        raise ValueError(f"{label}: fewer than two points survived error gating")
+        raise ArithmeticError(f"{label}: fewer than two points survived error gating")
     return fit_loglog(kept, label, dropped=dropped, extras=extras)
 
 
-def _kernel_quantity(t: float, quantity: str, eps: float) -> tuple[LatticeSequence, float]:
-    kernel = heat_kernel(t, eps)
-    seq = kernel.to_sequence()
-    if quantity == "G":
-        return seq, kernel.tail_mass
-    if quantity == "grad":
-        return forward_difference(seq), 2.0 * kernel.tail_mass
-    if quantity == "laplacian":
-        return discrete_laplacian(seq), 4.0 * kernel.tail_mass
-    raise ValueError(f"quantity must be one of {KERNEL_QUANTITIES}, got {quantity!r}")
+def _difference_points(operators, tail_factor: float, p: float, t_grid, eps: float):
+    """(t, ||D G(t, .)||_p, certified error) with D the composed operators."""
+    points = []
+    for t in sorted(t_grid):
+        kernel = heat_kernel(t, eps)
+        seq = kernel.to_sequence()
+        for op in operators:
+            seq = op(seq)
+        points.append((t, lp_norm(seq, p), tail_factor * kernel.tail_mass))
+    return points
 
 
 def kernel_decay(p: float, quantity: str, t_grid, eps: float = 1e-12) -> DecayReport:
@@ -114,16 +122,15 @@ def kernel_decay(p: float, quantity: str, t_grid, eps: float = 1e-12) -> DecayRe
     Proven exponents: -(1/2)(1 - 1/p) for the kernel, an extra -1/2 per
     difference order up to the Laplacian.
     """
+    if quantity not in _QUANTITY_OPERATORS:
+        raise ValueError(f"quantity must be one of {KERNEL_QUANTITIES}, got {quantity!r}")
     t_grid = sorted(t_grid)
     if len(t_grid) < 6:
         raise ValueError("need at least six grid points for a stable slope")
-    points = []
-    for t in t_grid:
-        seq, err = _kernel_quantity(t, quantity, eps)
-        value = lp_norm(seq, p)
+    points = _difference_points(*_QUANTITY_OPERATORS[quantity], p, t_grid, eps)
+    for t, value, _ in points:
         if value == 0.0:
             raise ArithmeticError(f"norm underflowed to zero at t={t}")
-        points.append((t, value, err))
     return _gate(points, label=f"kernel-decay[{quantity}, p={p}]")
 
 
@@ -137,16 +144,14 @@ def l2_optimality(f: LatticeSequence, t_grid, eps: float = 1e-12) -> DecayReport
     mass = f.mass()
     if abs(mass) <= 1e-14:
         raise ValueError("l2 optimality requires nonzero total mass")
-    f_l1 = math.fsum(abs(v) for v in f.values)
+    f_l1 = lp_norm(f, 1.0)
     t_grid = sorted(t_grid)
     points = []
     lower, upper = [], []
     for t in t_grid:
-        kernel = heat_kernel(t, eps)
-        u = convolve(kernel.to_sequence(), f)
-        value = lp_norm(u, 2.0)
-        err = kernel.tail_mass * f_l1
-        points.append((t, value, err))
+        snap = evolve(f, t, eps)
+        value = lp_norm(snap.u, 2.0)
+        points.append((t, value, snap.trunc_error))
         lower.append(value * t**0.25 / abs(mass))
         upper.append(value * t**0.25 / f_l1)
     extras = {"ratio_lower": tuple(lower), "ratio_upper": tuple(upper)}
@@ -169,36 +174,27 @@ def large_time_profile(
     if (f is None) == (g is None):
         raise ValueError("give exactly one of f or g")
     weight = lambda t: t ** (0.5 * (1.0 - (0.0 if p == math.inf else 1.0 / p)))
-    t_grid = sorted(t_grid)
-    points = []
     if f is not None:
         m = f.mass()
         if abs(m) <= 1e-14:
             raise ValueError("homogeneous profile requires nonzero mass")
-        f_l1 = math.fsum(abs(v) for v in f.values)
-        for t in t_grid:
-            kernel = heat_kernel(t, eps)
-            seq = kernel.to_sequence()
-            u = convolve(seq, f)
-            diff = add_sequences(u, seq, 1.0, -m)
-            value = weight(t) * lp_norm(diff, p)
-            err = weight(t) * kernel.tail_mass * (f_l1 + abs(m))
-            points.append((t, value, err))
-        label = f"large-time[u_f, p={p}]"
+        f_l1 = lp_norm(f, 1.0)
+    elif g.kind != "separable" or g.gamma <= 1.0:
+        raise ValueError("forced profile requires separable forcing with gamma > 1")
     else:
-        if g.kind != "separable" or g.gamma <= 1.0:
-            raise ValueError("forced profile requires separable forcing with gamma > 1")
-        spatial_mass = g.spatial.mass()
-        m = g.amplitude * spatial_mass / (g.gamma - 1.0)
-        for t in t_grid:
+        m = g.amplitude * g.spatial.mass() / (g.gamma - 1.0)
+    points = []
+    for t in sorted(t_grid):
+        kernel = heat_kernel(t, eps)
+        seq = kernel.to_sequence()
+        if f is not None:
+            u, u_err = convolve(seq, f), kernel.tail_mass * f_l1
+        else:
             snap = duhamel(g, t, eps=max(1e-8, eps))
-            kernel = heat_kernel(t, eps)
-            diff = add_sequences(snap.u, kernel.to_sequence(), 1.0, -m)
-            value = weight(t) * lp_norm(diff, p)
-            err = weight(t) * (snap.quad_error + snap.trunc_error + kernel.tail_mass * abs(m))
-            points.append((t, value, err))
-        label = f"large-time[u_g, p={p}]"
-    report = _gate(points, label=label)
+            u, u_err = snap.u, snap.quad_error + snap.trunc_error
+        diff = add_sequences(u, seq, 1.0, -m)
+        points.append((t, weight(t) * lp_norm(diff, p), weight(t) * (u_err + kernel.tail_mass * abs(m))))
+    report = _gate(points, label=f"large-time[{'u_f' if f is not None else 'u_g'}, p={p}]")
     values = [v for _, v in report.pairs]
     monotone = all(b <= a for a, b in zip(values[1:], values[2:]))
     report.extras["monotone_from_second"] = monotone
@@ -207,8 +203,8 @@ def large_time_profile(
     return report
 
 
-def fourier_symbol_check(t: float, grid_size: int = 64, eps: float = 1e-12) -> float:
-    """Max grid error of the transform of G(t, .) against exp(-4 t sin^2(theta/2)).
+def fourier_symbol_rows(t: float, grid_size: int = 64, eps: float = 1e-12) -> list[tuple[float, float, float]]:
+    """(theta, transform of G(t, .), exp(-4 t sin^2(theta/2))) on the theta grid.
 
     The transform is the direct cosine sum over the window; the imaginary
     part vanishes by symmetry.
@@ -219,13 +215,17 @@ def fourier_symbol_check(t: float, grid_size: int = 64, eps: float = 1e-12) -> f
         raise ValueError("grid_size must be at least 16")
     kernel = heat_kernel(t, eps)
     n = np.arange(1, kernel.window + 1)
-    worst = 0.0
+    rows = []
     for j in range(grid_size):
         theta = -math.pi + 2.0 * math.pi * (j + 1) / grid_size
-        transform = kernel.values[0] + 2.0 * math.fsum(kernel.values[1:] * np.cos(n * theta))
-        symbol = math.exp(-4.0 * t * math.sin(theta / 2.0) ** 2)
-        worst = max(worst, abs(transform - symbol))
-    return worst
+        transform = float(kernel.values[0] + 2.0 * math.fsum(kernel.values[1:] * np.cos(n * theta)))
+        rows.append((theta, transform, math.exp(-4.0 * t * math.sin(theta / 2.0) ** 2)))
+    return rows
+
+
+def fourier_symbol_check(t: float, grid_size: int = 64, eps: float = 1e-12) -> float:
+    """Max grid error of the transform of G(t, .) against its symbol."""
+    return max(abs(transform - symbol) for _, transform, symbol in fourier_symbol_rows(t, grid_size, eps))
 
 
 def higher_difference_decay(order: int, p: float, t_grid, eps: float = 1e-12) -> DecayReport:
@@ -237,14 +237,6 @@ def higher_difference_decay(order: int, p: float, t_grid, eps: float = 1e-12) ->
     """
     if not (1 <= order <= 6):
         raise ValueError("order must lie in 1..6")
-    t_grid = sorted(t_grid)
-    points = []
-    for t in t_grid:
-        kernel = heat_kernel(t, eps)
-        seq = kernel.to_sequence()
-        for _ in range(order):
-            seq = forward_difference(seq)
-        value = lp_norm(seq, p)
-        points.append((t, value, 2.0**order * kernel.tail_mass))
+    points = _difference_points((forward_difference,) * order, 2.0**order, p, t_grid, eps)
     extras = {"experimental": order >= 3, "order": order}
     return _gate(points, label=f"difference-decay[order={order}, p={p}]", extras=extras)

@@ -9,7 +9,10 @@ backward recurrence normalized through the generating-function identity
 
 so mass conservation holds by construction.  Two independent oracles (the
 defining power series and a confluent-hypergeometric expansion) are kept
-alongside for cross-validation; they never feed the recurrence.
+alongside for cross-validation; they never feed the recurrence.  Only
+where tau is so small that a single recurrence step overflows (tau below
+about 1e-58) is the row taken from the power series instead, which is
+exact to rounding there.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "scaled_bessel_row",
     "scaled_bessel_series",
     "scaled_bessel_kummer",
-    "scaled_derivative_residual",
     "NonConvergenceError",
 ]
 
@@ -99,24 +101,13 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     m = _start_index(tau)
     if min_half_width is not None:
         m = max(m, min_half_width + 10)
-
-    # Backward three-term recurrence y_{n-1} = y_{n+1} + (2n/tau) y_n seeded
-    # with (1, 0) at the top; the seed error decays geometrically downward.
-    y = np.zeros(m + 1)
-    y_next = 0.0
-    y_cur = 1.0
-    y[m] = y_cur
-    for n in range(m, 0, -1):
-        y_prev = y_next + (2.0 * n / tau) * y_cur
-        if y_prev > _RESCALE_THRESHOLD:
-            y_prev *= _RESCALE_FACTOR
-            y_cur *= _RESCALE_FACTOR
-            y[n:] *= _RESCALE_FACTOR
-        y[n - 1] = y_prev
-        y_next, y_cur = y_cur, y_prev
-
-    norm = y[0] + 2.0 * math.fsum(y[1:])
-    b = y / norm
+    b = _recurrence_row(tau, m)
+    if b is None:
+        b = np.zeros(m + 1)
+        for n in range(m + 1):
+            b[n] = scaled_bessel_series(tau, n)
+            if b[n] == 0.0:
+                break
 
     half_width = m
     tail_bound = 0.0
@@ -135,6 +126,29 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
 
     values = np.array(b[: half_width + 1])
     return ScaledBesselRow(tau=tau, half_width=half_width, values=values, tail_bound=tail_bound)
+
+
+def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
+    """Normalized b_0 .. b_m by backward recurrence; None if a step overflows."""
+    # Backward three-term recurrence y_{n-1} = y_{n+1} + (2n/tau) y_n seeded
+    # with (1, 0) at the top; the seed error decays geometrically downward.
+    y = np.zeros(m + 1)
+    y_next = 0.0
+    y_cur = 1.0
+    y[m] = y_cur
+    for n in range(m, 0, -1):
+        y_prev = y_next + (2.0 * n / tau) * y_cur
+        if y_prev > _RESCALE_THRESHOLD:
+            if y_prev == math.inf:
+                return None
+            y_prev *= _RESCALE_FACTOR
+            y_cur *= _RESCALE_FACTOR
+            y[n:] *= _RESCALE_FACTOR
+        y[n - 1] = y_prev
+        y_next, y_cur = y_cur, y_prev
+
+    norm = y[0] + 2.0 * math.fsum(y[1:])
+    return y / norm
 
 
 def scaled_bessel_series(tau: float, n: int) -> float:
@@ -159,7 +173,7 @@ def scaled_bessel_series(tau: float, n: int) -> float:
     while True:
         term *= half * half / (m * (m + n))
         total += term
-        if term < 1e-18 * total:
+        if term <= 1e-18 * total:
             break
         m += 1
     return math.exp(-tau) * total
@@ -200,23 +214,3 @@ def scaled_bessel_kummer(tau: float, n: int, terms: int) -> float:
             f"term ratio {ratio:.3g} still >= 1/2 after {terms} terms (tau={tau}, n={n})"
         )
     return math.exp(-2.0 * tau) * total
-
-
-def _row_value(tau: float, n: int) -> float:
-    row = scaled_bessel_row(tau, 1e-14, min_half_width=abs(n))
-    return row.value(n)
-
-
-def scaled_derivative_residual(tau: float, n: int, h: float) -> float:
-    """Residual of the differential-difference law in scaled form.
-
-    Checks d b_n/d tau = (b_{n-1} + b_{n+1}) / 2 - b_n by a central
-    difference with step h.  Test-suite instrument; not used by the solver.
-    """
-    _validate_tau(tau)
-    if not (0.0 < h < tau):
-        raise ValueError(f"need 0 < h < tau, got h={h!r}, tau={tau!r}")
-
-    derivative = (_row_value(tau + h, n) - _row_value(tau - h, n)) / (2.0 * h)
-    rhs = 0.5 * (_row_value(tau, n - 1) + _row_value(tau, n + 1)) - _row_value(tau, n)
-    return abs(derivative - rhs)

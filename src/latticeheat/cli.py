@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import analysis, moments, solver
-from .kernel import heat_kernel, read_sequence_csv, write_sequence_csv
+from .kernel import heat_kernel, read_sequence_csv
 from .solver import ForcingSpec
 
 __all__ = ["run", "main"]
@@ -41,27 +42,20 @@ def _parse_grid(text: str) -> list[float]:
     return analysis.dyadic_grid(a, b)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) if isinstance(c, float) else c for c in row])
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _sidecar(path: Path) -> Path:
-    return path.with_name(path.name + ".json")
-
-
-def _write_svg(path: Path, xs: list[float], ys: list[float], title: str, loglog: bool) -> None:
+def _svg_text(xs, ys, title: str, loglog: bool) -> str:
     width, height, pad = 640, 480, 50
     if loglog:
         xs = [math.log10(x) for x in xs]
@@ -71,7 +65,7 @@ def _write_svg(path: Path, xs: list[float], ys: list[float], title: str, loglog:
     sx = lambda x: pad + (width - 2 * pad) * ((x - x0) / (x1 - x0) if x1 > x0 else 0.5)
     sy = lambda y: height - pad - (height - 2 * pad) * ((y - y0) / (y1 - y0) if y1 > y0 else 0.5)
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    svg = (
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="black" stroke-width="1"/>\n'
@@ -80,11 +74,17 @@ def _write_svg(path: Path, xs: list[float], ys: list[float], title: str, loglog:
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n'
         "</svg>\n"
     )
-    path.write_text(svg, encoding="utf-8")
 
 
-def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple]:
-    rows = [[t, v] for t, v in report.pairs]
+def _with_suffix(path: Path, suffix: str) -> Path:
+    return path.with_name(path.name + suffix)
+
+
+def _sequence_csv(seq) -> str:
+    return _csv_text(["n", "value"], ([n, float(v)] for n, v in zip(seq.indices(), seq.values)))
+
+
+def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple[Path, str]]:
     meta = {
         "label": report.label,
         "slope": report.slope,
@@ -95,13 +95,12 @@ def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list
     }
     meta.update({k: v for k, v in report.extras.items() if not isinstance(v, tuple)})
     outputs = [
-        ("csv", out, ["t", "value"], rows),
-        ("json", _sidecar(out), meta),
+        (out, _csv_text(["t", "value"], report.pairs)),
+        (_with_suffix(out, ".json"), _json_text(meta)),
     ]
     if plot:
-        xs = [t for t, _ in report.pairs]
-        ys = [v for _, v in report.pairs]
-        outputs.append(("svg", out.with_name(out.name + ".svg"), xs, ys, report.label, True))
+        xs, ys = zip(*report.pairs)
+        outputs.append((_with_suffix(out, ".svg"), _svg_text(xs, ys, report.label, True)))
     return outputs
 
 
@@ -147,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="large-time convergence profile")
     common(p, grid=True, pnorm=True)
-    p.add_argument("--f", type=Path)
-    p.add_argument("--g", type=Path)
+    data = p.add_mutually_exclusive_group(required=True)
+    data.add_argument("--f", type=Path)
+    data.add_argument("--g", type=Path)
 
     p = sub.add_parser("fourier", help="Fourier symbol verification")
     common(p, t=True)
@@ -161,24 +161,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple]:
-    rows = [[n, float(v)] for n, v in zip(snap.u.indices(), snap.u.values)]
+def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple[Path, str]]:
     meta = {"t": snap.t, "quad_error": snap.quad_error, "trunc_error": snap.trunc_error}
-    return [("csv", out, ["n", "value"], rows), ("json", _sidecar(out), meta)]
+    return [(out, _sequence_csv(snap.u)), (_with_suffix(out, ".json"), _json_text(meta))]
 
 
-def _execute(args: argparse.Namespace) -> list[tuple]:
+def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
+    """Run the subcommand and render its outputs as (path, text) pairs."""
     cmd = args.subcommand
     if cmd == "kernel":
-        kernel = heat_kernel(args.t, args.eps)
-        seq = kernel.to_sequence()
-        outputs = [("csv", args.out, ["n", "value"], [[n, float(v)] for n, v in zip(seq.indices(), seq.values)])]
+        seq = heat_kernel(args.t, args.eps).to_sequence()
+        outputs = [(args.out, _sequence_csv(seq))]
         if args.plot:
-            outputs.append(
-                ("svg", args.out.with_name(args.out.name + ".svg"),
-                 [float(n) for n in seq.indices()], list(map(float, seq.values)),
-                 f"G(t={args.t})", False)
-            )
+            svg = _svg_text(seq.indices(), seq.values, f"G(t={args.t})", False)
+            outputs.append((_with_suffix(args.out, ".svg"), svg))
         return outputs
 
     if cmd == "evolve":
@@ -199,50 +195,38 @@ def _execute(args: argparse.Namespace) -> list[tuple]:
             expected = moments.poly_eval(poly, 2.0 * args.t)
             kernel = moments.heat_kernel_for_moment(args.t, 2 * k, max(1e-12, 1e-10 * expected))
             rows.append([k, moments.kernel_moment(kernel, 2 * k), expected, moments.kernel_moment(kernel, 2 * k + 1)])
-        return [("csv", args.out, ["k", "even_moment", "poly_value", "odd_moment"], rows)]
+        return [(args.out, _csv_text(["k", "even_moment", "poly_value", "odd_moment"], rows))]
 
     if cmd == "poly":
         polys = moments.moment_polynomials(args.kmax)
         if args.roots:
-            rows = []
-            for k, poly in enumerate(polys):
-                if k < 2:
-                    continue
-                for i, root in enumerate(moments.poly_real_roots(poly, 1e-12)):
-                    rows.append([k, i, root])
-            return [("csv", args.out, ["k", "root_index", "root"], rows)]
-        rows = [[k] + [poly.degree] + list(poly.coeffs) for k, poly in enumerate(polys)]
+            rows = [
+                [k, i, root]
+                for k, poly in enumerate(polys)
+                if k >= 2
+                for i, root in enumerate(moments.poly_real_roots(poly, 1e-12))
+            ]
+            return [(args.out, _csv_text(["k", "root_index", "root"], rows))]
+        rows = [[k, poly.degree, *poly.coeffs] for k, poly in enumerate(polys)]
         header = ["k", "degree"] + [f"c{i}" for i in range(args.kmax + 1)]
-        return [("csv", args.out, header, rows)]
+        return [(args.out, _csv_text(header, rows))]
 
     if cmd == "decay":
         report = analysis.kernel_decay(args.p, args.quantity, args.grid, eps=args.eps)
         return _report_outputs(report, args.out, args.plot)
 
     if cmd == "converge":
-        if (args.f is None) == (args.g is None):
-            raise SystemExit2("converge needs exactly one of --f or --g")
         f = read_sequence_csv(args.f) if args.f else None
         g = ForcingSpec.from_json(args.g) if args.g else None
         report = analysis.large_time_profile(f, g, args.p, args.grid, eps=args.eps)
         return _report_outputs(report, args.out, args.plot)
 
     if cmd == "fourier":
-        kernel = heat_kernel(args.t, args.eps)
-        import numpy as np
-
-        n = np.arange(1, kernel.window + 1)
-        rows = []
-        worst = 0.0
-        for j in range(args.grid_size):
-            theta = -math.pi + 2.0 * math.pi * (j + 1) / args.grid_size
-            transform = float(kernel.values[0] + 2.0 * math.fsum(kernel.values[1:] * np.cos(n * theta)))
-            symbol = math.exp(-4.0 * args.t * math.sin(theta / 2.0) ** 2)
-            worst = max(worst, abs(transform - symbol))
-            rows.append([theta, transform, symbol])
+        rows = analysis.fourier_symbol_rows(args.t, args.grid_size, args.eps)
+        worst = max(abs(transform - symbol) for _, transform, symbol in rows)
         return [
-            ("csv", args.out, ["theta", "transform", "symbol"], rows),
-            ("json", _sidecar(args.out), {"t": args.t, "max_abs_error": worst}),
+            (args.out, _csv_text(["theta", "transform", "symbol"], rows)),
+            (_with_suffix(args.out, ".json"), _json_text({"t": args.t, "max_abs_error": worst})),
         ]
 
     if cmd == "diffdecay":
@@ -250,10 +234,6 @@ def _execute(args: argparse.Namespace) -> list[tuple]:
         return _report_outputs(report, args.out, args.plot)
 
     raise AssertionError(f"unhandled subcommand {cmd!r}")
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argument parsing."""
 
 
 def run(argv: list[str]) -> int:
@@ -264,26 +244,15 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         outputs = _execute(args)
-    except SystemExit2 as exc:
-        print(f"lattice-heat: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"lattice-heat: invalid arguments: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, OSError) as exc:
         print(f"lattice-heat: computation failed: {exc}", file=sys.stderr)
         return 1
-    for spec in outputs:
-        kind = spec[0]
-        if kind == "csv":
-            _, path, header, rows = spec
-            _write_csv(path, header, rows)
-        elif kind == "json":
-            _, path, payload = spec
-            _write_json(path, payload)
-        elif kind == "svg":
-            _, path, xs, ys, title, loglog = spec
-            _write_svg(path, xs, ys, title, loglog)
+    for path, text in outputs:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 

@@ -35,7 +35,6 @@ class LatticeSequence:
 
     offset: int
     values: np.ndarray = field(repr=False)
-    name: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -61,23 +60,23 @@ class LatticeSequence:
         return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values))
 
     def scaled(self, alpha: float) -> "LatticeSequence":
-        return LatticeSequence(self.offset, alpha * self.values, name=self.name)
+        return LatticeSequence(self.offset, alpha * self.values)
 
     @staticmethod
     def delta(n: int = 0) -> "LatticeSequence":
         return LatticeSequence(n, np.array([1.0]))
 
     @staticmethod
-    def from_pairs(pairs: dict[int, float] | list[tuple[int, float]], name: str | None = None) -> "LatticeSequence":
+    def from_pairs(pairs: dict[int, float] | list[tuple[int, float]]) -> "LatticeSequence":
         items = sorted(dict(pairs).items())
         if not items:
-            return LatticeSequence(0, np.array([0.0]), name=name)
+            return LatticeSequence(0, np.array([0.0]))
         lo = items[0][0]
         hi = items[-1][0]
         values = np.zeros(hi - lo + 1)
         for n, v in items:
             values[n - lo] = v
-        return LatticeSequence(lo, values, name=name)
+        return LatticeSequence(lo, values)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class KernelSlice:
 
     def to_sequence(self) -> LatticeSequence:
         full = np.concatenate([self.values[:0:-1], self.values])
-        return LatticeSequence(-self.window, full, name=f"G(t={self.t})")
+        return LatticeSequence(-self.window, full)
 
     def mass(self) -> float:
         return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
@@ -122,7 +121,7 @@ def forward_difference(s: LatticeSequence) -> LatticeSequence:
     """First forward difference (grad f)(n) = f(n+1) - f(n); grows the window one step left."""
     padded = np.concatenate([s.values, [0.0]])
     shifted = np.concatenate([[0.0], s.values])
-    return LatticeSequence(s.offset - 1, padded - shifted, name=s.name)
+    return LatticeSequence(s.offset - 1, padded - shifted)
 
 
 def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
@@ -132,7 +131,7 @@ def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
     out[0:n] += s.values
     out[1 : n + 1] -= 2.0 * s.values
     out[2 : n + 2] += s.values
-    return LatticeSequence(s.offset - 1, out, name=s.name)
+    return LatticeSequence(s.offset - 1, out)
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
@@ -204,11 +203,23 @@ def write_sequence_csv(path, s: LatticeSequence) -> None:
             writer.writerow([n, repr(float(v))])
 
 
-def read_sequence_csv(path, name: str | None = None) -> LatticeSequence:
+def read_sequence_csv(path) -> LatticeSequence:
+    """Read a sequence CSV; a malformed row or a non-finite value raises ValueError."""
+    pairs = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["n", "value"]:
             raise ValueError(f"expected header 'n,value' in {path}, got {header!r}")
-        pairs = {int(row[0]): float(row[1]) for row in reader if row}
-    return LatticeSequence.from_pairs(pairs, name=name)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                n, v = int(row[0]), float(row[1])
+                if not math.isfinite(v):
+                    raise ValueError
+            except (IndexError, ValueError):
+                message = f"expected an integer and a finite value, got {row!r}"
+                raise ValueError(f"{path}, line {reader.line_num}: {message}") from None
+            pairs[n] = v
+    return LatticeSequence.from_pairs(pairs)

@@ -94,9 +94,8 @@ def poly_eval(p: IntPolynomial, x: float) -> float:
     return acc
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    def derivative(c: list[Fraction]) -> list[Fraction]:
-        return [i * c[i] for i in range(1, len(c))]
+def _sturm_chain(coeffs: list[Fraction]) -> list[IntPolynomial]:
+    """Sturm sequence of the polynomial, each member scaled to integer coefficients."""
 
     def rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         a = a[:]
@@ -109,23 +108,27 @@ def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
                 a.pop()
         return a
 
-    chain = [coeffs, derivative(coeffs)]
+    chain = [coeffs, [i * coeffs[i] for i in range(1, len(coeffs))]]
     while len(chain[-1]) > 1:
         r = rem(chain[-2], chain[-1])
         if not any(r):
             break
         chain.append([-c for c in r])
-    return chain
+    return [_clear_denominators(c) for c in chain]
 
 
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
+def _clear_denominators(coeffs: list[Fraction]) -> IntPolynomial:
+    """The least positive integer multiple; a positive multiple keeps every sign."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return IntPolynomial(tuple(int(c * scale) for c in coeffs))
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_changes(chain: list[IntPolynomial], x: Fraction) -> int:
+    signs = [s for s in (_sign(poly.eval_exact(x)) for poly in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -149,23 +152,15 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     if not coeffs or len(coeffs) == 1:
         return [0.0] * min(mult_zero, 1) if mult_zero else []
 
-    q = [Fraction(c) for c in coeffs]
-    chain = _sturm_chain(q)
+    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    q = chain[0]
     lo = Fraction(-(p.degree + 2))
     hi = Fraction(0)
-    # Nudge the right endpoint right so a root exactly at 0 (none remain
-    # after factoring) cannot be missed by the half-open Sturm count.
     total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if total != len(q) - 1:
+    if total != q.degree:
         raise RootIsolationError(
-            f"isolated {total} real roots in [{float(lo)}, 0], expected {len(q) - 1}"
+            f"isolated {total} real roots in [{float(lo)}, 0], expected {q.degree}"
         )
-
-    def qsign(x: Fraction) -> int:
-        acc = Fraction(0)
-        for c in reversed(q):
-            acc = acc * x + c
-        return (acc > 0) - (acc < 0)
 
     isolated: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, total)]
@@ -183,23 +178,11 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
 
     roots: list[float] = []
     for a, b in isolated:
-        # Sturm counts roots in (a, b]; land the bracket on a sign change.
-        sa, sb = qsign(a), qsign(b)
-        if sb == 0:
-            while b - a > Fraction(1, 10**15) and float(b - a) > tol / 4:
-                mid = (a + b) / 2
-                if qsign(mid) == 0:
-                    a = b = mid
-                    break
-                if qsign(mid) == sa:
-                    a = mid
-                else:
-                    b = mid
-            roots.append(float((a + b) / 2))
-            continue
+        # Sturm counts roots in (a, b]; bisect on the sign at a.
+        sa = _sign(q.eval_exact(a))
         while float(b - a) > tol / 4:
             mid = (a + b) / 2
-            sm = qsign(mid)
+            sm = _sign(q.eval_exact(mid))
             if sm == 0:
                 a = b = mid
                 break

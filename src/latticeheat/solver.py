@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import LatticeSequence, add_sequences, heat_kernel, read_sequence_csv
+from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -44,17 +44,14 @@ class QuadratureBudgetError(ArithmeticError):
 class ForcingSpec:
     """Forcing term g(t, n).
 
-    ``separable`` means g(t, n) = amplitude * (1 + t)^(-gamma) * spatial(n),
-    the certified path.  ``tabulated`` accepts arbitrary time samples on a
-    grid, integrated by trapezoid with a reported (not certified) error.
+    ``separable`` means g(t, n) = amplitude * (1 + t)^(-gamma) * spatial(n);
+    ``none`` is the zero forcing.
     """
 
     kind: str
     spatial: LatticeSequence | None = None
     gamma: float = 0.0
     amplitude: float = 0.0
-    times: tuple[float, ...] = ()
-    samples: tuple[LatticeSequence, ...] = ()
 
     @staticmethod
     def none() -> "ForcingSpec":
@@ -62,19 +59,11 @@ class ForcingSpec:
 
     @staticmethod
     def separable(spatial: LatticeSequence, gamma: float, amplitude: float) -> "ForcingSpec":
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma!r}")
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+        if not math.isfinite(amplitude):
+            raise ValueError(f"amplitude must be finite, got {amplitude!r}")
         return ForcingSpec(kind="separable", spatial=spatial, gamma=gamma, amplitude=amplitude)
-
-    @staticmethod
-    def tabulated(times, samples) -> "ForcingSpec":
-        times = tuple(float(t) for t in times)
-        samples = tuple(samples)
-        if len(times) != len(samples) or len(times) < 2:
-            raise ValueError("tabulated forcing needs matching times and samples, at least two")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("tabulated times must be strictly increasing")
-        return ForcingSpec(kind="tabulated", times=times, samples=samples)
 
     @staticmethod
     def from_json(path) -> "ForcingSpec":
@@ -86,10 +75,10 @@ class ForcingSpec:
             return ForcingSpec.none()
         if kind != "separable":
             raise ValueError(f"unsupported forcing kind in {path}: {kind!r}")
-        spatial_path = Path(spec["spatial"])
-        if not spatial_path.is_absolute():
-            spatial_path = path.parent / spatial_path
-        spatial = read_sequence_csv(spatial_path)
+        missing = [key for key in ("spatial", "gamma", "amplitude") if key not in spec]
+        if missing:
+            raise ValueError(f"{path}: separable forcing needs key(s) {', '.join(missing)}")
+        spatial = read_sequence_csv(path.parent / spec["spatial"])  # an absolute path replaces the parent
         return ForcingSpec.separable(spatial, float(spec["gamma"]), float(spec["amplitude"]))
 
     def temporal(self, s: float) -> float:
@@ -101,7 +90,7 @@ class ForcingSpec:
         """int_0^t ||g(s, .)||_1 ds in closed form (separable family)."""
         if self.kind != "separable":
             raise ValueError("closed-form time integral defined for separable forcing only")
-        spatial_mass = math.fsum(abs(v) for v in self.spatial.values)
+        spatial_mass = lp_norm(self.spatial, 1.0)
         if self.gamma == 1.0:
             profile = math.log1p(t)
         else:
@@ -143,62 +132,59 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
     kernel = heat_kernel(t, eps)
     u = convolve(kernel.to_sequence(), f)
-    f_mass = math.fsum(abs(v) for v in f.values)
-    return SolutionSnapshot(t=t, u=u, quad_error=0.0, trunc_error=kernel.tail_mass * f_mass)
+    return SolutionSnapshot(t=t, u=u, quad_error=0.0, trunc_error=kernel.tail_mass * lp_norm(f, 1.0))
 
 
 def _simpson(a: float, b: float, fa: np.ndarray, fm: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
+def _refine(ev, lo, hi, flo, fmid, fhi, whole, local_tol, depth):
+    """One adaptive Simpson step on [lo, hi], recursing into halves as needed."""
+    mid = 0.5 * (lo + hi)
+    fl = ev(0.5 * (lo + mid))
+    fr = ev(0.5 * (mid + hi))
+    left = _simpson(lo, mid, flo, fl, fmid)
+    right = _simpson(mid, hi, fmid, fr, fhi)
+    delta = left + right - whole
+    err = float(np.sum(np.abs(delta))) / 15.0
+    if err <= local_tol or depth >= _MAX_DEPTH:
+        if depth >= _MAX_DEPTH and err > local_tol:
+            raise QuadratureBudgetError(
+                f"subdivision depth {_MAX_DEPTH} reached with local error {err:.3g} > {local_tol:.3g}"
+            )
+        return left + right + delta / 15.0, err
+    li, le = _refine(ev, lo, mid, flo, fl, fmid, left, local_tol / 2.0, depth + 1)
+    ri, re = _refine(ev, mid, hi, fmid, fr, fhi, right, local_tol / 2.0, depth + 1)
+    return li + ri, le + re
+
+
 def _adaptive_simpson(fun, a: float, b: float, tol: float):
-    evals = [0]
+    evals = 0
 
     def ev(s: float) -> np.ndarray:
-        evals[0] += 1
-        if evals[0] > _MAX_INTEGRAND_EVALS:
+        nonlocal evals
+        evals += 1
+        if evals > _MAX_INTEGRAND_EVALS:
             raise QuadratureBudgetError(
                 f"quadrature budget of {_MAX_INTEGRAND_EVALS} integrand evaluations exhausted"
             )
         return fun(s)
 
-    def recurse(lo, hi, flo, fmid, fhi, whole, local_tol, depth):
-        mid = 0.5 * (lo + hi)
-        fl = ev(0.5 * (lo + mid))
-        fr = ev(0.5 * (mid + hi))
-        left = _simpson(lo, mid, flo, fl, fmid)
-        right = _simpson(mid, hi, fmid, fr, fhi)
-        delta = left + right - whole
-        err = float(np.sum(np.abs(delta))) / 15.0
-        if err <= local_tol or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and err > local_tol:
-                raise QuadratureBudgetError(
-                    f"subdivision depth {_MAX_DEPTH} reached with local error {err:.3g} > {local_tol:.3g}"
-                )
-            return left + right + delta / 15.0, err
-        li, le = recurse(lo, mid, flo, fl, fmid, left, local_tol / 2.0, depth + 1)
-        ri, re = recurse(mid, hi, fmid, fr, fhi, right, local_tol / 2.0, depth + 1)
-        return li + ri, le + re
-
     fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
     whole = _simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    return _refine(ev, a, b, fa, fm, fb, whole, tol, 0)
 
 
 def duhamel(g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
     """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    if g.kind == "none":
-        return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
-    if g.kind == "tabulated":
-        return _duhamel_tabulated(g, t)
-    if g.kind != "separable":
+    if g.kind not in ("none", "separable"):
         raise ValueError(f"unknown forcing kind {g.kind!r}")
-    if g.gamma <= 0.0:
+    if g.kind == "separable" and g.gamma <= 0.0:
         raise ValueError("separable forcing requires gamma > 0")
-
-    if g.amplitude == 0.0:
+    if g.kind == "none" or g.amplitude == 0.0:
         return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
 
     g_l1 = g.l1_time_integral(t)
@@ -206,64 +192,24 @@ def duhamel(g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
     kernel_eps = max(kernel_eps, 1e-16)
     trunc_error = kernel_eps * g_l1
 
-    top = heat_kernel(t, kernel_eps)
-    width = top.window + 2
+    width = heat_kernel(t, kernel_eps).window + 2
     lo = g.spatial.offset - width
     length = len(g.spatial.values) + 2 * width
-    cache: dict[float, LatticeSequence] = {}
 
     def integrand(s: float) -> np.ndarray:
         out = np.zeros(length)
         if s >= t:
             conv = g.spatial
         else:
-            key = round(t - s, 12)
-            seq = cache.get(key)
-            if seq is None:
-                ks = heat_kernel(t - s, kernel_eps)
-                if ks.window > width:
-                    raise AssertionError("kernel window exceeded the precomputed frame")
-                seq = ks.to_sequence()
-                cache[key] = seq
-            conv = convolve(seq, g.spatial)
+            ks = heat_kernel(t - s, kernel_eps)
+            if ks.window > width:
+                raise AssertionError("kernel window exceeded the precomputed frame")
+            conv = convolve(ks.to_sequence(), g.spatial)
         out[conv.offset - lo : conv.offset - lo + len(conv.values)] = conv.values
         return g.temporal(s) * out
 
     integral, quad_error = _adaptive_simpson(integrand, 0.0, t, 0.5 * eps)
-    u = LatticeSequence(lo, integral, name="u_g")
-    return SolutionSnapshot(t=t, u=u, quad_error=quad_error, trunc_error=trunc_error)
-
-
-def _duhamel_tabulated(g: ForcingSpec, t: float) -> SolutionSnapshot:
-    """Trapezoid rule on the forcing time grid; error reported, not certified."""
-    kernel_eps = 1e-12
-    nodes = [s for s in g.times if s <= t]
-    if not nodes or nodes[-1] < t:
-        nodes.append(t)
-
-    def sample(s: float) -> LatticeSequence:
-        for ts, seq in zip(g.times, g.samples):
-            if ts >= s:
-                return seq
-        return g.samples[-1]
-
-    terms: list[tuple[float, LatticeSequence]] = []
-    trunc = 0.0
-    for s in nodes:
-        gs = sample(s)
-        if s >= t:
-            terms.append((s, gs))
-        else:
-            ks = heat_kernel(t - s, kernel_eps)
-            terms.append((s, convolve(ks.to_sequence(), gs)))
-            trunc += kernel_eps * math.fsum(abs(v) for v in gs.values)
-    acc = LatticeSequence(0, np.array([0.0]))
-    quad = 0.0
-    for (s0, v0), (s1, v1) in zip(terms, terms[1:]):
-        h = s1 - s0
-        acc = add_sequences(acc, add_sequences(v0, v1), 1.0, 0.5 * h)
-        quad += 0.5 * h * abs(math.fsum(v1.values) - math.fsum(v0.values))
-    return SolutionSnapshot(t=t, u=acc, quad_error=quad, trunc_error=trunc)
+    return SolutionSnapshot(t=t, u=LatticeSequence(lo, integral), quad_error=quad_error, trunc_error=trunc_error)
 
 
 def solve(f: LatticeSequence, g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:

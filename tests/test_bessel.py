@@ -11,7 +11,6 @@ from latticeheat.bessel import (
     scaled_bessel_kummer,
     scaled_bessel_row,
     scaled_bessel_series,
-    scaled_derivative_residual,
 )
 
 # Frozen from the power-series oracle; cross-checked against the Kummer
@@ -20,6 +19,19 @@ B0_AT_2 = 0.30850832255367104  # e^{-2} I_0(2)
 B1_AT_2 = 0.21526928924893766  # e^{-2} I_1(2)
 B1_AT_1 = 0.20791041534970845  # e^{-1} I_1(1)
 I1_AT_2 = 1.5906368546373291
+
+
+def _row_value(tau: float, n: int) -> float:
+    return scaled_bessel_row(tau, 1e-14, min_half_width=abs(n)).value(n)
+
+
+def scaled_derivative_residual(tau: float, n: int, h: float) -> float:
+    """Residual of d b_n/d tau = (b_{n-1} + b_{n+1}) / 2 - b_n by central difference."""
+    if not (0.0 < h < tau):
+        raise ValueError(f"need 0 < h < tau, got h={h!r}, tau={tau!r}")
+    derivative = (_row_value(tau + h, n) - _row_value(tau - h, n)) / (2.0 * h)
+    rhs = 0.5 * (_row_value(tau, n - 1) + _row_value(tau, n + 1)) - _row_value(tau, n)
+    return abs(derivative - rhs)
 
 
 class TestSeriesOracle:
@@ -113,6 +125,15 @@ class TestRow:
             row = scaled_bessel_row(tau, 1e-12)
             lhs = row.value(0) * math.sqrt(2.0 * math.pi * tau)
             assert abs(lhs - (1.0 + 1.0 / (8.0 * tau))) <= 1.0 / tau**2
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-100, 1e-60])
+    def test_tiny_tau_row_is_finite(self, tau):
+        # One recurrence step 2n/tau overflows here; the row comes from the series.
+        row = scaled_bessel_row(tau, 1e-12)
+        assert all(math.isfinite(v) for v in row.values)
+        assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0
+        for n in range(row.half_width + 1):
+            assert row.value(n) == pytest.approx(scaled_bessel_series(tau, n), rel=1e-15, abs=0.0)
 
     def test_min_half_width_extends_window(self):
         row = scaled_bessel_row(1.0, 1e-6, min_half_width=40)

@@ -120,6 +120,10 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["nonsense"]) == 2
     assert run(["converge", "--p", "1", "--out", str(out)]) == 2
     assert not out.exists()
+    f_csv = tmp_path / "f.csv"
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    assert run(["converge", "--f", str(f_csv), "--g", str(f_csv), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_computation_failure_exits_1(tmp_path):
@@ -130,3 +134,47 @@ def test_computation_failure_exits_1(tmp_path):
     out = tmp_path / "ug.csv"
     assert run(["duhamel", "--t", "100", "--g", str(g_path), "--eps", "1e-15", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def _assert_rejected(capsys, out, argv, code=2):
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".json")).exists()
+    return err
+
+
+def test_short_csv_row_exits_2(tmp_path, capsys):
+    f_csv = tmp_path / "short.csv"
+    f_csv.write_text("n,value\n0,1.0\n1\n")
+    err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)])
+    assert "short.csv, line 3" in err
+
+
+def test_non_finite_csv_value_exits_2(tmp_path, capsys):
+    f_csv = tmp_path / "nan.csv"
+    f_csv.write_text("n,value\n0,nan\n1,1.0\n")
+    err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)])
+    assert "nan.csv, line 2" in err
+
+
+@pytest.mark.parametrize("key", ["spatial", "gamma", "amplitude"])
+def test_forcing_json_missing_key_exits_2(tmp_path, capsys, key):
+    spec = {"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}
+    del spec[key]
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps(spec))
+    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
+    assert "g.json" in err and err.rstrip().endswith(f"key(s) {key}")
+
+
+def test_gating_failure_exits_1(tmp_path, capsys):
+    err = _assert_rejected(capsys, tmp_path / "d.csv", ["decay", "--eps", "0.5"], code=1)
+    assert "computation failed" in err
+
+
+@pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])
+def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
+    _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)
