@@ -23,7 +23,7 @@ from .kernel import (
     heat_kernel,
     lp_norm,
 )
-from .solver import ForcingSpec, convolve, duhamel, evolve
+from .solver import ForcingSpec, convolve, duhamel, evolve, rounding_bound
 
 __all__ = [
     "DecayReport",
@@ -188,7 +188,7 @@ def large_time_profile(
         kernel = heat_kernel(t, eps)
         seq = kernel.to_sequence()
         if f is not None:
-            u, u_err = convolve(seq, f), kernel.tail_mass * f_l1
+            u, u_err = convolve(seq, f), kernel.tail_mass * f_l1 + rounding_bound(seq, f)
         else:
             snap = duhamel(g, t, eps=max(1e-8, eps))
             u, u_err = snap.u, snap.quad_error + snap.trunc_error

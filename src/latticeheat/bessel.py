@@ -121,7 +121,9 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         estimate = 4.0 * b[n] * ratio / (1.0 - ratio)
         if estimate < eps:
             half_width = n
-            tail_bound = estimate
+            # The estimate underflows to 0 for tau below about 1e-161, where the
+            # true tail is still positive: round it up to the smallest subnormal.
+            tail_bound = max(estimate, math.ulp(0.0))
             break
 
     values = np.array(b[: half_width + 1])

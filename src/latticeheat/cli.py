@@ -2,13 +2,15 @@
 
 CSV-first outputs with deterministic float formatting (shortest
 round-trip repr), optional SVG plots, and sidecar JSON metadata next to
-report files.  All computation happens before any file is written, so a
-failing run never leaves partial output.
+report files.  All computation happens before any file is written, and the
+files of a run whose writing fails are removed, so a failing run never
+leaves partial output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -250,9 +252,18 @@ def run(argv: list[str]) -> int:
     except (ArithmeticError, OSError) as exc:
         print(f"lattice-heat: computation failed: {exc}", file=sys.stderr)
         return 1
-    for path, text in outputs:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+    written = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        print(f"lattice-heat: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,12 +2,12 @@
 
 u(t, n) = (G(t, .) * f)(n) + int_0^t (G(t - s, .) * g(s, .))(n) ds.
 
-The homogeneous part is a windowed discrete convolution with the kernel
-slice; the Duhamel part is adaptive composite Simpson over [0, t] on the
+The homogeneous part is one windowed convolution with the kernel slice;
+the Duhamel part is adaptive composite Simpson over [0, t] on the
 vector-valued integrand, with the error budget split evenly between
-quadrature and kernel truncation.  Near s = t the kernel collapses to a
-near-delta but the integrand stays bounded by ||g(s, .)||_1, so the
-endpoint needs no special treatment beyond the exact identity W_0 = id.
+quadrature and kernel truncation.  Each certificate that covers a
+convolution adds its a-priori rounding bound.  Near s = t the integrand
+stays bounded by ||g(s, .)||_1 and W_0 = id is used exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "ForcingSpec",
     "SolutionSnapshot",
     "convolve",
+    "rounding_bound",
     "evolve",
     "duhamel",
     "solve",
@@ -70,6 +71,8 @@ class ForcingSpec:
         """Load ``{"kind":"separable","spatial":"<csv>","gamma":...,"amplitude":...}``."""
         path = Path(path)
         spec = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
+            raise ValueError(f"{path}: forcing spec must be a JSON object, got {type(spec).__name__}")
         kind = spec.get("kind")
         if kind == "none":
             return ForcingSpec.none()
@@ -78,24 +81,22 @@ class ForcingSpec:
         missing = [key for key in ("spatial", "gamma", "amplitude") if key not in spec]
         if missing:
             raise ValueError(f"{path}: separable forcing needs key(s) {', '.join(missing)}")
-        spatial = read_sequence_csv(path.parent / spec["spatial"])  # an absolute path replaces the parent
-        return ForcingSpec.separable(spatial, float(spec["gamma"]), float(spec["amplitude"]))
+        for key, convert in (("spatial", path.parent.joinpath), ("gamma", float), ("amplitude", float)):
+            try:  # an absolute spatial path replaces the parent
+                spec[key] = convert(spec[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: key {key} has invalid value {spec[key]!r}") from None
+        return ForcingSpec.separable(read_sequence_csv(spec["spatial"]), spec["gamma"], spec["amplitude"])
 
     def temporal(self, s: float) -> float:
-        if self.kind != "separable":
-            raise ValueError("temporal profile defined for separable forcing only")
         return self.amplitude * (1.0 + s) ** (-self.gamma)
 
     def l1_time_integral(self, t: float) -> float:
         """int_0^t ||g(s, .)||_1 ds in closed form (separable family)."""
         if self.kind != "separable":
             raise ValueError("closed-form time integral defined for separable forcing only")
-        spatial_mass = lp_norm(self.spatial, 1.0)
-        if self.gamma == 1.0:
-            profile = math.log1p(t)
-        else:
-            profile = ((1.0 + t) ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
-        return abs(self.amplitude) * spatial_mass * profile
+        profile = math.log1p(t) if self.gamma == 1.0 else ((1.0 + t) ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
+        return abs(self.amplitude) * lp_norm(self.spatial, 1.0) * profile
 
 
 @dataclass(frozen=True)
@@ -109,21 +110,26 @@ class SolutionSnapshot:
 
 
 def convolve(a: LatticeSequence, b: LatticeSequence) -> LatticeSequence:
-    """Direct discrete convolution over the joint support, compensated per point."""
+    """Direct discrete convolution over the joint support; see ``rounding_bound``."""
+    return LatticeSequence(a.offset + b.offset, np.convolve(a.values, b.values))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the binary64 unit roundoff."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
+    """A-priori bound on ||convolve(a, b) - a * b||_1 from binary64 rounding.
+
+    An output is a dot product of n <= min(len a, len b) terms, off by at most
+    gamma_n sum |a_j| |b_{i-j}| in any order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1); gamma_{n+1} and rounding up absorb the error of
+    this formula, and one smallest subnormal per product covers underflow.
+    """
     la, lb = len(a.values), len(b.values)
-    if la > lb:
-        a, b = b, a
-        la, lb = lb, la
-    if la == 1:
-        return LatticeSequence(a.offset + b.offset, a.values[0] * b.values)
-    out = np.zeros(la + lb - 1)
-    av = a.values
-    bv = b.values
-    for i in range(len(out)):
-        j_lo = max(0, i - lb + 1)
-        j_hi = min(la - 1, i)
-        out[i] = math.fsum(av[j] * bv[i - j] for j in range(j_lo, j_hi + 1))
-    return LatticeSequence(a.offset + b.offset, out)
+    bound = _gamma(min(la, lb) + 1) * math.fsum(np.abs(a.values)) * math.fsum(np.abs(b.values))
+    return math.nextafter(bound + la * lb * math.ulp(0.0), math.inf)
 
 
 def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot:
@@ -131,8 +137,8 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
     if t == 0.0:
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
     kernel = heat_kernel(t, eps)
-    u = convolve(kernel.to_sequence(), f)
-    return SolutionSnapshot(t=t, u=u, quad_error=0.0, trunc_error=kernel.tail_mass * lp_norm(f, 1.0))
+    seq = kernel.to_sequence()
+    return SolutionSnapshot(t, convolve(seq, f), 0.0, kernel.tail_mass * lp_norm(f, 1.0) + rounding_bound(seq, f))
 
 
 def _simpson(a: float, b: float, fa: np.ndarray, fm: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -148,12 +154,11 @@ def _refine(ev, lo, hi, flo, fmid, fhi, whole, local_tol, depth):
     right = _simpson(mid, hi, fmid, fr, fhi)
     delta = left + right - whole
     err = float(np.sum(np.abs(delta))) / 15.0
-    if err <= local_tol or depth >= _MAX_DEPTH:
-        if depth >= _MAX_DEPTH and err > local_tol:
-            raise QuadratureBudgetError(
-                f"subdivision depth {_MAX_DEPTH} reached with local error {err:.3g} > {local_tol:.3g}"
-            )
+    if err <= local_tol:
         return left + right + delta / 15.0, err
+    if depth >= _MAX_DEPTH:
+        msg = f"subdivision depth {_MAX_DEPTH} reached with local error {err:.3g} > {local_tol:.3g}"
+        raise QuadratureBudgetError(msg)
     li, le = _refine(ev, lo, mid, flo, fl, fmid, left, local_tol / 2.0, depth + 1)
     ri, re = _refine(ev, mid, hi, fmid, fr, fhi, right, local_tol / 2.0, depth + 1)
     return li + ri, le + re
@@ -166,9 +171,7 @@ def _adaptive_simpson(fun, a: float, b: float, tol: float):
         nonlocal evals
         evals += 1
         if evals > _MAX_INTEGRAND_EVALS:
-            raise QuadratureBudgetError(
-                f"quadrature budget of {_MAX_INTEGRAND_EVALS} integrand evaluations exhausted"
-            )
+            raise QuadratureBudgetError(f"quadrature budget of {_MAX_INTEGRAND_EVALS} integrand evaluations exhausted")
         return fun(s)
 
     fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
@@ -188,11 +191,12 @@ def duhamel(g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
         return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
 
     g_l1 = g.l1_time_integral(t)
-    kernel_eps = min(1e-12, 0.5 * eps / max(g_l1, 1e-300))
-    kernel_eps = max(kernel_eps, 1e-16)
-    trunc_error = kernel_eps * g_l1
-
+    kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
     width = heat_kernel(t, kernel_eps).window + 2
+    # Truncation, plus rounding in each node's convolution (unit-mass kernel
+    # rows of at most 2 width + 1 points) and in its temporal factor.
+    k = min(2 * width + 1, len(g.spatial.values)) + 2
+    trunc_error = kernel_eps * g_l1 + math.nextafter(_gamma(k) * g_l1, math.inf)
     lo = g.spatial.offset - width
     length = len(g.spatial.values) + 2 * width
 
@@ -216,15 +220,9 @@ def solve(f: LatticeSequence, g: ForcingSpec, t: float, eps: float = 1e-10) -> S
     """Full mild solution u = u_f + u_g; certified error fields add."""
     if g.kind == "none":
         return evolve(f, t, eps)
-    hom = evolve(f, t, eps / 2.0)
-    forced = duhamel(g, t, eps / 2.0)
+    hom, forced = evolve(f, t, eps / 2.0), duhamel(g, t, eps / 2.0)
     u = add_sequences(hom.u, forced.u)
-    return SolutionSnapshot(
-        t=t,
-        u=u,
-        quad_error=hom.quad_error + forced.quad_error,
-        trunc_error=hom.trunc_error + forced.trunc_error,
-    )
+    return SolutionSnapshot(t, u, hom.quad_error + forced.quad_error, hom.trunc_error + forced.trunc_error)
 
 
 def conserved_quantities(s: SolutionSnapshot) -> tuple[float, float, float]:

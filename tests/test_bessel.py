@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,13 @@ class TestRow:
         for n in range(row.half_width + 1):
             assert row.value(n) == pytest.approx(scaled_bessel_series(tau, n), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-162])
+    def test_tiny_tau_tail_bound_is_positive(self, tau):
+        # The geometric estimate underflows to 0 here; the true tail is positive.
+        row = scaled_bessel_row(tau, 1e-12)
+        assert row.tail_bound > 0.0
+        assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0
+
     def test_min_half_width_extends_window(self):
         row = scaled_bessel_row(1.0, 1e-6, min_half_width=40)
         assert row.half_width >= 40
@@ -161,6 +169,17 @@ class TestRow:
         assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0 + 1e-14
         diffs = row.values[:-1] - row.values[1:]
         assert (diffs >= -1e-18).all()
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("tau", [1e-300, 1e-60, 1e-3, 1.0, 30.0, 350.0, 1e3, 2e4, 2e5])
+    def test_row_matches_ive(self, tau):
+        # Independent of both library oracles, which stop at tau of about 30
+        # (series) and 350 (Kummer).
+        special = pytest.importorskip("scipy.special")
+        row = scaled_bessel_row(tau, 1e-12)
+        expected = special.ive(np.arange(row.half_width + 1), tau)
+        np.testing.assert_allclose(row.values, expected, rtol=5e-12, atol=0.0)
 
 
 class TestDerivativeResidual:

@@ -178,3 +178,32 @@ def test_gating_failure_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])
 def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
     _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    f_csv = tmp_path / "f.csv"
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    err = _assert_rejected(capsys, tmp_path / "nodir" / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)], code=1)
+    assert "cannot write output" in err
+
+
+def test_failed_sidecar_write_removes_written_files(tmp_path, capsys):
+    f_csv = tmp_path / "f.csv"
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    (tmp_path / "u.csv.json").mkdir()  # the sidecar path cannot be opened for writing
+    out = tmp_path / "u.csv"
+    assert run(["evolve", "--t", "1", "--f", str(f_csv), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "u.csv.json"]
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [("[]", "must be a JSON object"), ('{"kind": "separable", "spatial": 5, "gamma": 2, "amplitude": 1}', "key spatial")],
+)
+def test_malformed_forcing_json_exits_2(tmp_path, capsys, text, fragment):
+    g_path = tmp_path / "g.json"
+    g_path.write_text(text)
+    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
+    assert "g.json" in err and fragment in err

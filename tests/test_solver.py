@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latticeheat.solver import (
     convolve,
     duhamel,
     evolve,
+    rounding_bound,
     solve,
 )
 
@@ -50,6 +52,60 @@ class TestConvolve:
         conv = convolve(k1.to_sequence(), k2.to_sequence())
         diff = add_sequences(conv, k3.to_sequence(), 1.0, -1.0)
         assert lp_norm(diff, 1.0) <= 10.0 * (k1.tail_mass + k2.tail_mass + k3.tail_mass)
+
+
+def signed_data(rng: random.Random) -> LatticeSequence:
+    """1 to 300 values of random sign with magnitudes log-uniform in [1e-5, 1e5]."""
+    values = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, 300))]
+    return LatticeSequence(rng.randint(-20, 20), np.array(values))
+
+
+def integer_numerators(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_i and one power of two d with values[i] == n_i / d exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def exact_convolution(a: LatticeSequence, b: LatticeSequence) -> tuple[list[int], int]:
+    """a * b exactly, as integer numerators over one power-of-two denominator.
+
+    Binary64 values share a power-of-two denominator, so the numerators are
+    convolved as Python integers (object arrays), which never round.
+    """
+    (ia, da), (ib, db) = (integer_numerators(s.values.tolist()) for s in (a, b))
+    return [int(n) for n in np.convolve(np.array(ia, dtype=object), np.array(ib, dtype=object))], da * db
+
+
+def l1_distance(s: LatticeSequence, exact: tuple[list[int], int]) -> Fraction:
+    """Exact ||s - exact||_1; every denominator is a power of two, so the largest is common."""
+    numerators, den = exact
+    assert len(s.values) == len(numerators)
+    got, d = integer_numerators(s.values.tolist())
+    common = max(d, den)
+    total = sum(abs(g * (common // d) - n * (common // den)) for g, n in zip(got, numerators))
+    return Fraction(total, common)
+
+
+class TestRoundingBound:
+    def test_bounds_exact_error(self):
+        rng = random.Random(20241)
+        kernel_row = lambda: heat_kernel(10.0 ** rng.uniform(-1.0, 3.0), 1e-12).to_sequence()
+        for i in range(40):
+            # Signed data and kernel rows, each paired with both kinds.
+            a = signed_data(rng) if i % 4 < 2 else kernel_row()
+            b = signed_data(rng) if i % 2 == 0 else kernel_row()
+            out = convolve(a, b)
+            assert out.offset == a.offset + b.offset
+            assert l1_distance(out, exact_convolution(a, b)) <= Fraction(rounding_bound(a, b))
+
+    def test_evolve_certificate_covers_rounding(self):
+        rng = random.Random(20242)
+        for t, eps in ((0.3, 1e-16), (40.0, 1e-16), (900.0, 1e-12)):
+            f = signed_data(rng)
+            snap = evolve(f, t, eps)
+            exact = exact_convolution(heat_kernel(t, eps).to_sequence(), f)
+            assert l1_distance(snap.u, exact) <= Fraction(snap.trunc_error)
 
 
 class TestEvolve:
