@@ -172,15 +172,15 @@ def large_time_profile(
     shares the window of u so the difference is index-aligned.
     """
     if (f is None) == (g is None):
-        raise ValueError("give exactly one of f or g")
+        raise ValueError("give exactly one of f or g; a zero forcing counts as no g")
     weight = lambda t: t ** (0.5 * (1.0 - (0.0 if p == math.inf else 1.0 / p)))
     if f is not None:
         m = f.mass()
         if abs(m) <= 1e-14:
             raise ValueError("homogeneous profile requires nonzero mass")
         f_l1 = lp_norm(f, 1.0)
-    elif g.kind != "separable" or g.gamma <= 1.0:
-        raise ValueError("forced profile requires separable forcing with gamma > 1")
+    elif g.gamma <= 1.0:
+        raise ValueError("forced profile requires gamma > 1")
     else:
         m = g.amplitude * g.spatial.mass() / (g.gamma - 1.0)
     points = []

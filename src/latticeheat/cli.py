@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, moments, solver
-from .kernel import heat_kernel, read_sequence_csv
+from .kernel import heat_kernel, read_sequence_csv, sequence_csv_text
 from .solver import ForcingSpec
 
 __all__ = ["run", "main"]
@@ -82,10 +82,6 @@ def _with_suffix(path: Path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _sequence_csv(seq) -> str:
-    return _csv_text(["n", "value"], ([n, float(v)] for n, v in zip(seq.indices(), seq.values)))
-
-
 def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple[Path, str]]:
     meta = {
         "label": report.label,
@@ -110,9 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lattice-heat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, grid=False, t=False, pnorm=False):
-        p.add_argument("--eps", type=float, default=1e-12)
-        p.add_argument("--plot", action="store_true")
+    def common(p, eps=True, plot=False, grid=False, t=False, pnorm=False):
+        if eps:
+            p.add_argument("--eps", type=float, default=1e-12)
+        if plot:
+            p.add_argument("--plot", action="store_true")
         p.add_argument("--out", type=Path, required=True)
         if grid:
             p.add_argument("--grid", type=_parse_grid, default=analysis.dyadic_grid())
@@ -122,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=_parse_p, default=2.0)
 
     p = sub.add_parser("kernel", help="evaluate G(t, .) to a sequence CSV")
-    common(p, t=True)
+    common(p, plot=True, t=True)
 
     p = sub.add_parser("evolve", help="mild solution from initial data (optional forcing)")
     common(p, t=True)
@@ -134,20 +132,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=Path, required=True)
 
     p = sub.add_parser("moments", help="kernel moments against the moment polynomials")
-    common(p, t=True)
+    common(p, eps=False, t=True)
     p.add_argument("--kmax", type=int, default=6)
 
     p = sub.add_parser("poly", help="moment polynomial coefficient or root tables")
-    common(p)
+    common(p, eps=False)
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--roots", action="store_true")
 
     p = sub.add_parser("decay", help="kernel decay slope report")
-    common(p, grid=True, pnorm=True)
+    common(p, plot=True, grid=True, pnorm=True)
     p.add_argument("--quantity", choices=analysis.KERNEL_QUANTITIES, default="G")
 
     p = sub.add_parser("converge", help="large-time convergence profile")
-    common(p, grid=True, pnorm=True)
+    common(p, plot=True, grid=True, pnorm=True)
     data = p.add_mutually_exclusive_group(required=True)
     data.add_argument("--f", type=Path)
     data.add_argument("--g", type=Path)
@@ -157,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=64)
 
     p = sub.add_parser("diffdecay", help="iterated-difference decay experiment")
-    common(p, grid=True, pnorm=True)
+    common(p, plot=True, grid=True, pnorm=True)
     p.add_argument("--order", type=int, default=1)
 
     return parser
@@ -165,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple[Path, str]]:
     meta = {"t": snap.t, "quad_error": snap.quad_error, "trunc_error": snap.trunc_error}
-    return [(out, _sequence_csv(snap.u)), (_with_suffix(out, ".json"), _json_text(meta))]
+    return [(out, sequence_csv_text(snap.u)), (_with_suffix(out, ".json"), _json_text(meta))]
 
 
 def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
@@ -173,7 +171,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
     cmd = args.subcommand
     if cmd == "kernel":
         seq = heat_kernel(args.t, args.eps).to_sequence()
-        outputs = [(args.out, _sequence_csv(seq))]
+        outputs = [(args.out, sequence_csv_text(seq))]
         if args.plot:
             svg = _svg_text(seq.indices(), seq.values, f"G(t={args.t})", False)
             outputs.append((_with_suffix(args.out, ".svg"), svg))
@@ -181,7 +179,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
 
     if cmd == "evolve":
         f = read_sequence_csv(args.f)
-        g = ForcingSpec.from_json(args.g) if args.g else ForcingSpec.none()
+        g = ForcingSpec.from_json(args.g) if args.g else None
         snap = solver.solve(f, g, args.t, eps=args.eps)
         return _snapshot_outputs(snap, args.out)
 

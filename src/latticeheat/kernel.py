@@ -8,6 +8,7 @@ windows by absolute index and read zeros outside the carried range.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ __all__ = [
     "pointwise_bound_report",
     "add_sequences",
     "read_sequence_csv",
-    "write_sequence_csv",
+    "sequence_csv_text",
 ]
 
 
@@ -57,7 +58,8 @@ class LatticeSequence:
         return math.fsum(self.values)
 
     def moment(self, order: int) -> float:
-        return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values))
+        # Python's float ** int: NumPy's power differs in the last bit for some n.
+        return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values.tolist()))
 
     def scaled(self, alpha: float) -> "LatticeSequence":
         return LatticeSequence(self.offset, alpha * self.values)
@@ -141,10 +143,11 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == 1.0:
-        return math.fsum(abs(v) for v in s.values)
+        return math.fsum(np.abs(s.values).tolist())
     if p == 2.0:
-        return math.sqrt(math.fsum(v * v for v in s.values))
-    return math.fsum(abs(v) ** p for v in s.values) ** (1.0 / p)
+        return math.sqrt(math.fsum((s.values * s.values).tolist()))
+    # Per element in Python: NumPy's power differs from ** in the last bit.
+    return math.fsum(abs(v) ** p for v in s.values.tolist()) ** (1.0 / p)
 
 
 def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, beta: float = 1.0) -> LatticeSequence:
@@ -194,13 +197,13 @@ def pointwise_bound_report(t: float, c_budget: float) -> list[tuple[int, str, fl
     return report
 
 
-def write_sequence_csv(path, s: LatticeSequence) -> None:
-    """Sequence CSV: header ``n,value``, one row per carried index, LF endings."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n, v in zip(s.indices(), s.values):
-            writer.writerow([n, repr(float(v))])
+def sequence_csv_text(s: LatticeSequence) -> str:
+    """Sequence CSV: header ``n,value``, one row per carried index, shortest round-trip floats, LF endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "value"])
+    writer.writerows([n, repr(v)] for n, v in zip(s.indices(), s.values.tolist()))
+    return buf.getvalue()
 
 
 def read_sequence_csv(path) -> LatticeSequence:

@@ -48,9 +48,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: float) -> float:
-        return poly_eval(self, x)
-
     def eval_exact(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -205,10 +202,7 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     n_max = slice.window
     if n_max > 1 and order * math.log(n_max) > 700.0:
         raise OverflowError(f"n^{order} exceeds binary64 range on window {n_max}")
-    terms = []
-    for n in range(-n_max, n_max + 1):
-        terms.append(float(n) ** order * slice.value(n))
-    return math.fsum(terms)
+    return slice.to_sequence().moment(order)
 
 
 def weighted_tail_bound(slice: KernelSlice, order: int) -> float:

@@ -43,39 +43,36 @@ class QuadratureBudgetError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Forcing term g(t, n).
+    """Separable forcing g(t, n) = amplitude * (1 + t)^(-gamma) * spatial(n).
 
-    ``separable`` means g(t, n) = amplitude * (1 + t)^(-gamma) * spatial(n);
-    ``none`` is the zero forcing.
+    Construction checks gamma in (0, inf) and a finite amplitude.  No
+    forcing is ``None`` wherever a ``ForcingSpec`` is accepted.
     """
 
-    kind: str
-    spatial: LatticeSequence | None = None
-    gamma: float = 0.0
-    amplitude: float = 0.0
+    spatial: LatticeSequence
+    gamma: float
+    amplitude: float
 
-    @staticmethod
-    def none() -> "ForcingSpec":
-        return ForcingSpec(kind="none")
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
 
     @staticmethod
     def separable(spatial: LatticeSequence, gamma: float, amplitude: float) -> "ForcingSpec":
-        if not 0.0 < gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-        if not math.isfinite(amplitude):
-            raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-        return ForcingSpec(kind="separable", spatial=spatial, gamma=gamma, amplitude=amplitude)
+        return ForcingSpec(spatial, gamma, amplitude)
 
     @staticmethod
-    def from_json(path) -> "ForcingSpec":
-        """Load ``{"kind":"separable","spatial":"<csv>","gamma":...,"amplitude":...}``."""
+    def from_json(path) -> "ForcingSpec | None":
+        """Load ``{"kind":"separable","spatial":"<csv>","gamma":...,"amplitude":...}``; ``{"kind":"none"}`` is None."""
         path = Path(path)
         spec = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(spec, dict):
             raise ValueError(f"{path}: forcing spec must be a JSON object, got {type(spec).__name__}")
         kind = spec.get("kind")
         if kind == "none":
-            return ForcingSpec.none()
+            return None
         if kind != "separable":
             raise ValueError(f"unsupported forcing kind in {path}: {kind!r}")
         missing = [key for key in ("spatial", "gamma", "amplitude") if key not in spec]
@@ -86,15 +83,13 @@ class ForcingSpec:
                 spec[key] = convert(spec[key])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: key {key} has invalid value {spec[key]!r}") from None
-        return ForcingSpec.separable(read_sequence_csv(spec["spatial"]), spec["gamma"], spec["amplitude"])
+        return ForcingSpec(read_sequence_csv(spec["spatial"]), spec["gamma"], spec["amplitude"])
 
     def temporal(self, s: float) -> float:
         return self.amplitude * (1.0 + s) ** (-self.gamma)
 
     def l1_time_integral(self, t: float) -> float:
-        """int_0^t ||g(s, .)||_1 ds in closed form (separable family)."""
-        if self.kind != "separable":
-            raise ValueError("closed-form time integral defined for separable forcing only")
+        """int_0^t ||g(s, .)||_1 ds in closed form."""
         profile = math.log1p(t) if self.gamma == 1.0 else ((1.0 + t) ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
         return abs(self.amplitude) * lp_norm(self.spatial, 1.0) * profile
 
@@ -128,7 +123,7 @@ def rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
     this formula, and one smallest subnormal per product covers underflow.
     """
     la, lb = len(a.values), len(b.values)
-    bound = _gamma(min(la, lb) + 1) * math.fsum(np.abs(a.values)) * math.fsum(np.abs(b.values))
+    bound = _gamma(min(la, lb) + 1) * lp_norm(a, 1.0) * lp_norm(b, 1.0)
     return math.nextafter(bound + la * lb * math.ulp(0.0), math.inf)
 
 
@@ -179,18 +174,16 @@ def _adaptive_simpson(fun, a: float, b: float, tol: float):
     return _refine(ev, a, b, fa, fm, fb, whole, tol, 0)
 
 
-def duhamel(g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
-    """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution."""
+def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
+    """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution; zero for g None."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    if g.kind not in ("none", "separable"):
-        raise ValueError(f"unknown forcing kind {g.kind!r}")
-    if g.kind == "separable" and g.gamma <= 0.0:
-        raise ValueError("separable forcing requires gamma > 0")
-    if g.kind == "none" or g.amplitude == 0.0:
+    if g is None or g.amplitude == 0.0:
         return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
 
     g_l1 = g.l1_time_integral(t)
+    if not math.isfinite(g_l1):
+        raise ValueError(f"int_0^t ||g(s, .)||_1 ds is not finite at t={t!r}")
     kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
     width = heat_kernel(t, kernel_eps).window + 2
     # Truncation, plus rounding in each node's convolution (unit-mass kernel
@@ -216,9 +209,9 @@ def duhamel(g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
     return SolutionSnapshot(t=t, u=LatticeSequence(lo, integral), quad_error=quad_error, trunc_error=trunc_error)
 
 
-def solve(f: LatticeSequence, g: ForcingSpec, t: float, eps: float = 1e-10) -> SolutionSnapshot:
+def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
     """Full mild solution u = u_f + u_g; certified error fields add."""
-    if g.kind == "none":
+    if g is None:
         return evolve(f, t, eps)
     hom, forced = evolve(f, t, eps / 2.0), duhamel(g, t, eps / 2.0)
     u = add_sequences(hom.u, forced.u)

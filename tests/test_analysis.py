@@ -111,8 +111,9 @@ class TestLargeTimeProfile:
     def test_rejects_bad_usage(self):
         with pytest.raises(ValueError):
             large_time_profile(None, None, 2.0, GRID)
+        g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
         with pytest.raises(ValueError):
-            large_time_profile(LatticeSequence.delta(0), ForcingSpec.none(), 2.0, GRID)
+            large_time_profile(LatticeSequence.delta(0), g, 2.0, GRID)
         zero_mass = LatticeSequence.from_pairs({0: 1.0, 1: -1.0})
         with pytest.raises(ValueError):
             large_time_profile(zero_mass, None, 2.0, GRID)

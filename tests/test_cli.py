@@ -6,7 +6,7 @@ import math
 import pytest
 
 from latticeheat.cli import run
-from latticeheat.kernel import LatticeSequence, read_sequence_csv, write_sequence_csv
+from latticeheat.kernel import LatticeSequence, read_sequence_csv, sequence_csv_text
 
 B0_AT_2 = 0.30850832255367104
 
@@ -79,7 +79,7 @@ def test_fourier_subcommand(tmp_path):
 
 def test_duhamel_subcommand(tmp_path):
     spatial = tmp_path / "spatial.csv"
-    write_sequence_csv(spatial, LatticeSequence.delta(0))
+    spatial.write_text(sequence_csv_text(LatticeSequence.delta(0)))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     out = tmp_path / "ug.csv"
@@ -90,7 +90,7 @@ def test_duhamel_subcommand(tmp_path):
 
 def test_converge_subcommand(tmp_path):
     f_csv = tmp_path / "f.csv"
-    write_sequence_csv(f_csv, LatticeSequence.delta(3))
+    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(3)))
     out = tmp_path / "c.csv"
     assert run(["converge", "--f", str(f_csv), "--p", "1", "--grid", "dyadic:16:1024", "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "c.csv.json").read_text())
@@ -113,7 +113,7 @@ def test_plot_writes_svg(tmp_path):
     assert "polyline" in svg
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["kernel", "--t", "-1", "--out", str(out)]) == 2
     assert not out.exists()
@@ -121,14 +121,44 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["converge", "--p", "1", "--out", str(out)]) == 2
     assert not out.exists()
     f_csv = tmp_path / "f.csv"
-    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
     assert run(["converge", "--f", str(f_csv), "--g", str(f_csv), "--out", str(out)]) == 2
     assert not out.exists()
+    g_json = tmp_path / "g.json"
+    g_json.write_text(json.dumps({"kind": "none"}))
+    capsys.readouterr()
+    # Flags the subcommand would ignore are not accepted.
+    for argv in (
+        ["evolve", "--t", "1", "--f", str(f_csv), "--plot"],
+        ["duhamel", "--t", "1", "--g", str(g_json), "--plot"],
+        ["fourier", "--t", "1", "--plot"],
+        ["moments", "--t", "1", "--eps", "1e-9"],
+        ["moments", "--t", "1", "--plot"],
+        ["poly", "--eps", "1e-9"],
+        ["poly", "--plot"],
+    ):
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage: lattice-heat" in err and "unrecognized arguments" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "g.json"]
+
+
+def test_none_forcing_json(tmp_path):
+    f_csv = tmp_path / "f.csv"
+    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 2: -0.5})))
+    g_json = tmp_path / "none.json"
+    g_json.write_text(json.dumps({"kind": "none"}))
+    assert run(["evolve", "--t", "2", "--f", str(f_csv), "--g", str(g_json), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(["evolve", "--t", "2", "--f", str(f_csv), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
+    assert run(["duhamel", "--t", "2", "--g", str(g_json), "--out", str(tmp_path / "u.csv")]) == 0
+    assert (tmp_path / "u.csv").read_text() == "n,value\n0,0.0\n"
 
 
 def test_computation_failure_exits_1(tmp_path):
     spatial = tmp_path / "spatial.csv"
-    write_sequence_csv(spatial, LatticeSequence.delta(0))
+    spatial.write_text(sequence_csv_text(LatticeSequence.delta(0)))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     out = tmp_path / "ug.csv"
@@ -163,7 +193,7 @@ def test_non_finite_csv_value_exits_2(tmp_path, capsys):
 def test_forcing_json_missing_key_exits_2(tmp_path, capsys, key):
     spec = {"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}
     del spec[key]
-    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
+    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(spec))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
@@ -175,6 +205,15 @@ def test_gating_failure_exits_1(tmp_path, capsys):
     assert "computation failed" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_infinite_forcing_integral_exits_2(tmp_path, capsys):
+    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 1: 1.0})))
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 0.5, "amplitude": 1e308}))
+    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "100", "--g", str(g_path)])
+    assert "not finite" in err
+
+
 @pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])
 def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
     _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)
@@ -182,14 +221,14 @@ def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
     f_csv = tmp_path / "f.csv"
-    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
     err = _assert_rejected(capsys, tmp_path / "nodir" / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)], code=1)
     assert "cannot write output" in err
 
 
 def test_failed_sidecar_write_removes_written_files(tmp_path, capsys):
     f_csv = tmp_path / "f.csv"
-    write_sequence_csv(f_csv, LatticeSequence.delta(0))
+    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
     (tmp_path / "u.csv.json").mkdir()  # the sidecar path cannot be opened for writing
     out = tmp_path / "u.csv"
     assert run(["evolve", "--t", "1", "--f", str(f_csv), "--out", str(out)]) == 1

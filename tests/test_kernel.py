@@ -14,7 +14,7 @@ from latticeheat.kernel import (
     lp_norm,
     pointwise_bound_report,
     read_sequence_csv,
-    write_sequence_csv,
+    sequence_csv_text,
 )
 
 B0_AT_2 = 0.30850832255367104
@@ -113,6 +113,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(LatticeSequence.delta(0), 0.5)
 
+    def test_matches_per_element_fsum(self):
+        rng = np.random.default_rng(20251)
+        for size in (1, 7, 1000):
+            values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-150.0, 150.0, size)
+            s = LatticeSequence(-3, values)
+            assert lp_norm(s, 1.0) == math.fsum(abs(v) for v in s.values)
+            assert lp_norm(s, 2.0) == math.sqrt(math.fsum(v * v for v in s.values))
+
 
 class TestSemigroup:
     def test_kernel_convolution_semigroup(self):
@@ -164,7 +172,7 @@ class TestSequencePlumbing:
         k = heat_kernel(1.0, 1e-12)
         seq = k.to_sequence()
         path = tmp_path / "k.csv"
-        write_sequence_csv(path, seq)
+        path.write_text(sequence_csv_text(seq))
         back = read_sequence_csv(path)
         assert back.offset == seq.offset
         assert np.array_equal(back.values, seq.values)

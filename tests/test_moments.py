@@ -153,6 +153,14 @@ class TestKernelMoments:
                 got = kernel_moment(kernel, 2 * k)
                 assert got == pytest.approx(expected, rel=1e-8)
 
+    def test_matches_per_point_sum(self):
+        for t in (0.01, 3.0, 1e3):
+            kernel = heat_kernel_for_moment(t, 12, 1e-10)
+            n_max = kernel.window
+            for order in range(13):
+                terms = [float(n) ** order * kernel.value(n) for n in range(-n_max, n_max + 1)]
+                assert kernel_moment(kernel, order) == math.fsum(terms)
+
     def test_weighted_tail_certificate(self):
         kernel = heat_kernel_for_moment(2.0, 8, 1e-10)
         assert weighted_tail_bound(kernel, 8) <= 1e-10

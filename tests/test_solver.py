@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, write_sequence_csv
+from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, sequence_csv_text
 from latticeheat.solver import (
     ForcingSpec,
     QuadratureBudgetError,
@@ -165,7 +165,7 @@ class TestDuhamel:
         assert snap.u.mass() == pytest.approx(1.0, abs=0.01)
 
     def test_none_forcing_is_zero(self):
-        snap = duhamel(ForcingSpec.none(), 2.0)
+        snap = duhamel(None, 2.0)
         assert lp_norm(snap.u, 1.0) == 0.0
         assert snap.quad_error == 0.0
 
@@ -177,6 +177,9 @@ class TestDuhamel:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             ForcingSpec.separable(LatticeSequence.delta(0), gamma=0.0, amplitude=1.0)
+        for gamma, amplitude in ((0.0, 1.0), (math.inf, 1.0), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                ForcingSpec(LatticeSequence.delta(0), gamma, amplitude)
 
     def test_budget_exhaustion_signals(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
@@ -197,7 +200,7 @@ class TestDuhamel:
 class TestSolve:
     def test_reduces_to_evolve_without_forcing(self):
         f = LatticeSequence.from_pairs({0: 1.0, 2: 1.0})
-        a = solve(f, ForcingSpec.none(), 3.0, eps=1e-12)
+        a = solve(f, None, 3.0, eps=1e-12)
         b = evolve(f, 3.0)
         assert np.array_equal(a.u.values, b.u.values)
 
@@ -209,15 +212,20 @@ class TestSolve:
         assert abs(snap.u.mass() - expected) <= snap.quad_error + snap.trunc_error + 1e-12
 
     def test_forcing_spec_json_round_trip(self, tmp_path):
-        write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
+        (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
         spec_path = tmp_path / "g.json"
         spec_path.write_text(
             json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0})
         )
         g = ForcingSpec.from_json(spec_path)
-        assert g.kind == "separable"
         assert g.gamma == 2.0
+        assert g.amplitude == 1.0
         assert g.spatial.value(0) == 1.0
+
+    def test_forcing_spec_json_none(self, tmp_path):
+        spec_path = tmp_path / "none.json"
+        spec_path.write_text(json.dumps({"kind": "none"}))
+        assert ForcingSpec.from_json(spec_path) is None
 
 
 class TestSemigroupProperties:
