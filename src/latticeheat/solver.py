@@ -2,12 +2,12 @@
 
 u(t, n) = (G(t, .) * f)(n) + int_0^t (G(t - s, .) * g(s, .))(n) ds.
 
-The homogeneous part is one windowed convolution with the kernel slice;
-the Duhamel part is adaptive composite Simpson over [0, t] on the
-vector-valued integrand, with the error budget split evenly between
+The homogeneous part is one windowed convolution with the kernel slice.
+The Duhamel part is a composite 8-point Gauss-Legendre rule on a mesh fixed
+before any kernel row, from a bound on the integrand's 16th derivative that
+the heat equation gives; the error budget is split evenly between
 quadrature and kernel truncation.  Each certificate that covers a
-convolution adds its a-priori rounding bound.  Near s = t the integrand
-stays bounded by ||g(s, .)||_1 and W_0 = id is used exactly.
+convolution adds its a-priori rounding bound.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
+from .kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -31,14 +31,25 @@ __all__ = [
     "solve",
     "conserved_quantities",
     "QuadratureBudgetError",
+    "KernelFrameError",
 ]
 
 _MAX_INTEGRAND_EVALS = 40000
-_MAX_DEPTH = 30
+# The 8-point Gauss-Legendre rule on [-1, 1], correctly rounded; on a panel
+# of width h it is off by _C8 h^17 F^(16)(xi) (Atkinson, 5.3).
+_GL_X = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363)
+_GL_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
+_NODES = np.array([-x for x in _GL_X[::-1]] + list(_GL_X))
+_WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
+_C8 = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
 
 
 class QuadratureBudgetError(ArithmeticError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """The quadrature cannot meet the requested tolerance within its node budget."""
+
+
+class KernelFrameError(ArithmeticError):
+    """A node's kernel row is wider than the frame fixed from G(t, .)."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ class ForcingSpec:
 
     def l1_time_integral(self, t: float) -> float:
         """int_0^t ||g(s, .)||_1 ds in closed form."""
-        profile = math.log1p(t) if self.gamma == 1.0 else ((1.0 + t) ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
+        profile = math.log1p(t) if self.gamma == 1.0 else math.expm1((1.0 - self.gamma) * math.log1p(t)) / (1.0 - self.gamma)
         return abs(self.amplitude) * lp_norm(self.spatial, 1.0) * profile
 
 
@@ -111,7 +122,7 @@ def convolve(a: LatticeSequence, b: LatticeSequence) -> LatticeSequence:
 
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the binary64 unit roundoff."""
-    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53) if k * 2.0**-53 < 1.0 else math.inf
 
 
 def rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
@@ -136,77 +147,78 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
     return SolutionSnapshot(t, convolve(seq, f), 0.0, kernel.tail_mass * lp_norm(f, 1.0) + rounding_bound(seq, f))
 
 
-def _simpson(a: float, b: float, fa: np.ndarray, fm: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Nodes, weights, quadrature bound and node-displacement bound of the a-priori mesh.
 
-
-def _refine(ev, lo, hi, flo, fmid, fhi, whole, local_tol, depth):
-    """One adaptive Simpson step on [lo, hi], recursing into halves as needed."""
-    mid = 0.5 * (lo + hi)
-    fl = ev(0.5 * (lo + mid))
-    fr = ev(0.5 * (mid + hi))
-    left = _simpson(lo, mid, flo, fl, fmid)
-    right = _simpson(mid, hi, fmid, fr, fhi)
-    delta = left + right - whole
-    err = float(np.sum(np.abs(delta))) / 15.0
-    if err <= local_tol:
-        return left + right + delta / 15.0, err
-    if depth >= _MAX_DEPTH:
-        msg = f"subdivision depth {_MAX_DEPTH} reached with local error {err:.3g} > {local_tol:.3g}"
-        raise QuadratureBudgetError(msg)
-    li, le = _refine(ev, lo, mid, flo, fl, fmid, left, local_tol / 2.0, depth + 1)
-    ri, re = _refine(ev, mid, hi, fmid, fr, fhi, right, local_tol / 2.0, depth + 1)
-    return li + ri, le + re
-
-
-def _adaptive_simpson(fun, a: float, b: float, tol: float):
-    evals = 0
-
-    def ev(s: float) -> np.ndarray:
-        nonlocal evals
-        evals += 1
-        if evals > _MAX_INTEGRAND_EVALS:
-            raise QuadratureBudgetError(f"quadrature budget of {_MAX_INTEGRAND_EVALS} integrand evaluations exhausted")
-        return fun(s)
-
-    fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
-    whole = _simpson(a, b, fa, fm, fb)
-    return _refine(ev, a, b, fa, fm, fb, whole, tol, 0)
+    F(s) = a(s) (G(t-s) * phi) with |a^(i)(s)| = |A| (gamma)_i (1+s)^(-gamma-i),
+    decreasing in s, and ||d^j/ds^j G(t-s) * phi||_1 = ||G(t-s) * Delta^j phi||_1
+    <= ||Delta^j phi||_1 (heat equation; G is an l1 contraction).  By Leibniz,
+    ||F^(16)||_1 <= M(s0) on [s0, s1], and a panel's error is at most
+    _C8 h^17 M(s0), since the rule's Peano kernel has one sign.  Each panel
+    gets the widest h with _C8 h^17 M(s0) <= tol h / t.  Rounded nodes sit
+    within 4u s1 of the Gauss nodes and their kernel times within 5u t, which
+    moves F by at most 5u t sup ||F'||_1, where ||G(r) * Delta phi||_1 is also
+    at most pi ||phi||_1 / (2r): ||Delta G(r)||_1 <= ||grad G(r/2)||_1^2 =
+    4 G(r/2, 0)^2 and e^-x I_0(x) <= sqrt(pi / (8x)).
+    """
+    norms, err, v = [], 0.0, g.spatial  # ||Delta^j phi||_1 rounded up; a step rounds twice
+    for _ in range(17):
+        l1 = lp_norm(v, 1.0)
+        norms.append(math.nextafter(l1 + err, math.inf))
+        err, v = 4.0 * err + 4.0 * _gamma(3) * l1, discrete_laplacian(v)
+    coeffs = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) * norms[16 - i] for i in range(17)]
+    scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 128))  # |A|, past rounding in M and the panel bounds
+    ends, quad, shift, u = [0.0], [], 0.0, 2.0**-53
+    while ends[-1] < t:
+        if 8 * len(ends) > _MAX_INTEGRAND_EVALS:
+            raise QuadratureBudgetError(f"the mesh needs more than {_MAX_INTEGRAND_EVALS} nodes")
+        s0, y = ends[-1], 1.0 / (1.0 + ends[-1])
+        m = scale * (1.0 + s0) ** -g.gamma * sum(c * y**i for i, c in enumerate(coeffs))
+        if not math.isfinite(m):
+            raise ValueError("the bound on the forcing's 16th time derivative is not finite")
+        h = (tol / t / _C8 / m) ** 0.0625 if m else math.inf
+        ends.append(s0 + h if s0 + h < t else t)
+        quad.append(_C8 * (ends[-1] - s0) ** 17 * m)
+        r = t - ends[-1] - 6.0 * u * t
+        rate = min(norms[1], math.pi * norms[0] / (2.0 * r)) if r > 0.0 else norms[1]
+        shift += (ends[-1] - s0) * (1.0 + s0) ** -g.gamma * (g.gamma * y * norms[0] + rate)
+    e = np.array(ends)
+    half, mid = 0.5 * (e[1:] - e[:-1]), 0.5 * (e[1:] + e[:-1])
+    nodes = np.clip(mid[:, None] + half[:, None] * _NODES, e[:-1, None], e[1:, None]).ravel()
+    weights = (half[:, None] * _WEIGHTS).ravel()
+    return nodes, weights, math.nextafter(math.fsum(quad), math.inf), 5.0 * u * t * scale * shift
 
 
 def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
     """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution; zero for g None."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    if not (0.0 < t < math.inf and eps > 0.0):
+        raise ValueError(f"t must be positive and finite and eps positive, got t={t!r}, eps={eps!r}")
     if g is None or g.amplitude == 0.0:
         return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
 
     g_l1 = g.l1_time_integral(t)
     if not math.isfinite(g_l1):
         raise ValueError(f"int_0^t ||g(s, .)||_1 ds is not finite at t={t!r}")
+    # The margin absorbs rounding in the panel widths, so quad_error <= eps / 2.
+    nodes, weights, quad_error, shift = _mesh(g, t, 0.5 * eps * (1.0 - 2.0**-30))
     kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
     width = heat_kernel(t, kernel_eps).window + 2
-    # Truncation, plus rounding in each node's convolution (unit-mass kernel
-    # rows of at most 2 width + 1 points) and in its temporal factor.
-    k = min(2 * width + 1, len(g.spatial.values)) + 2
-    trunc_error = kernel_eps * g_l1 + math.nextafter(_gamma(k) * g_l1, math.inf)
-    lo = g.spatial.offset - width
-    length = len(g.spatial.values) + 2 * width
-
-    def integrand(s: float) -> np.ndarray:
-        out = np.zeros(length)
-        if s >= t:
-            conv = g.spatial
-        else:
-            ks = heat_kernel(t - s, kernel_eps)
-            if ks.window > width:
-                raise AssertionError("kernel window exceeded the precomputed frame")
-            conv = convolve(ks.to_sequence(), g.spatial)
-        out[conv.offset - lo : conv.offset - lo + len(conv.values)] = conv.values
-        return g.temporal(s) * out
-
-    integral, quad_error = _adaptive_simpson(integrand, 0.0, t, 0.5 * eps)
-    return SolutionSnapshot(t=t, u=LatticeSequence(lo, integral), quad_error=quad_error, trunc_error=trunc_error)
+    # Truncation, then rounding (Higham, 3.1) in each node's convolution (unit-mass rows of at most
+    # 2 width + 1 points), temporal factor, weight, two products and the sum over the nodes.  The
+    # rule underestimates int_0^t |a| = g_l1 / ||phi||_1, as every even derivative of a is positive.
+    k = min(2 * width + 1, len(g.spatial.values)) + math.ceil(g.gamma) + 10 + len(nodes)
+    trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift, math.inf)
+    if trunc_error > eps:
+        raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
+    acc = np.zeros(len(g.spatial.values) + 2 * width)
+    for s, w in zip(nodes.tolist(), weights.tolist()):
+        ks = heat_kernel(t - s, kernel_eps)
+        if ks.window > width:
+            raise KernelFrameError(f"kernel window {ks.window} at s={s!r} exceeds the frame half-width {width}")
+        j = width - ks.window  # where this node's convolution starts in the frame
+        acc[j : len(acc) - j] += (w * g.temporal(s)) * convolve(ks.to_sequence(), g.spatial).values
+    u = LatticeSequence(g.spatial.offset - width, acc)
+    return SolutionSnapshot(t=t, u=u, quad_error=quad_error, trunc_error=trunc_error)
 
 
 def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from latticeheat import kernel, solver
 from latticeheat.cli import run
 from latticeheat.kernel import LatticeSequence, read_sequence_csv, sequence_csv_text
 
@@ -212,6 +213,33 @@ def test_infinite_forcing_integral_exits_2(tmp_path, capsys):
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 0.5, "amplitude": 1e308}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "100", "--g", str(g_path)])
     assert "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["1", "100"])
+def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t):
+    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1e308}))
+    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", t, "--g", str(g_path)])
+    assert "16th time derivative is not finite" in err
+
+
+def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch):
+    frame = []
+
+    def widening(t, eps, min_half_width=None):
+        # The first call fixes the frame half-width; every node row is wider.
+        row = kernel.heat_kernel(t, eps, frame[0] + 1 if frame else min_half_width)
+        frame.append(row.window + 2)
+        return row
+
+    monkeypatch.setattr(solver, "heat_kernel", widening)
+    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
+    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "2", "--g", str(g_path)], code=1)
+    assert "computation failed" in err and "exceeds the frame" in err
 
 
 @pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeheat import solver as solver_module
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, sequence_csv_text
 from latticeheat.solver import (
+    _NODES,
+    _WEIGHTS,
     ForcingSpec,
     QuadratureBudgetError,
     conserved_quantities,
@@ -186,6 +189,23 @@ class TestDuhamel:
         with pytest.raises(QuadratureBudgetError):
             duhamel(g, 100.0, eps=1e-15)
 
+    def test_budget_is_checked_before_any_node_row(self, monkeypatch):
+        times = []
+
+        def counting(t, eps, min_half_width=None):
+            times.append(t)
+            return heat_kernel(t, eps, min_half_width)
+
+        monkeypatch.setattr(solver_module, "heat_kernel", counting)
+        delta = LatticeSequence.delta(0)
+        with pytest.raises(QuadratureBudgetError, match="rounding"):
+            duhamel(ForcingSpec(delta, 2.0, 1.0), 100.0, eps=1e-15)
+        assert times == [100.0]  # the frame row alone
+        times.clear()
+        with pytest.raises(QuadratureBudgetError, match="40000 nodes"):
+            duhamel(ForcingSpec(delta, 2.0, 1e290), 1.0)
+        assert times == []
+
     def test_leaves_no_cyclic_garbage(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
         gc.collect()
@@ -195,6 +215,20 @@ class TestDuhamel:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestGaussLegendreRule:
+    def test_literals_are_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        legendre = lambda x: mpmath.legendre(8, x)
+        guesses, _ = np.polynomial.legendre.leggauss(8)
+        # numpy's nodes agree to 1 ulp; its weights are up to 58 ulp off.
+        assert np.all(np.abs(_NODES - guesses) <= np.spacing(np.abs(guesses)))
+        with mpmath.workdps(40):
+            for node, weight, guess in zip(_NODES, _WEIGHTS, guesses):
+                root = mpmath.findroot(legendre, mpmath.mpf(float(guess)))
+                assert node == float(root)
+                assert weight == float(2 / ((1 - root**2) * mpmath.diff(legendre, root) ** 2))
 
 
 class TestSolve:
