@@ -5,9 +5,9 @@ u(t, n) = (G(t, .) * f)(n) + int_0^t (G(t - s, .) * g(s, .))(n) ds.
 The homogeneous part is one windowed convolution with the kernel slice.
 The Duhamel part is a composite 8-point Gauss-Legendre rule on a mesh fixed
 before any kernel row, from a bound on the integrand's 16th derivative that
-the heat equation gives; the error budget is split evenly between
-quadrature and kernel truncation.  Each certificate that covers a
-convolution adds its a-priori rounding bound.
+the heat equation and the kernel's decay give; the error budget is split
+evenly between quadrature and kernel truncation.  Each certificate that
+covers a convolution adds its a-priori rounding bound.
 """
 
 from __future__ import annotations
@@ -150,43 +150,47 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
 def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Nodes, weights, quadrature bound and node-displacement bound of the a-priori mesh.
 
-    F(s) = a(s) (G(t-s) * phi) with |a^(i)(s)| = |A| (gamma)_i (1+s)^(-gamma-i),
-    decreasing in s, and ||d^j/ds^j G(t-s) * phi||_1 = ||G(t-s) * Delta^j phi||_1
-    <= ||Delta^j phi||_1 (heat equation; G is an l1 contraction).  By Leibniz,
-    ||F^(16)||_1 <= M(s0) on [s0, s1], and a panel's error is at most
-    _C8 h^17 M(s0), since the rule's Peano kernel has one sign.  Each panel
-    gets the widest h with _C8 h^17 M(s0) <= tol h / t.  Rounded nodes sit
-    within 4u s1 of the Gauss nodes and their kernel times within 5u t, which
-    moves F by at most 5u t sup ||F'||_1, where ||G(r) * Delta phi||_1 is also
-    at most pi ||phi||_1 / (2r): ||Delta G(r)||_1 <= ||grad G(r/2)||_1^2 =
-    4 G(r/2, 0)^2 and e^-x I_0(x) <= sqrt(pi / (8x)).
+    F(s) = a(s) (G(r) * phi), r = t - s, with |a^(i)(s)| = |A| (gamma)_i (1+s)^(-gamma-i)
+    decreasing, and d^j/ds^j G(r) * phi = (-1)^j Delta^j G(r) * phi (heat equation) of l1 norm
+    at most ||Delta^j phi||_1 and, as Delta^j G(r) = (Delta G(r/j))^{*j} and ||Delta G(r)||_1 <=
+    ||grad G(r/2)||_1^2 = 4 G(r/2, 0)^2 <= pi / (2r) (e^-x I_0(x) <= sqrt(pi / (8x))), at most
+    (pi j / (2r))^j ||phi||_1.  Leibniz bounds ||F^(16)||_1 on [s0, s1] by M, and the panel's error
+    by _C8 h^17 M (the rule's Peano kernel has one sign).  A panel is the wider of two with _C8 h^17 M
+    <= tol h / t: the widest for M from the first bound, the widest to end by (t + s0) / 2 for both.
+    Rounded nodes stay in [s0, s1] within 4u s1 of the Gauss nodes, their kernel times within
+    5u s1 + u (t - s0), which moves a panel's sum by its term in moves.
     """
     norms, err, v = [], 0.0, g.spatial  # ||Delta^j phi||_1 rounded up; a step rounds twice
     for _ in range(17):
         l1 = lp_norm(v, 1.0)
         norms.append(math.nextafter(l1 + err, math.inf))
         err, v = 4.0 * err + 4.0 * _gamma(3) * l1, discrete_laplacian(v)
-    coeffs = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) * norms[16 - i] for i in range(17)]
-    scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 128))  # |A|, past rounding in M and the panel bounds
-    ends, quad, shift, u = [0.0], [], 0.0, 2.0**-53
+    poch = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) for i in range(17)]
+    scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 192))  # |A|, past rounding in each bound
+    ends, quad, moves, u = [0.0], [], [], 2.0**-53
     while ends[-1] < t:
         if 8 * len(ends) > _MAX_INTEGRAND_EVALS:
             raise QuadratureBudgetError(f"the mesh needs more than {_MAX_INTEGRAND_EVALS} nodes")
-        s0, y = ends[-1], 1.0 / (1.0 + ends[-1])
-        m = scale * (1.0 + s0) ** -g.gamma * sum(c * y**i for i, c in enumerate(coeffs))
-        if not math.isfinite(m):
-            raise ValueError("the bound on the forcing's 16th time derivative is not finite")
-        h = (tol / t / _C8 / m) ** 0.0625 if m else math.inf
-        ends.append(s0 + h if s0 + h < t else t)
-        quad.append(_C8 * (ends[-1] - s0) ** 17 * m)
-        r = t - ends[-1] - 6.0 * u * t
-        rate = min(norms[1], math.pi * norms[0] / (2.0 * r)) if r > 0.0 else norms[1]
-        shift += (ends[-1] - s0) * (1.0 + s0) ** -g.gamma * (g.gamma * y * norms[0] + rate)
+        s0, y, c = ends[-1], 1.0 / (1.0 + ends[-1]), 0.5 * (t + ends[-1])  # t - c is exact
+        d = math.pi / (2.0 * (t - c)) if c < t else 4.0  # ||Delta^j phi||_1 <= 4^j ||phi||_1 caps j d
+        best = (s0, 0.0)
+        for end, bounds in ((t, norms), (c, [min(n, norms[0] * min(j * d, 4.0) ** j) for j, n in enumerate(norms)])):
+            m = scale * (1.0 + s0) ** -g.gamma * sum(p * bounds[16 - i] * y**i for i, p in enumerate(poch))
+            if not math.isfinite(m):
+                raise ValueError("the bound on the forcing's 16th time derivative is not finite")
+            h = (tol / t / _C8 / m) ** 0.0625 if m else math.inf
+            best = max(best, (s0 + h if s0 + h < end else end, m))
+        (s1, m), r = best, t - best[0] - 6.0 * u * t  # r is below every kernel time in the panel
+        ends.append(s1)
+        quad.append(_C8 * (s1 - s0) ** 17 * m)
+        rate = min(norms[1], math.pi * norms[0] / (2.0 * r)) if r > 0.0 else norms[1]  # ||G(r) * Delta phi||_1
+        move = 4.0 * u * s1 * g.gamma * y * norms[0] + (5.0 * u * s1 + u * (t - s0)) * rate
+        moves.append((s1 - s0) * (1.0 + s0) ** -g.gamma * move)
     e = np.array(ends)
     half, mid = 0.5 * (e[1:] - e[:-1]), 0.5 * (e[1:] + e[:-1])
     nodes = np.clip(mid[:, None] + half[:, None] * _NODES, e[:-1, None], e[1:, None]).ravel()
     weights = (half[:, None] * _WEIGHTS).ravel()
-    return nodes, weights, math.nextafter(math.fsum(quad), math.inf), 5.0 * u * t * scale * shift
+    return nodes, weights, math.nextafter(math.fsum(quad), math.inf), math.nextafter(scale * math.fsum(moves), math.inf)
 
 
 def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
@@ -203,22 +207,23 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     nodes, weights, quad_error, shift = _mesh(g, t, 0.5 * eps * (1.0 - 2.0**-30))
     kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
     width = heat_kernel(t, kernel_eps).window + 2
-    # Truncation, then rounding (Higham, 3.1) in each node's convolution (unit-mass rows of at most
-    # 2 width + 1 points), temporal factor, weight, two products and the sum over the nodes.  The
-    # rule underestimates int_0^t |a| = g_l1 / ||phi||_1, as every even derivative of a is positive.
-    k = min(2 * width + 1, len(g.spatial.values)) + math.ceil(g.gamma) + 10 + len(nodes)
+    # Truncation, then rounding (Higham, 3.1) in each node's convolution (rows of at most 2 width + 1 points and
+    # unit mass), temporal factor, weight, two products and the sums over a panel's 8 nodes and over the panels.
+    # The rule underestimates int_0^t |a| = g_l1 / ||phi||_1, as every even derivative of a is positive.
+    k = min(2 * width + 1, len(g.spatial.values)) + math.ceil(g.gamma) + 17 + len(nodes) // 8
     trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift, math.inf)
     if trunc_error > eps:
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
-    acc = np.zeros(len(g.spatial.values) + 2 * width)
-    for s, w in zip(nodes.tolist(), weights.tolist()):
+    acc, panel = np.zeros((2, len(g.spatial.values) + 2 * width))
+    for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
         ks = heat_kernel(t - s, kernel_eps)
         if ks.window > width:
             raise KernelFrameError(f"kernel window {ks.window} at s={s!r} exceeds the frame half-width {width}")
         j = width - ks.window  # where this node's convolution starts in the frame
-        acc[j : len(acc) - j] += (w * g.temporal(s)) * convolve(ks.to_sequence(), g.spatial).values
-    u = LatticeSequence(g.spatial.offset - width, acc)
-    return SolutionSnapshot(t=t, u=u, quad_error=quad_error, trunc_error=trunc_error)
+        panel[j : len(acc) - j] += (w * g.temporal(s)) * convolve(ks.to_sequence(), g.spatial).values
+        if i % 8 == 7:  # a panel's sum joins the frame
+            acc, panel = acc + panel, np.zeros_like(acc)
+    return SolutionSnapshot(t, LatticeSequence(g.spatial.offset - width, acc), quad_error, trunc_error)
 
 
 def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:

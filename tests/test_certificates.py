@@ -33,8 +33,8 @@ def duhamel_reference(gamma: float, t: float) -> LatticeSequence:
     return LatticeSequence(PHI.offset - half, values)
 
 
-@pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
-@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+# t = 1000 at gamma 0.5, the largest rounding term, also checks the panels that the kernel's decay widens.
+@pytest.mark.parametrize("gamma, t", [(g, t) for g in (0.5, 2.0, 6.0) for t in (0.5, 10.0, 100.0)] + [(0.5, 1000.0)])
 def test_duhamel_certificate_covers_quad_vec(gamma, t):
     reference = duhamel_reference(gamma, t)
     for eps in (1e-3, 1e-5, 1e-7):

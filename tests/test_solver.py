@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import solver as solver_module
-from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, sequence_csv_text
+from latticeheat.kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm, sequence_csv_text
 from latticeheat.solver import (
     _NODES,
     _WEIGHTS,
@@ -206,6 +206,36 @@ class TestDuhamel:
             duhamel(ForcingSpec(delta, 2.0, 1e290), 1.0)
         assert times == []
 
+    @pytest.mark.parametrize("r", [0.5, 3.0, 20.0, 100.0])
+    def test_laplacian_powers_of_the_kernel_decay(self, r):
+        # ||Delta^j G(r)||_1 <= (pi j / (2r))^j widens the mesh's panels away from s = t.  The rows are
+        # binary64, so j stops where their rounding, amplified 4^j times, could reach 1% of the bound.
+        v, j = heat_kernel(r, 1e-17).to_sequence(), 0
+        while 4.0 ** (j + 1) * 1e-14 < (math.pi * (j + 1) / (2.0 * r)) ** (j + 1) and j < 16:
+            v, j = discrete_laplacian(v), j + 1
+            assert lp_norm(v, 1.0) <= (math.pi * j / (2.0 * r)) ** j
+        assert j >= 4
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+    def test_large_t_needs_few_nodes_and_meets_the_budget(self, gamma, monkeypatch):
+        # Away from s = t the kernel's decay widens the panels, so t = 2e4 needs under 1,000 nodes, and a
+        # panel's 8 terms are summed before they join the frame, so the rounding term stays within eps.
+        g = ForcingSpec(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 1: 0.25, 2: -0.5, 3: 0.125}), gamma, 1.0)
+        nodes, _, quad_error, shift = solver_module._mesh(g, 2e4, 0.5e-10)
+        assert len(nodes) <= 1000 and quad_error <= 0.5e-10 and shift <= 1e-11
+
+        class NodeRow(Exception):
+            pass
+
+        def frame_row_only(t, eps, min_half_width=None):
+            if t != 2e4:
+                raise NodeRow
+            return heat_kernel(t, eps, min_half_width)
+
+        monkeypatch.setattr(solver_module, "heat_kernel", frame_row_only)
+        with pytest.raises(NodeRow):  # every budget check passed before the first node row
+            duhamel(g, 2e4, 1e-10)
+
     def test_leaves_no_cyclic_garbage(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
         gc.collect()
@@ -218,12 +248,15 @@ class TestDuhamel:
 
 
 class TestGaussLegendreRule:
+    def test_nodes_match_leggauss(self):
+        # numpy's nodes agree to 1 ulp; its weights are up to 58 ulp off, so they are checked against mpmath.
+        guesses, _ = np.polynomial.legendre.leggauss(8)
+        assert np.all(np.abs(_NODES - guesses) <= np.spacing(np.abs(guesses)))
+
     def test_literals_are_correctly_rounded(self):
         mpmath = pytest.importorskip("mpmath")
         legendre = lambda x: mpmath.legendre(8, x)
         guesses, _ = np.polynomial.legendre.leggauss(8)
-        # numpy's nodes agree to 1 ulp; its weights are up to 58 ulp off.
-        assert np.all(np.abs(_NODES - guesses) <= np.spacing(np.abs(guesses)))
         with mpmath.workdps(40):
             for node, weight, guess in zip(_NODES, _WEIGHTS, guesses):
                 root = mpmath.findroot(legendre, mpmath.mpf(float(guess)))
