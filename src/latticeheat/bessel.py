@@ -7,7 +7,9 @@ backward recurrence normalized through the generating-function identity
 
     b_0(tau) + 2 * sum_{n >= 1} b_n(tau) = 1,
 
-so mass conservation holds by construction.  Two independent oracles (the
+so mass conservation holds by construction.  The recurrence starts at an
+index proved from tau and eps alone, O(sqrt(tau log 1/eps) + log 1/eps)
+steps above the centre, not O(tau).  Two independent oracles (the
 defining power series and a confluent-hypergeometric expansion) are kept
 alongside for cross-validation; they never feed the recurrence.  Only
 where tau is so small that a single recurrence step overflows (tau below
@@ -37,6 +39,12 @@ _RESCALE_FACTOR = 1e-250
 
 _SERIES_TAU_MAX = 30.0
 
+# The normalisation rounds each value three times (the fsum, the add of b_0
+# and the division), each by at most u = 2^-53, on a window of mass below 1.0001.
+_NORM_ROUNDING = 3.001 * 2.0**-53
+# Miller's relative seed error is held below this share of the target.
+_SEED_SHARE = 2.0**-40
+
 
 class NonConvergenceError(ArithmeticError):
     """A series oracle failed to reach its convergence criterion."""
@@ -46,7 +54,11 @@ class NonConvergenceError(ArithmeticError):
 class ScaledBesselRow:
     """Values b_n(tau) for 0 <= n <= half_width, with b_{-n} = b_n implied.
 
-    ``tail_bound`` is a certified upper bound on 2 * sum_{n > half_width} b_n.
+    ``tail_bound`` bounds the l1 distance over all of Z from the carried row
+    to the exact one: the mass 2 * sum_{n > half_width} b_n left outside,
+    the error that Miller's seed and the missing mass put inside through the
+    normalisation, and the normalisation's rounding.  The rounding of the
+    recurrence steps themselves is not in it.
     """
 
     tau: float
@@ -69,8 +81,45 @@ class ScaledBesselRow:
         return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
 
 
-def _start_index(tau: float) -> int:
-    return max(20, math.ceil(tau + 12.0 * math.sqrt(tau) + 30.0))
+def _budget(eps: float) -> tuple[float, float]:
+    """(target, cap): the window's truncation and seed terms meet target, and tail_bound <= cap.
+
+    No binary64 row certifies less than its normalisation's rounding: where
+    eps is below twice that (about 6.7e-16), the other terms meet eps and the
+    rounding comes on top.
+    """
+    if eps > 2.0 * _NORM_ROUNDING:
+        return eps - _NORM_ROUNDING, eps
+    return eps, math.inf
+
+
+def _start_index(tau: float, eps: float, floor: int) -> tuple[int, int]:
+    """(N, m): the window search succeeds by N >= floor, and the recurrence starts at m > N.
+
+    For X the Skellam law of variance tau, b_n <= P(X >= n) <= exp(-n^2 / (2 (tau + n/3)))
+    (Bernstein), and r_n = b_n / b_{n-1} < tau / (n - 1 + sqrt((n-1)^2 + tau^2)) (Amos, Math.
+    Comp. 28, 1974) gives r_n / (1 - r_n) <= tau / (n - 1); so from N on, the estimate
+    4 b_n r_n / (1 - r_n) of ``scaled_bessel_row`` is at most a quarter of the target.
+    Seeded (1, 0) at (m, m + 1), the recurrence is off from I_n by the relative amount
+    K_n I_{m+1} / (I_n K_{m+1}) = prod_{k=n}^{m} (I_{k+1} / I_k) (K_k / K_{k+1}), and both
+    ratios are below tau / (k + sqrt(k^2 + tau^2)) = exp(-asinh(k / tau)) (Amos; Gautschi,
+    SIAM Rev. 9, 1967).  So at every n <= N it is below exp(-2 sum_{k=N}^{m} asinh(k / tau)),
+    which m holds below _SEED_SHARE times the target.
+    """
+    target = _budget(eps)[0]
+
+    def bernstein(big_l: float) -> float:  # the n with n^2 = 2 big_l (tau + n/3)
+        return big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)
+
+    big_l = math.log(16.0 / target)
+    n1 = max(2, math.ceil(bernstein(big_l)))
+    n = max(floor, math.ceil(bernstein(big_l + math.log(max(1.0, tau / (n1 - 1))))) + 1)
+    # Every factor k >= n is below exp(-2 asinh(n / tau)); where k <= tau, below
+    # exp(-2 asinh(1) k / tau), as asinh(x) / x decreases, and sum_{k=n}^{m} k >= (m^2 - n^2) / 2.
+    big_d = -math.log(_SEED_SHARE * target)
+    m = n + max(1, math.ceil(big_d / (2.0 * math.asinh(n / tau))))
+    m_sq = math.ceil(math.sqrt(n * n + big_d * tau / math.asinh(1.0)))
+    return n, (min(m, m_sq) if m_sq <= tau else m)
 
 
 def _validate_tau(tau: float) -> None:
@@ -84,9 +133,11 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     """Evaluate the whole row b_n(tau) by normalized backward recurrence.
 
     The window half-width is chosen automatically as the smallest N whose
-    a-posteriori geometric tail estimate certifies tail_bound <= eps; pass
+    a-posteriori certificate gives tail_bound <= eps (eps plus the
+    normalisation's rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
-    tails carry polynomial weights).
+    tails carry polynomial weights).  Raises ArithmeticError if no window up
+    to the proved one meets it.
     """
     _validate_tau(tau)
     if not (0.0 < eps < 1.0):
@@ -98,9 +149,8 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         values[0] = 1.0
         return ScaledBesselRow(tau=0.0, half_width=n, values=values, tail_bound=0.0)
 
-    m = _start_index(tau)
-    if min_half_width is not None:
-        m = max(m, min_half_width + 10)
+    floor = min_half_width or 0
+    last, m = _start_index(tau, eps, floor)
     b = _recurrence_row(tau, m)
     if b is None:
         b = np.zeros(m + 1)
@@ -109,25 +159,46 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
             if b[n] == 0.0:
                 break
 
-    half_width = m
-    tail_bound = 0.0
-    floor = min_half_width or 0
-    for n in range(max(1, floor), m + 1):
-        ratio = b[n] / b[n - 1] if b[n - 1] > 0.0 else 1.0
-        if ratio >= 1.0:
-            continue
-        # Ratios b_{n+1}/b_n are decreasing in n, so the geometric sum
-        # certifies the tail; the extra factor 2 is a safety margin.
-        estimate = 4.0 * b[n] * ratio / (1.0 - ratio)
-        if estimate < eps:
-            half_width = n
-            # The estimate underflows to 0 for tau below about 1e-161, where the
-            # true tail is still positive: round it up to the smallest subnormal.
-            tail_bound = max(estimate, math.ulp(0.0))
-            break
+    # Ratios b_{n+1}/b_n decrease in n, so T = 2 sum_{k>n} b_k <= 2 b_n r / (1 - r),
+    # and the estimate is twice that.  With the seed error below delta at every
+    # n <= last, the normalisation is off by at most T + delta, and the l1
+    # distance is at most (2 T + 2 delta) / (1 - T - delta); the third delta
+    # covers the relative rounding of the estimate itself.
+    target, cap = _budget(eps)
+    delta = _SEED_SHARE * target
+    head = b[: last + 1].tolist()
 
-    values = np.array(b[: half_width + 1])
-    return ScaledBesselRow(tau=tau, half_width=half_width, values=values, tail_bound=tail_bound)
+    def certified(n: int) -> float | None:
+        """tail_bound with the window at n, or None where it misses the budget."""
+        below, edge = head[n - 1], head[n]
+        if below == 0.0:  # b_{n-1} < 2.5e-324: the mass outside, below 2 b_{n-1} tau / (n - 2), is nil
+            estimate = 0.0
+        elif edge < below:
+            ratio = edge / below
+            estimate = 4.0 * edge * ratio / (1.0 - ratio)
+        else:
+            return None
+        denominator = 1.0 - 2.0 * (estimate + delta)
+        if denominator <= 0.0:
+            return None
+        core = (estimate + 3.0 * delta) / denominator
+        bound = math.nextafter(core + _NORM_ROUNDING, math.inf)
+        return bound if core <= target and bound <= cap else None
+
+    # The estimate falls as n grows, so the windows that meet the budget are
+    # those from the first one on, and bisection finds it.
+    lo, hi = max(1, floor), last
+    tail_bound = certified(hi)
+    if tail_bound is None:
+        raise ArithmeticError(f"no window up to {last} certifies the tail of the row at tau={tau!r}, eps={eps!r}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bound = certified(mid)
+        if bound is None:
+            lo = mid + 1
+        else:
+            hi, tail_bound = mid, bound
+    return ScaledBesselRow(tau=tau, half_width=lo, values=np.array(b[: lo + 1]), tail_bound=tail_bound)
 
 
 def _recurrence_row(tau: float, m: int) -> np.ndarray | None:

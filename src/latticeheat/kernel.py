@@ -116,7 +116,7 @@ def heat_kernel(t: float, eps: float, min_half_width: int | None = None) -> Kern
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     row = scaled_bessel_row(2.0 * t, eps, min_half_width=min_half_width)
-    return KernelSlice(t=t, window=row.half_width, values=np.array(row.values), tail_mass=row.tail_bound)
+    return KernelSlice(t=t, window=row.half_width, values=row.values, tail_mass=row.tail_bound)
 
 
 def forward_difference(s: LatticeSequence) -> LatticeSequence:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeheat import bessel
 from latticeheat.bessel import (
     NonConvergenceError,
     scaled_bessel_kummer,
@@ -20,6 +21,10 @@ B0_AT_2 = 0.30850832255367104  # e^{-2} I_0(2)
 B1_AT_2 = 0.21526928924893766  # e^{-2} I_1(2)
 B1_AT_1 = 0.20791041534970845  # e^{-1} I_1(1)
 I1_AT_2 = 1.5906368546373291
+
+U = 2.0**-53
+# The whole range of tau the library accepts, from the series fallback to the widest rows.
+ALL_TAUS = [1e-300, 1e-200, 1e-60, 1e-3, 0.5, 1.0, 30.0, 350.0, 2e4, 2e5, 1e6]
 
 
 def _row_value(tau: float, n: int) -> float:
@@ -143,6 +148,35 @@ class TestRow:
         assert row.tail_bound > 0.0
         assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0
 
+    def test_tiny_eps_gets_a_true_certificate(self):
+        # A window search that ran out of candidates used to return its last
+        # index with tail_bound 0.0 (half-width 43 here, true tail about 1e-68).
+        for tau, eps in ((1.0, 1e-100), (1.0, 1e-250), (5.0, 1e-150)):
+            row = scaled_bessel_row(tau, eps)
+            outside = range(row.half_width + 1, 171)  # the series oracle's factorial stays a float
+            tail = 2.0 * math.fsum(scaled_bessel_series(tau, n) for n in outside)
+            assert 0.0 < tail <= eps and tail <= row.tail_bound
+
+    def test_floor_past_underflow_keeps_a_positive_certificate(self):
+        # b_n(1) underflows near n = 150; a wider forced window used to come back at m with tail_bound 0.0.
+        row = scaled_bessel_row(1.0, 1e-12, min_half_width=200)
+        assert row.half_width == 200 and row.values[-1] == 0.0 and row.tail_bound > 0.0
+
+    def test_failed_window_search_raises(self, monkeypatch):
+        # Past the proved index the search has no candidates left; no zero certificate comes back.
+        monkeypatch.setattr(bessel, "_start_index", lambda tau, eps, floor: (max(floor, 5), max(floor, 5) + 1))
+        with pytest.raises(ArithmeticError, match="certifies"):
+            scaled_bessel_row(1000.0, 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16])
+    def test_start_index_grows_like_sqrt_tau_log(self, eps):
+        # Pins the recurrence's cost: O(sqrt(tau log 1/eps) + log 1/eps) steps above the floor, not O(tau).
+        log = math.log(1.0 / eps)
+        for tau in np.logspace(-3, 6, 37).tolist():
+            for floor in (0, 100, 10_000):
+                last, m = bessel._start_index(tau, eps, floor)
+                assert floor <= last < m <= 3.0 * (math.sqrt(tau * log) + log) + floor
+
     def test_min_half_width_extends_window(self):
         row = scaled_bessel_row(1.0, 1e-6, min_half_width=40)
         assert row.half_width >= 40
@@ -172,14 +206,47 @@ class TestRow:
 
 
 class TestScipyOracle:
-    @pytest.mark.parametrize("tau", [1e-300, 1e-60, 1e-3, 1.0, 30.0, 350.0, 1e3, 2e4, 2e5])
+    @pytest.mark.parametrize("tau", [1e-300, 1e-60, 1e-3, 1.0, 30.0, 350.0, 1e3, 2e4, 2e5, 1e6])
     def test_row_matches_ive(self, tau):
         # Independent of both library oracles, which stop at tau of about 30
         # (series) and 350 (Kummer).
         special = pytest.importorskip("scipy.special")
         row = scaled_bessel_row(tau, 1e-12)
-        expected = special.ive(np.arange(row.half_width + 1), tau)
-        np.testing.assert_allclose(row.values, expected, rtol=5e-12, atol=0.0)
+        expected = special.ive(np.arange(2 * row.half_width + 64), tau)
+        np.testing.assert_allclose(row.values, expected[: row.half_width + 1], rtol=5e-12, atol=0.0)
+        # l1 distance over all of Z, the mass outside the window included.
+        gap = expected.copy()
+        gap[: row.half_width + 1] -= row.values
+        gap = np.abs(gap)
+        assert gap[0] + 2.0 * math.fsum(gap[1:].tolist()) <= row.tail_bound
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n", [0, 1000])
+    def test_row_matches_mpmath_at_1e6(self, n):
+        # mpmath returns in milliseconds at these n; near the window edge (n of about 7,200) it does not.
+        mpmath = pytest.importorskip("mpmath")
+        row = scaled_bessel_row(1e6, 1e-12)
+        with mpmath.workdps(30):
+            exact = float(mpmath.besseli(n, 1e6) * mpmath.exp(-1e6))
+        assert abs(row.value(n) - exact) <= min(row.tail_bound, 1e-14 * exact)
+
+
+class TestAliasingOracle:
+    @pytest.mark.parametrize("eps", [1e-12, 1e-16])
+    @pytest.mark.parametrize("tau", ALL_TAUS)
+    def test_row_matches_the_periodic_sum(self, tau, eps):
+        # With theta_k = 2 pi k / N, (1/N) sum_k e^{-tau (1 - cos theta_k)} cos(n theta_k) = sum_j b_{n + jN}
+        # exactly (Trefethen & Weideman, SIAM Rev. 56, 2014).  For N > 2 (half_width + 1) the aliases of the
+        # carried n are distinct indices outside the window, so each entry is within tail_bound; the FFT adds
+        # at most about 7 u log2(N) rms(f) (Higham, Accuracy and Stability of Numerical Algorithms, 24.1).
+        row = scaled_bessel_row(tau, eps)
+        size = 1 << (2 * row.half_width + 3).bit_length()
+        theta = 2.0 * np.pi * np.arange(size) / size
+        f = np.exp(-2.0 * tau * np.sin(0.5 * theta) ** 2)  # 1 - cos = 2 sin^2(theta / 2), without cancellation
+        periodic = np.fft.rfft(f).real[: row.half_width + 1] / size
+        rounding = 16.0 * U * math.log2(size) * math.sqrt(float(np.mean(f * f)))
+        assert float(np.max(np.abs(row.values - periodic))) <= row.tail_bound + rounding
 
 
 class TestDerivativeResidual:

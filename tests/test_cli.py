@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from latticeheat import kernel, solver
+from latticeheat import bessel, kernel, solver
 from latticeheat.cli import run
 from latticeheat.kernel import LatticeSequence, read_sequence_csv, sequence_csv_text
 
@@ -240,6 +240,20 @@ def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch):
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "2", "--g", str(g_path)], code=1)
     assert "computation failed" in err and "exceeds the frame" in err
+
+
+def test_uncertified_kernel_window_exits_1(tmp_path, capsys, monkeypatch):
+    # A window search that finds no certified window raises; it used to return a zero tail bound.
+    monkeypatch.setattr(bessel, "_start_index", lambda tau, eps, floor: (max(floor, 5), max(floor, 5) + 1))
+    err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "500", "--eps", "1e-12"], code=1)
+    assert "computation failed" in err and "certifies" in err
+
+
+def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
+    # At eps 1e-100 the window used to stop at 43 with a zero certificate; the proved start reaches the edge.
+    out = tmp_path / "k.csv"
+    assert run(["kernel", "--t", "0.5", "--eps", "1e-100", "--out", str(out)]) == 0
+    assert read_sequence_csv(out).hi == kernel.heat_kernel(0.5, 1e-100).window == 60
 
 
 @pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])

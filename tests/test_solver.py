@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from latticeheat import solver as solver_module
 from latticeheat.kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm, sequence_csv_text
 from latticeheat.solver import (
+    _C8,
     _NODES,
     _WEIGHTS,
     ForcingSpec,
@@ -235,6 +236,33 @@ class TestDuhamel:
         monkeypatch.setattr(solver_module, "heat_kernel", frame_row_only)
         with pytest.raises(NodeRow):  # every budget check passed before the first node row
             duhamel(g, 2e4, 1e-10)
+
+    @pytest.mark.parametrize("gamma, t", [(0.5, 1000.0), (2.0, 1000.0), (2.0, 1e4), (6.0, 100.0)])
+    def test_every_panel_meets_its_share_under_the_stated_bound(self, gamma, t):
+        # Recomputes each panel's Leibniz bound M apart from _mesh, with the decay constant
+        # ||Delta G(r)||_1 <= pi / (2r): a panel wider than the true M allows breaks C8 h^17 M <= tol h / t.
+        eight_phi = [4, 8, 2, -4, 1]  # 8 phi on -1..3, integers so Delta^j phi is exact
+        phi = LatticeSequence(-1, np.array(eight_phi) / 8.0)
+        tol = 0.5e-10
+        _, weights, _, _ = solver_module._mesh(ForcingSpec(phi, gamma, 1.0), t, tol)
+        norms, v = [], eight_phi
+        for _ in range(17):
+            norms.append(sum(abs(x) for x in v) / 8.0)
+            v = [a - 2 * b + c for a, b, c in zip([0, 0] + v, [0] + v + [0], v + [0, 0])]
+        poch = [math.comb(16, i) * math.prod(gamma + k for k in range(i)) for i in range(17)]
+        ends = np.concatenate([[0.0], np.cumsum(weights.reshape(-1, 8).sum(axis=1))])
+        decay_panels = 0
+        for s0, s1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
+            c = 0.5 * (t + s0)  # the decay bound holds on a panel that ends by c
+            d = math.pi / (2.0 * (t - c))
+            decay = s1 <= c * (1.0 + 1e-12)
+            bounds = [min(n, norms[0] * (j * d) ** j) if decay else n for j, n in enumerate(norms)]
+            y = 1.0 / (1.0 + s0)
+            m = (1.0 + s0) ** -gamma * sum(p * bounds[16 - i] * y**i for i, p in enumerate(poch))
+            h = s1 - s0
+            assert _C8 * h**17 * m <= tol * h / t * (1.0 + 1e-6)
+            decay_panels += decay and s1 < c * (1.0 - 1e-9)
+        assert decay_panels >= 1  # some panel's width comes from the decay bound, not from its end
 
     def test_leaves_no_cyclic_garbage(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
