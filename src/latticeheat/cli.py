@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -102,6 +103,7 @@ def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list
     return outputs
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lattice-heat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -113,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--plot", action="store_true")
         p.add_argument("--out", type=Path, required=True)
         if grid:
-            p.add_argument("--grid", type=_parse_grid, default=analysis.dyadic_grid())
+            p.add_argument("--grid", type=_parse_grid, default="dyadic:16:1024")
         if t:
             p.add_argument("--t", type=float, required=True)
         if pnorm:

@@ -6,9 +6,9 @@ The polynomial family satisfies p_0 = 1 and, for k >= 1,
 
 integrated term by term in exact integer arithmetic.  The even moment of
 the kernel obeys sum_n n^{2k} G(t, n) = p_k(2t) while odd moments vanish
-by symmetry.  Root isolation works over exact rationals: the smallest
-negative zeros sit within 1e-3 of the zero at the origin, where floating
-point sign tests are unreliable.
+by symmetry.  Root isolation takes exact integer signs at dyadic points
+a / 2^e: the smallest negative zeros sit within 1e-3 of the zero at the
+origin, where floating point sign tests are unreliable.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def moment_polynomials(k_max: int) -> list[IntPolynomial]:
@@ -120,21 +114,25 @@ def _clear_denominators(coeffs: list[Fraction]) -> IntPolynomial:
     return IntPolynomial(tuple(int(c * scale) for c in coeffs))
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _dyadic_sign(poly: IntPolynomial, a: int, e: int) -> int:
+    """Sign of poly(a / 2^e), from the integer sum of c_i a^i 2^(e (deg - i))."""
+    acc = 0
+    for shift, c in enumerate(reversed(poly.coeffs)):
+        acc = acc * a + (c << (e * shift))
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[IntPolynomial], x: Fraction) -> int:
-    signs = [s for s in (_sign(poly.eval_exact(x)) for poly in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(chain: list[IntPolynomial], a: int, e: int) -> int:
+    signs = [s for s in (_dyadic_sign(poly, a, e) for poly in chain) if s != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     """All real roots of a moment polynomial, sorted ascending.
 
-    Sturm-count subdivision over exact rationals isolates the roots in
-    [-(deg + 2), 0]; bisection with exact sign evaluation then refines each
-    to within ``tol``.  The root at the origin is returned exactly.
+    Sturm-count subdivision isolates the roots in [-(deg + 2), 0]; bisection
+    with exact signs at dyadic points then refines each to within ``tol``.
+    The root at the origin is returned exactly.
     """
     if p.degree > ROOTS_K_MAX:
         raise ValueError(f"root finding capped at degree {ROOTS_K_MAX}")
@@ -151,35 +149,30 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
 
     chain = _sturm_chain([Fraction(c) for c in coeffs])
     q = chain[0]
-    lo = Fraction(-(p.degree + 2))
-    hi = Fraction(0)
-    total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    # Every point visited is a dyadic a / 2^e, held as the integers (a, e).
+    lo, hi = -(p.degree + 2), 0
+    total = _sign_changes(chain, lo, 0) - _sign_changes(chain, hi, 0)
     if total != q.degree:
-        raise RootIsolationError(
-            f"isolated {total} real roots in [{float(lo)}, 0], expected {q.degree}"
-        )
+        raise RootIsolationError(f"isolated {total} real roots in [{float(lo)}, 0], expected {q.degree}")
 
-    isolated: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
+    isolated: list[tuple[int, int, int]] = []
+    stack = [(lo, hi, 0, total)]
     while stack:
-        a, b, count = stack.pop()
-        if count == 0:
-            continue
+        a, b, e, count = stack.pop()
         if count == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = _sign_changes(chain, a) - _sign_changes(chain, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
+            isolated.append((a, b, e))
+        elif count > 1:
+            mid = a + b
+            left = _sign_changes(chain, a, e) - _sign_changes(chain, mid, e + 1)
+            stack += [(2 * a, mid, e + 1, left), (mid, 2 * b, e + 1, count - left)]
 
     roots: list[float] = []
-    for a, b in isolated:
+    for a, b, e in isolated:
         # Sturm counts roots in (a, b]; bisect on the sign at a.
-        sa = _sign(q.eval_exact(a))
-        while float(b - a) > tol / 4:
-            mid = (a + b) / 2
-            sm = _sign(q.eval_exact(mid))
+        sa = _dyadic_sign(q, a, e)
+        while math.ldexp(b - a, -e) > tol / 4:
+            a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
+            sm = _dyadic_sign(q, mid, e)
             if sm == 0:
                 a = b = mid
                 break
@@ -187,7 +180,7 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
                 a = mid
             else:
                 b = mid
-        roots.append(float((a + b) / 2))
+        roots.append((a + b) / (1 << (e + 1)))
 
     if mult_zero:
         roots.append(0.0)
@@ -202,7 +195,12 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     n_max = slice.window
     if n_max > 1 and order * math.log(n_max) > 700.0:
         raise OverflowError(f"n^{order} exceeds binary64 range on window {n_max}")
-    return slice.to_sequence().moment(order)
+    # (-n)^order = +-n^order exactly and doubling is exact, so these are the full sum's bits.
+    if order % 2:
+        return 0.0
+    v = slice.values.tolist()
+    terms = [2.0 * (float(n) ** order * v[n]) for n in range(1, len(v))]
+    return math.fsum([0.0**order * v[0], *terms])
 
 
 def weighted_tail_bound(slice: KernelSlice, order: int) -> float:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from latticeheat import bessel, kernel, solver
+from latticeheat import bessel, cli, kernel, solver
 from latticeheat.cli import run
 from latticeheat.kernel import LatticeSequence, read_sequence_csv, sequence_csv_text
 
@@ -288,3 +292,36 @@ def test_malformed_forcing_json_exits_2(tmp_path, capsys, text, fragment):
     g_path.write_text(text)
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
     assert "g.json" in err and fragment in err
+
+
+def test_parser_reuse_keeps_outputs_byte_identical(tmp_path, capsys):
+    argvs = [
+        ["decay", "--p", "inf", "--grid", "dyadic:16:512"],
+        ["decay", "--p", "inf"],
+        ["decay", "--p", "inf", "--grid", "dyadic:16:1024"],
+        ["poly", "--kmax", "8", "--roots"],
+        ["poly", "--kmax", "8", "--roots"],
+    ]
+    texts = []
+    for rep in range(2):
+        capsys.readouterr()
+        assert run(["decay", "--grid", "dyadic:0:1", "--out", str(tmp_path / "bad.csv")]) == 2
+        outputs = [capsys.readouterr().err]
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"{rep}_{i}.csv"
+            assert run(argv + ["--out", str(out)]) == 0
+            outputs += [p.read_bytes() for p in sorted(tmp_path.glob(f"{rep}_{i}.csv*"))]
+        texts.append(outputs)
+    assert "usage: lattice-heat" in texts[0][0]
+    assert texts[1] == texts[0]
+    # The default grid is dyadic:16:1024, and the repeated poly run matches its first.
+    assert texts[0][3:5] == texts[0][5:7] and texts[0][7] == texts[0][8]
+    # argparse converts the string default on every call, so no call shares a grid list.
+    parser = cli._build_parser()
+    assert parser.parse_args(["decay", "--out", "a"]).grid is not parser.parse_args(["decay", "--out", "a"]).grid
+
+
+def test_import_builds_no_parser():
+    code = "import latticeheat.cli as c; assert c._build_parser.cache_info().currsize == 0"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,12 +1,15 @@
 """Tests for the moment polynomial family, its zeros, and kernel moments."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from latticeheat.moments import (
+    ROOTS_K_MAX,
     IntPolynomial,
     RootIsolationError,
+    _dyadic_sign,
     heat_kernel_for_moment,
     kernel_moment,
     moment_polynomials,
@@ -132,6 +135,33 @@ class TestRoots:
         with pytest.raises(RootIsolationError):
             poly_real_roots(IntPolynomial((1, 1, 1)), 1e-12)
 
+    def test_against_mpmath_polyroots(self):
+        mpmath = pytest.importorskip("mpmath")
+        polys = moment_polynomials(ROOTS_K_MAX)
+        for k in range(2, ROOTS_K_MAX + 1):
+            with mpmath.workdps(50):
+                # p_k(0) = 0; the other k - 1 roots are real and negative.
+                exact = mpmath.polyroots(polys[k].coeffs[:0:-1], maxsteps=200, extraprec=200)
+            want = sorted([float(mpmath.re(r)) for r in exact] + [0.0])
+            for tol in (1e-3, 1e-6, 1e-12):
+                got = poly_real_roots(polys[k], tol)
+                assert len(got) == polys[k].degree
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= tol, (k, tol, g, w)
+
+    def test_root_on_a_bisection_midpoint_is_exact(self):
+        # t (4t + 3): bisection of (-4, 0] visits -2, -1, -0.5 and then hits -0.75 exactly.
+        assert poly_real_roots(IntPolynomial((0, 3, 4)), 1e-12) == [-0.75, 0.0]
+
+    def test_dyadic_sign_matches_rational_evaluation(self):
+        mixed = [IntPolynomial((3, -7, 0, 5, -2)), IntPolynomial((-1, 0, 0, 0, 0, 0, 1 << 40))]
+        for poly in moment_polynomials(ROOTS_K_MAX)[1:] + mixed:
+            for a in (-9, -5, -1, 0, 1, 3, 1 << 20):
+                for e in (0, 1, 7, 40):
+                    x = Fraction(a, 2**e)
+                    value = sum(c * x**i for i, c in enumerate(poly.coeffs))
+                    assert _dyadic_sign(poly, a, e) == (value > 0) - (value < 0)
+
 
 class TestKernelMoments:
     def test_mass_and_second_moment(self):
@@ -154,7 +184,7 @@ class TestKernelMoments:
                 assert got == pytest.approx(expected, rel=1e-8)
 
     def test_matches_per_point_sum(self):
-        for t in (0.01, 3.0, 1e3):
+        for t in (0.01, 3.0, 1e3, 1e5):
             kernel = heat_kernel_for_moment(t, 12, 1e-10)
             n_max = kernel.window
             for order in range(13):
