@@ -5,7 +5,7 @@ scaled modified Bessel functions, the even-moment polynomial family, mild
 solutions with separable forcing, and empirical decay-rate reports.
 """
 
-from .bessel import ScaledBesselRow, scaled_bessel_row, scaled_bessel_series, scaled_bessel_kummer
+from .bessel import scaled_bessel_row, scaled_bessel_series, scaled_bessel_kummer
 from .kernel import (
     KernelSlice,
     LatticeSequence,
@@ -19,7 +19,6 @@ from .solver import ForcingSpec, SolutionSnapshot, convolve, evolve, duhamel, so
 from .analysis import DecayReport, kernel_decay, l2_optimality, large_time_profile
 
 __all__ = [
-    "ScaledBesselRow",
     "scaled_bessel_row",
     "scaled_bessel_series",
     "scaled_bessel_kummer",

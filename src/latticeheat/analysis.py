@@ -62,10 +62,13 @@ class DecayReport:
 
 
 def dyadic_grid(t_min: float = 16.0, t_max: float = 1024.0) -> list[float]:
-    """Times t_min, 2 t_min, ... up to t_max inclusive."""
+    """Times t_min, 2 t_min, ... up to t_max inclusive; needs 0 < t_min <= t_max < inf."""
+    top = t_max * (1.0 + 1e-12)  # inf also for t_max within 1e-12 of the largest float, so refused too
+    if not (0.0 < t_min <= t_max and top < math.inf):
+        raise ValueError(f"grid bounds must satisfy 0 < t_min <= t_max < inf, got {t_min!r}, {t_max!r}")
     grid = []
     t = t_min
-    while t <= t_max * (1.0 + 1e-12):
+    while t <= top:
         grid.append(t)
         t *= 2.0
     return grid

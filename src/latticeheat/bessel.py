@@ -15,6 +15,10 @@ alongside for cross-validation; they never feed the recurrence.  Only
 where tau is so small that a single recurrence step overflows (tau below
 about 1e-58) is the row taken from the power series instead, which is
 exact to rounding there.
+
+A row is a ``KernelSlice``: G(t, n) = b_n(2t), so the kernel slice at t is
+the row at tau = 2t.  ``LatticeSequence``, the carrier of all finitely
+supported data (initial values, solutions, differences), lives here too.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ScaledBesselRow",
+    "KernelSlice",
+    "LatticeSequence",
     "scaled_bessel_row",
     "scaled_bessel_series",
     "scaled_bessel_kummer",
@@ -51,38 +56,99 @@ class NonConvergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ScaledBesselRow:
-    """Values b_n(tau) for 0 <= n <= half_width, with b_{-n} = b_n implied.
+class LatticeSequence:
+    """A real sequence on Z carried on the window [offset, offset + len - 1]."""
 
-    ``tail_bound`` bounds the l1 distance over all of Z from the carried row
-    to the exact one: the mass 2 * sum_{n > half_width} b_n left outside,
-    the error that Miller's seed and the missing mass put inside through the
+    offset: int
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        self.values.setflags(write=False)
+
+    @property
+    def hi(self) -> int:
+        return self.offset + len(self.values) - 1
+
+    def value(self, n: int) -> float:
+        i = n - self.offset
+        if 0 <= i < len(self.values):
+            return float(self.values[i])
+        return 0.0
+
+    def indices(self) -> range:
+        return range(self.offset, self.hi + 1)
+
+    def mass(self) -> float:
+        return math.fsum(self.values)
+
+    def moment(self, order: int) -> float:
+        # Python's float ** int: NumPy's power differs in the last bit for some n.
+        return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values.tolist()))
+
+    def scaled(self, alpha: float) -> "LatticeSequence":
+        return LatticeSequence(self.offset, alpha * self.values)
+
+    @staticmethod
+    def delta(n: int = 0) -> "LatticeSequence":
+        return LatticeSequence(n, np.array([1.0]))
+
+    @staticmethod
+    def from_pairs(pairs: dict[int, float] | list[tuple[int, float]]) -> "LatticeSequence":
+        items = sorted(dict(pairs).items())
+        if not items:
+            return LatticeSequence(0, np.array([0.0]))
+        lo = items[0][0]
+        hi = items[-1][0]
+        values = np.zeros(hi - lo + 1)
+        for n, v in items:
+            values[n - lo] = v
+        return LatticeSequence(lo, values)
+
+
+@dataclass(frozen=True)
+class KernelSlice:
+    """Values b_n(tau) for 0 <= n <= window, with b_{-n} = b_n implied.
+
+    At tau = 2t this is the kernel slice G(t, n) for |n| <= window.
+    ``tail_mass`` bounds the l1 distance over all of Z from the carried row
+    to the exact one: the mass 2 * sum_{n > window} b_n left outside, the
+    error that Miller's seed and the missing mass put inside through the
     normalisation, and the normalisation's rounding.  The rounding of the
     recurrence steps themselves is not in it.
     """
 
-    tau: float
-    half_width: int
+    window: int
     values: np.ndarray = field(repr=False)
-    tail_bound: float
+    tail_mass: float
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
 
+    # The benchmark's tracer (bench/tracing.py) counts a row's work as
+    # ``half_width + 1``; this alias keeps it working until it reads ``window``.
+    @property
+    def half_width(self) -> int:
+        return self.window
+
     def value(self, n: int) -> float:
         """b_n(tau), using symmetry in n; zero outside the window."""
         n = abs(n)
-        if n > self.half_width:
+        if n > self.window:
             return 0.0
         return float(self.values[n])
 
-    def window_sum(self) -> float:
-        """b_0 + 2 * sum_{1 <= n <= N} b_n over the carried window."""
+    def to_sequence(self) -> LatticeSequence:
+        full = np.concatenate([self.values[:0:-1], self.values])
+        return LatticeSequence(-self.window, full)
+
+    def mass(self) -> float:
+        """b_0 + 2 * sum_{1 <= n <= window} b_n over the carried window."""
         return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
 
 
 def _budget(eps: float) -> tuple[float, float]:
-    """(target, cap): the window's truncation and seed terms meet target, and tail_bound <= cap.
+    """(target, cap): the window's truncation and seed terms meet target, and tail_mass <= cap.
 
     No binary64 row certifies less than its normalisation's rounding: where
     eps is below twice that (about 6.7e-16), the other terms meet eps and the
@@ -129,15 +195,15 @@ def _validate_tau(tau: float) -> None:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
 
 
-def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None) -> ScaledBesselRow:
+def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None) -> KernelSlice:
     """Evaluate the whole row b_n(tau) by normalized backward recurrence.
 
     The window half-width is chosen automatically as the smallest N whose
-    a-posteriori certificate gives tail_bound <= eps (eps plus the
+    a-posteriori certificate gives tail_mass <= eps (eps plus the
     normalisation's rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
     tails carry polynomial weights).  Raises ArithmeticError if no window up
-    to the proved one meets it.
+    to the proved one meets it, or if the recurrence is too long to allocate.
     """
     _validate_tau(tau)
     if not (0.0 < eps < 1.0):
@@ -147,7 +213,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         n = min_half_width or 0
         values = np.zeros(n + 1)
         values[0] = 1.0
-        return ScaledBesselRow(tau=0.0, half_width=n, values=values, tail_bound=0.0)
+        return KernelSlice(window=n, values=values, tail_mass=0.0)
 
     floor = min_half_width or 0
     last, m = _start_index(tau, eps, floor)
@@ -169,7 +235,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     head = b[: last + 1].tolist()
 
     def certified(n: int) -> float | None:
-        """tail_bound with the window at n, or None where it misses the budget."""
+        """tail_mass with the window at n, or None where it misses the budget."""
         below, edge = head[n - 1], head[n]
         if below == 0.0:  # b_{n-1} < 2.5e-324: the mass outside, below 2 b_{n-1} tau / (n - 2), is nil
             estimate = 0.0
@@ -188,8 +254,8 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     # The estimate falls as n grows, so the windows that meet the budget are
     # those from the first one on, and bisection finds it.
     lo, hi = max(1, floor), last
-    tail_bound = certified(hi)
-    if tail_bound is None:
+    tail_mass = certified(hi)
+    if tail_mass is None:
         raise ArithmeticError(f"no window up to {last} certifies the tail of the row at tau={tau!r}, eps={eps!r}")
     while lo < hi:
         mid = (lo + hi) // 2
@@ -197,15 +263,18 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         if bound is None:
             lo = mid + 1
         else:
-            hi, tail_bound = mid, bound
-    return ScaledBesselRow(tau=tau, half_width=lo, values=np.array(b[: lo + 1]), tail_bound=tail_bound)
+            hi, tail_mass = mid, bound
+    return KernelSlice(window=lo, values=np.array(b[: lo + 1]), tail_mass=tail_mass)
 
 
 def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
-    """Normalized b_0 .. b_m by backward recurrence; None if a step overflows."""
+    """Normalized b_0 .. b_m by backward recurrence; None if a step overflows, ArithmeticError if too long."""
     # Backward three-term recurrence y_{n-1} = y_{n+1} + (2n/tau) y_n seeded
     # with (1, 0) at the top; the seed error decays geometrically downward.
-    y = np.zeros(m + 1)
+    try:
+        y = np.zeros(m + 1)
+    except (MemoryError, ValueError):  # ValueError: m + 1 exceeds the largest array dimension
+        raise ArithmeticError(f"the row at tau={tau!r} needs {m + 1} recurrence values, more than can be allocated") from None
     y_next = 0.0
     y_cur = 1.0
     y[m] = y_cur

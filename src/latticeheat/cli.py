@@ -40,9 +40,10 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3 or parts[0] != "dyadic":
         raise argparse.ArgumentTypeError(f"grid must look like dyadic:A:B, got {text!r}")
     a, b = float(parts[1]), float(parts[2])
-    if not (0.0 < a <= b):
-        raise argparse.ArgumentTypeError(f"grid bounds must satisfy 0 < A <= B, got {text!r}")
-    return analysis.dyadic_grid(a, b)
+    try:
+        return analysis.dyadic_grid(a, b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _csv_text(header: list[str], rows) -> str:

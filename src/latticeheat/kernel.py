@@ -1,8 +1,9 @@
-"""The lattice heat kernel G(t, n) = exp(-2t) I_n(2t) and windowed sequences.
+"""The lattice heat kernel G(t, n) = exp(-2t) I_n(2t) and operations on sequences.
 
-``LatticeSequence`` is the carrier for all finitely supported data: initial
-values, solutions, and differences.  Operations on two sequences align
-windows by absolute index and read zeros outside the carried range.
+A kernel slice at t is the scaled Bessel row at tau = 2t, so ``KernelSlice``
+and ``LatticeSequence`` are defined in ``bessel`` and re-exported here.
+Operations on two sequences align windows by absolute index and read zeros
+outside the carried range.
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import scaled_bessel_row
+from .bessel import KernelSlice, LatticeSequence, scaled_bessel_row
 
 __all__ = [
     "KernelSlice",
@@ -30,93 +30,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LatticeSequence:
-    """A real sequence on Z carried on the window [offset, offset + len - 1]."""
-
-    offset: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.setflags(write=False)
-
-    @property
-    def hi(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    def value(self, n: int) -> float:
-        i = n - self.offset
-        if 0 <= i < len(self.values):
-            return float(self.values[i])
-        return 0.0
-
-    def indices(self) -> range:
-        return range(self.offset, self.hi + 1)
-
-    def mass(self) -> float:
-        return math.fsum(self.values)
-
-    def moment(self, order: int) -> float:
-        # Python's float ** int: NumPy's power differs in the last bit for some n.
-        return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values.tolist()))
-
-    def scaled(self, alpha: float) -> "LatticeSequence":
-        return LatticeSequence(self.offset, alpha * self.values)
-
-    @staticmethod
-    def delta(n: int = 0) -> "LatticeSequence":
-        return LatticeSequence(n, np.array([1.0]))
-
-    @staticmethod
-    def from_pairs(pairs: dict[int, float] | list[tuple[int, float]]) -> "LatticeSequence":
-        items = sorted(dict(pairs).items())
-        if not items:
-            return LatticeSequence(0, np.array([0.0]))
-        lo = items[0][0]
-        hi = items[-1][0]
-        values = np.zeros(hi - lo + 1)
-        for n, v in items:
-            values[n - lo] = v
-        return LatticeSequence(lo, values)
-
-
-@dataclass(frozen=True)
-class KernelSlice:
-    """Symmetric window of G(t, .) for |n| <= window, one side stored.
-
-    ``tail_mass`` certifies the mass left outside the window, so the stored
-    values sum to 1 within tail_mass.
-    """
-
-    t: float
-    window: int
-    values: np.ndarray = field(repr=False)
-    tail_mass: float
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    def value(self, n: int) -> float:
-        n = abs(n)
-        if n > self.window:
-            return 0.0
-        return float(self.values[n])
-
-    def to_sequence(self) -> LatticeSequence:
-        full = np.concatenate([self.values[:0:-1], self.values])
-        return LatticeSequence(-self.window, full)
-
-    def mass(self) -> float:
-        return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
-
-
 def heat_kernel(t: float, eps: float, min_half_width: int | None = None) -> KernelSlice:
-    """Windowed kernel slice with certified tail mass at most eps."""
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    row = scaled_bessel_row(2.0 * t, eps, min_half_width=min_half_width)
-    return KernelSlice(t=t, window=row.half_width, values=row.values, tail_mass=row.tail_bound)
+    """The row b_n(2t) as a kernel slice of G(t, .), with certified tail mass at most eps."""
+    if not (0.0 <= t and math.isfinite(2.0 * t)):
+        raise ValueError(f"t must be nonnegative with 2t finite, got {t!r}")
+    return scaled_bessel_row(2.0 * t, eps, min_half_width=min_half_width)
 
 
 def forward_difference(s: LatticeSequence) -> LatticeSequence:

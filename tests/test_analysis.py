@@ -1,6 +1,7 @@
 """Tests for the decay-report harness and theorem-level verifications."""
 
 import math
+import sys
 
 import pytest
 
@@ -42,6 +43,19 @@ class TestFitter:
 
     def test_dyadic_grid(self):
         assert dyadic_grid(16.0, 1024.0) == [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
+
+    @pytest.mark.parametrize(
+        "t_min,t_max",
+        [(16.0, math.inf), (0.0, 64.0), (-1.0, 64.0), (math.inf, math.inf), (math.nan, 64.0), (16.0, math.nan),
+         (64.0, 16.0), (16.0, sys.float_info.max)],
+    )
+    def test_dyadic_grid_rejects_unbounded_or_empty_ranges(self, t_min, t_max):
+        # Each of these used to append to the grid forever, or return no grid at all.
+        with pytest.raises(ValueError, match="grid bounds"):
+            dyadic_grid(t_min, t_max)
+
+    def test_dyadic_grid_ends_at_large_finite_bounds(self):
+        assert len(dyadic_grid(1.0, 1e300)) == 997
 
 
 class TestKernelDecay:

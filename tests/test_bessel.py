@@ -85,7 +85,7 @@ class TestRow:
         row = scaled_bessel_row(0.0, 1e-12)
         assert row.value(0) == 1.0
         assert row.value(1) == 0.0
-        assert row.tail_bound == 0.0
+        assert row.tail_mass == 0.0
 
     def test_center_value(self):
         row = scaled_bessel_row(2.0, 1e-12)
@@ -94,18 +94,18 @@ class TestRow:
     def test_normalization_within_tail(self):
         for tau in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 2048.0):
             row = scaled_bessel_row(tau, 1e-12)
-            assert row.tail_bound <= 1e-12
-            assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0 + 1e-15
+            assert row.tail_mass <= 1e-12
+            assert 1.0 - row.tail_mass <= row.mass() <= 1.0 + 1e-15
 
     def test_symmetry(self):
         row = scaled_bessel_row(3.0, 1e-12)
-        for n in range(row.half_width + 1):
+        for n in range(row.window + 1):
             assert row.value(-n) == row.value(n)
 
     def test_monotone_decay(self):
         for tau in (0.5, 2.0, 50.0):
             row = scaled_bessel_row(tau, 1e-12)
-            for n in range(row.half_width):
+            for n in range(row.window):
                 assert row.values[n] >= row.values[n + 1]
 
     def test_agrees_with_series_oracle(self):
@@ -119,7 +119,7 @@ class TestRow:
             row_t = scaled_bessel_row(tau, 1e-14)
             row_s = scaled_bessel_row(sigma, 1e-14)
             row_ts = scaled_bessel_row(tau + sigma, 1e-14)
-            w = row_t.half_width + row_s.half_width
+            w = row_t.window + row_s.window
             for n in range(-10, 11):
                 conv = math.fsum(
                     row_t.value(m) * row_s.value(n - m) for m in range(-w, w + 1)
@@ -137,36 +137,54 @@ class TestRow:
         # One recurrence step 2n/tau overflows here; the row comes from the series.
         row = scaled_bessel_row(tau, 1e-12)
         assert all(math.isfinite(v) for v in row.values)
-        assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0
-        for n in range(row.half_width + 1):
+        assert 1.0 - row.tail_mass <= row.mass() <= 1.0
+        for n in range(row.window + 1):
             assert row.value(n) == pytest.approx(scaled_bessel_series(tau, n), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-162])
     def test_tiny_tau_tail_bound_is_positive(self, tau):
         # The geometric estimate underflows to 0 here; the true tail is positive.
         row = scaled_bessel_row(tau, 1e-12)
-        assert row.tail_bound > 0.0
-        assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0
+        assert row.tail_mass > 0.0
+        assert 1.0 - row.tail_mass <= row.mass() <= 1.0
 
     def test_tiny_eps_gets_a_true_certificate(self):
         # A window search that ran out of candidates used to return its last
-        # index with tail_bound 0.0 (half-width 43 here, true tail about 1e-68).
+        # index with tail_mass 0.0 (window 43 here, true tail about 1e-68).
         for tau, eps in ((1.0, 1e-100), (1.0, 1e-250), (5.0, 1e-150)):
             row = scaled_bessel_row(tau, eps)
-            outside = range(row.half_width + 1, 171)  # the series oracle's factorial stays a float
+            outside = range(row.window + 1, 171)  # the series oracle's factorial stays a float
             tail = 2.0 * math.fsum(scaled_bessel_series(tau, n) for n in outside)
-            assert 0.0 < tail <= eps and tail <= row.tail_bound
+            assert 0.0 < tail <= eps and tail <= row.tail_mass
 
     def test_floor_past_underflow_keeps_a_positive_certificate(self):
-        # b_n(1) underflows near n = 150; a wider forced window used to come back at m with tail_bound 0.0.
+        # b_n(1) underflows near n = 150; a wider forced window used to come back at m with tail_mass 0.0.
         row = scaled_bessel_row(1.0, 1e-12, min_half_width=200)
-        assert row.half_width == 200 and row.values[-1] == 0.0 and row.tail_bound > 0.0
+        assert row.window == 200 and row.values[-1] == 0.0 and row.tail_mass > 0.0
 
     def test_failed_window_search_raises(self, monkeypatch):
         # Past the proved index the search has no candidates left; no zero certificate comes back.
         monkeypatch.setattr(bessel, "_start_index", lambda tau, eps, floor: (max(floor, 5), max(floor, 5) + 1))
         with pytest.raises(ArithmeticError, match="certifies"):
             scaled_bessel_row(1000.0, 1e-12)
+
+    def test_unallocatable_recurrence_raises(self):
+        # About 1.8e21 recurrence values, past numpy's largest array dimension: a typed error, not a numpy one.
+        with pytest.raises(ArithmeticError, match=r"tau=2e\+40"):
+            scaled_bessel_row(2e40, 1e-12)
+
+    def test_failed_allocation_raises(self, monkeypatch):
+        # tau = 2e20 needs about 1.8e11 values (1.3 TiB); the allocation is refused here, never attempted.
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if shape > 10**8:
+                raise MemoryError(f"refused {shape} values")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(bessel.np, "zeros", zeros)
+        with pytest.raises(ArithmeticError, match=r"tau=2e\+20"):
+            scaled_bessel_row(2e20, 1e-12)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16])
     def test_start_index_grows_like_sqrt_tau_log(self, eps):
@@ -179,7 +197,7 @@ class TestRow:
 
     def test_min_half_width_extends_window(self):
         row = scaled_bessel_row(1.0, 1e-6, min_half_width=40)
-        assert row.half_width >= 40
+        assert row.window >= 40
         assert row.value(40) >= 0.0
 
     def test_rejects_bad_arguments(self):
@@ -199,8 +217,8 @@ class TestRow:
     def test_row_invariants_hold_everywhere(self, tau):
         row = scaled_bessel_row(tau, 1e-10)
         assert all(v >= 0.0 for v in row.values)
-        assert row.tail_bound <= 1e-10
-        assert 1.0 - row.tail_bound <= row.window_sum() <= 1.0 + 1e-14
+        assert row.tail_mass <= 1e-10
+        assert 1.0 - row.tail_mass <= row.mass() <= 1.0 + 1e-14
         diffs = row.values[:-1] - row.values[1:]
         assert (diffs >= -1e-18).all()
 
@@ -212,13 +230,13 @@ class TestScipyOracle:
         # (series) and 350 (Kummer).
         special = pytest.importorskip("scipy.special")
         row = scaled_bessel_row(tau, 1e-12)
-        expected = special.ive(np.arange(2 * row.half_width + 64), tau)
-        np.testing.assert_allclose(row.values, expected[: row.half_width + 1], rtol=5e-12, atol=0.0)
+        expected = special.ive(np.arange(2 * row.window + 64), tau)
+        np.testing.assert_allclose(row.values, expected[: row.window + 1], rtol=5e-12, atol=0.0)
         # l1 distance over all of Z, the mass outside the window included.
         gap = expected.copy()
-        gap[: row.half_width + 1] -= row.values
+        gap[: row.window + 1] -= row.values
         gap = np.abs(gap)
-        assert gap[0] + 2.0 * math.fsum(gap[1:].tolist()) <= row.tail_bound
+        assert gap[0] + 2.0 * math.fsum(gap[1:].tolist()) <= row.tail_mass
 
 
 class TestMpmathOracle:
@@ -229,7 +247,7 @@ class TestMpmathOracle:
         row = scaled_bessel_row(1e6, 1e-12)
         with mpmath.workdps(30):
             exact = float(mpmath.besseli(n, 1e6) * mpmath.exp(-1e6))
-        assert abs(row.value(n) - exact) <= min(row.tail_bound, 1e-14 * exact)
+        assert abs(row.value(n) - exact) <= min(row.tail_mass, 1e-14 * exact)
 
 
 class TestAliasingOracle:
@@ -237,16 +255,16 @@ class TestAliasingOracle:
     @pytest.mark.parametrize("tau", ALL_TAUS)
     def test_row_matches_the_periodic_sum(self, tau, eps):
         # With theta_k = 2 pi k / N, (1/N) sum_k e^{-tau (1 - cos theta_k)} cos(n theta_k) = sum_j b_{n + jN}
-        # exactly (Trefethen & Weideman, SIAM Rev. 56, 2014).  For N > 2 (half_width + 1) the aliases of the
-        # carried n are distinct indices outside the window, so each entry is within tail_bound; the FFT adds
+        # exactly (Trefethen & Weideman, SIAM Rev. 56, 2014).  For N > 2 (window + 1) the aliases of the
+        # carried n are distinct indices outside the window, so each entry is within tail_mass; the FFT adds
         # at most about 7 u log2(N) rms(f) (Higham, Accuracy and Stability of Numerical Algorithms, 24.1).
         row = scaled_bessel_row(tau, eps)
-        size = 1 << (2 * row.half_width + 3).bit_length()
+        size = 1 << (2 * row.window + 3).bit_length()
         theta = 2.0 * np.pi * np.arange(size) / size
         f = np.exp(-2.0 * tau * np.sin(0.5 * theta) ** 2)  # 1 - cos = 2 sin^2(theta / 2), without cancellation
-        periodic = np.fft.rfft(f).real[: row.half_width + 1] / size
+        periodic = np.fft.rfft(f).real[: row.window + 1] / size
         rounding = 16.0 * U * math.log2(size) * math.sqrt(float(np.mean(f * f)))
-        assert float(np.max(np.abs(row.values - periodic))) <= row.tail_bound + rounding
+        assert float(np.max(np.abs(row.values - periodic))) <= row.tail_mass + rounding
 
 
 class TestDerivativeResidual:

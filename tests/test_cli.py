@@ -260,6 +260,26 @@ def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
     assert read_sequence_csv(out).hi == kernel.heat_kernel(0.5, 1e-100).window == 60
 
 
+@pytest.mark.parametrize(
+    "grid", ["dyadic:16:inf", "dyadic:0:64", "dyadic:-1:64", "dyadic:inf:inf", "dyadic:nan:64", "dyadic:64:16"]
+)
+def test_unbounded_or_empty_grid_exits_2(tmp_path, capsys, grid):
+    # dyadic:16:inf used to build its grid until the process ran out of memory.
+    err = _assert_rejected(capsys, tmp_path / "d.csv", ["decay", "--grid", grid])
+    assert "grid bounds" in err
+
+
+def test_unallocatable_kernel_exits_1(tmp_path, capsys):
+    # The row at t = 1e40 needs more recurrence values than numpy can index.
+    err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "1e40"], code=1)
+    assert "computation failed" in err and "tau=2e+40" in err
+
+
+def test_overflowing_kernel_time_exits_2_naming_t(tmp_path, capsys):
+    err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "1e308"])
+    assert "invalid arguments: t must" in err and "tau" not in err
+
+
 @pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])
 def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
     _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)

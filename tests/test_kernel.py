@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import latticeheat
+from latticeheat import bessel
+from latticeheat.bessel import scaled_bessel_row
 from latticeheat.kernel import (
+    KernelSlice,
     LatticeSequence,
     add_sequences,
     discrete_laplacian,
@@ -52,6 +56,30 @@ class TestHeatKernel:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             heat_kernel(-0.5, 1e-12)
+
+    @pytest.mark.parametrize("t", [1e308, -1.0, math.nan])
+    def test_rejects_bad_times_naming_t(self, t):
+        # 2t overflows at t = 1e308; the message names t, not the row's tau.
+        with pytest.raises(ValueError, match=r"^t must"):
+            heat_kernel(t, 1e-12)
+
+
+class TestOneRowType:
+    @pytest.mark.parametrize("tau", [0.0, 1e-200, 1.0, 2e5])
+    @pytest.mark.parametrize("floor", [None, 2000])
+    def test_slice_is_the_bessel_row_at_twice_t(self, tau, floor):
+        k = heat_kernel(tau / 2.0, 1e-12, floor)
+        row = scaled_bessel_row(tau, 1e-12, floor)
+        assert type(k) is type(row) is KernelSlice
+        assert k.window == row.window and (floor is None or k.window >= floor)
+        assert k.tail_mass.hex() == row.tail_mass.hex()
+        assert k.values.tobytes() == row.values.tobytes()
+
+    def test_one_row_class_is_exported(self):
+        assert "ScaledBesselRow" not in latticeheat.__all__
+        assert not hasattr(bessel, "ScaledBesselRow")
+        assert latticeheat.KernelSlice is bessel.KernelSlice is KernelSlice
+        assert latticeheat.LatticeSequence is bessel.LatticeSequence is LatticeSequence
 
 
 class TestDifferences:
