@@ -232,7 +232,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     # covers the relative rounding of the estimate itself.
     target, cap = _budget(eps)
     delta = _SEED_SHARE * target
-    head = b[: last + 1].tolist()
+    head = memoryview(b)  # reads Python floats without copying the row
 
     def certified(n: int) -> float | None:
         """tail_mass with the window at n, or None where it misses the budget."""
@@ -289,8 +289,8 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
         y[n - 1] = y_prev
         y_next, y_cur = y_cur, y_prev
 
-    norm = y[0] + 2.0 * math.fsum(y[1:])
-    return y / norm
+    y /= y[0] + 2.0 * math.fsum(y[1:])
+    return y
 
 
 def scaled_bessel_series(tau: float, n: int) -> float:

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import analysis, moments, solver
-from .kernel import heat_kernel, read_sequence_csv, sequence_csv_text
+from .kernel import csv_text, heat_kernel, read_sequence_csv, sequence_csv_text
 from .solver import ForcingSpec
 
 __all__ = ["run", "main"]
@@ -44,15 +42,6 @@ def _parse_grid(text: str) -> list[float]:
         return analysis.dyadic_grid(a, b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
-    return buf.getvalue()
 
 
 def _json_text(payload: dict) -> str:
@@ -95,7 +84,7 @@ def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list
     }
     meta.update({k: v for k, v in report.extras.items() if not isinstance(v, tuple)})
     outputs = [
-        (out, _csv_text(["t", "value"], report.pairs)),
+        (out, csv_text(["t", "value"], report.pairs)),
         (_with_suffix(out, ".json"), _json_text(meta)),
     ]
     if plot:
@@ -198,7 +187,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
             expected = moments.poly_eval(poly, 2.0 * args.t)
             kernel = moments.heat_kernel_for_moment(args.t, 2 * k, max(1e-12, 1e-10 * expected))
             rows.append([k, moments.kernel_moment(kernel, 2 * k), expected, moments.kernel_moment(kernel, 2 * k + 1)])
-        return [(args.out, _csv_text(["k", "even_moment", "poly_value", "odd_moment"], rows))]
+        return [(args.out, csv_text(["k", "even_moment", "poly_value", "odd_moment"], rows))]
 
     if cmd == "poly":
         polys = moments.moment_polynomials(args.kmax)
@@ -209,10 +198,10 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
                 if k >= 2
                 for i, root in enumerate(moments.poly_real_roots(poly, 1e-12))
             ]
-            return [(args.out, _csv_text(["k", "root_index", "root"], rows))]
+            return [(args.out, csv_text(["k", "root_index", "root"], rows))]
         rows = [[k, poly.degree, *poly.coeffs] for k, poly in enumerate(polys)]
         header = ["k", "degree"] + [f"c{i}" for i in range(args.kmax + 1)]
-        return [(args.out, _csv_text(header, rows))]
+        return [(args.out, csv_text(header, rows))]
 
     if cmd == "decay":
         report = analysis.kernel_decay(args.p, args.quantity, args.grid, eps=args.eps)
@@ -228,7 +217,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
         rows = analysis.fourier_symbol_rows(args.t, args.grid_size, args.eps)
         worst = max(abs(transform - symbol) for _, transform, symbol in rows)
         return [
-            (args.out, _csv_text(["theta", "transform", "symbol"], rows)),
+            (args.out, csv_text(["theta", "transform", "symbol"], rows)),
             (_with_suffix(args.out, ".json"), _json_text({"t": args.t, "max_abs_error": worst})),
         ]
 
@@ -250,8 +239,8 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"lattice-heat: invalid arguments: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, OSError) as exc:
-        print(f"lattice-heat: computation failed: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError, OSError) as exc:
+        print(f"lattice-heat: computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     written = []
     try:

@@ -25,6 +25,7 @@ __all__ = [
     "lp_norm",
     "pointwise_bound_report",
     "add_sequences",
+    "csv_text",
     "read_sequence_csv",
     "sequence_csv_text",
 ]
@@ -115,13 +116,18 @@ def pointwise_bound_report(t: float, c_budget: float) -> list[tuple[int, str, fl
     return report
 
 
-def sequence_csv_text(s: LatticeSequence) -> str:
-    """Sequence CSV: header ``n,value``, one row per carried index, shortest round-trip floats, LF endings."""
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with LF endings and every float as its shortest round-trip repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    writer.writerows([n, repr(v)] for n, v in zip(s.indices(), s.values.tolist()))
+    writer.writerow(header)
+    writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
     return buf.getvalue()
+
+
+def sequence_csv_text(s: LatticeSequence) -> str:
+    """Sequence CSV: header ``n,value``, one row per carried index."""
+    return csv_text(["n", "value"], zip(s.indices(), s.values.tolist()))
 
 
 def read_sequence_csv(path) -> LatticeSequence:

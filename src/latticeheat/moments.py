@@ -8,14 +8,14 @@ integrated term by term in exact integer arithmetic.  The even moment of
 the kernel obeys sum_n n^{2k} G(t, n) = p_k(2t) while odd moments vanish
 by symmetry.  Root isolation takes exact integer signs at dyadic points
 a / 2^e: the smallest negative zeros sit within 1e-3 of the zero at the
-origin, where floating point sign tests are unreliable.
+origin, where floating point sign tests are unreliable.  The Sturm chain
+is built by integer pseudo-division, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .kernel import KernelSlice, heat_kernel
 
@@ -66,9 +66,7 @@ def moment_polynomials(k_max: int) -> list[IntPolynomial]:
         for n in range(1, k + 1):
             total = 0
             for j in range(n - 1, k):
-                prev = polys[j]
-                if n - 1 < len(prev):
-                    total += math.comb(2 * k, 2 * j) * prev[n - 1]
+                total += math.comb(2 * k, 2 * j) * polys[j][n - 1]
             q, r = divmod(total, n)
             if r != 0:
                 raise ArithmeticError(f"inexact division at k={k}, n={n}: {total} / {n}")
@@ -85,33 +83,30 @@ def poly_eval(p: IntPolynomial, x: float) -> float:
     return acc
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[IntPolynomial]:
-    """Sturm sequence of the polynomial, each member scaled to integer coefficients."""
+def _sturm_chain(coeffs: list[int]) -> list[IntPolynomial]:
+    """Sturm sequence of the polynomial by integer pseudo-division (Knuth, TAOCP 2, 4.6.1).
 
-    def rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= factor * b[i]
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
+    A step replaces a with |lc(b)| a - sign(lc(b)) lc(a) x^shift b, a positive
+    multiple of the rational step, and each remainder is divided by the
+    negated gcd of its coefficients.  So every member is a positive multiple
+    of the rational chain's, and every sign count is the same.
+    """
     chain = [coeffs, [i * coeffs[i] for i in range(1, len(coeffs))]]
     while len(chain[-1]) > 1:
-        r = rem(chain[-2], chain[-1])
-        if not any(r):
+        a, b = chain[-2], chain[-1]
+        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b) and any(a):
+            factor, shift = sign * a[-1], len(a) - len(b)
+            a = [scale * c for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and a[-1] == 0:
+                a.pop()
+        if not any(a):
             break
-        chain.append([-c for c in r])
-    return [_clear_denominators(c) for c in chain]
-
-
-def _clear_denominators(coeffs: list[Fraction]) -> IntPolynomial:
-    """The least positive integer multiple; a positive multiple keeps every sign."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return IntPolynomial(tuple(int(c * scale) for c in coeffs))
+        g = -math.gcd(*a)
+        chain.append([c // g for c in a])
+    return [IntPolynomial(tuple(c)) for c in chain]
 
 
 def _dyadic_sign(poly: IntPolynomial, a: int, e: int) -> int:
@@ -145,26 +140,27 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
         coeffs.pop(0)
         mult_zero += 1
     if not coeffs or len(coeffs) == 1:
-        return [0.0] * min(mult_zero, 1) if mult_zero else []
+        return [0.0] if mult_zero else []
 
-    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    chain = _sturm_chain(coeffs)
     q = chain[0]
     # Every point visited is a dyadic a / 2^e, held as the integers (a, e).
     lo, hi = -(p.degree + 2), 0
-    total = _sign_changes(chain, lo, 0) - _sign_changes(chain, hi, 0)
-    if total != q.degree:
-        raise RootIsolationError(f"isolated {total} real roots in [{float(lo)}, 0], expected {q.degree}")
+    v_lo, v_hi = _sign_changes(chain, lo, 0), _sign_changes(chain, hi, 0)
+    if v_lo - v_hi != q.degree:
+        raise RootIsolationError(f"isolated {v_lo - v_hi} real roots in [{float(lo)}, 0], expected {q.degree}")
 
+    # Each interval carries the sign changes at both ends, so a split counts only its midpoint.
     isolated: list[tuple[int, int, int]] = []
-    stack = [(lo, hi, 0, total)]
+    stack = [(lo, hi, 0, v_lo, v_hi)]
     while stack:
-        a, b, e, count = stack.pop()
-        if count == 1:
+        a, b, e, v_a, v_b = stack.pop()
+        if v_a - v_b == 1:
             isolated.append((a, b, e))
-        elif count > 1:
+        elif v_a - v_b > 1:
             mid = a + b
-            left = _sign_changes(chain, a, e) - _sign_changes(chain, mid, e + 1)
-            stack += [(2 * a, mid, e + 1, left), (mid, 2 * b, e + 1, count - left)]
+            v_mid = _sign_changes(chain, mid, e + 1)
+            stack += [(2 * a, mid, e + 1, v_a, v_mid), (mid, 2 * b, e + 1, v_mid, v_b)]
 
     roots: list[float] = []
     for a, b, e in isolated:
@@ -192,12 +188,12 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     """sum_{|n| <= N} n^order G(t, n) over the carried window, compensated."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n_max = slice.window
-    if n_max > 1 and order * math.log(n_max) > 700.0:
-        raise OverflowError(f"n^{order} exceeds binary64 range on window {n_max}")
     # (-n)^order = +-n^order exactly and doubling is exact, so these are the full sum's bits.
     if order % 2:
         return 0.0
+    n_max = slice.window
+    if n_max > 1 and order * math.log(n_max) > 700.0:
+        raise OverflowError(f"n^{order} exceeds binary64 range on window {n_max}")
     v = slice.values.tolist()
     terms = [2.0 * (float(n) ** order * v[n]) for n in range(1, len(v))]
     return math.fsum([0.0**order * v[0], *terms])

@@ -1,6 +1,7 @@
 """Tests for the scaled Bessel row and its two independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ class TestRow:
         monkeypatch.setattr(bessel.np, "zeros", zeros)
         with pytest.raises(ArithmeticError, match=r"tau=2e\+20"):
             scaled_bessel_row(2e20, 1e-12)
+
+    def test_peak_memory_per_recurrence_value(self):
+        # The recurrence array, normalised in place, and the returned window: no copy of the head.
+        tau, eps = 2e5, 1e-12
+        m = bessel._start_index(tau, eps, 0)[1]
+        tracemalloc.start()
+        try:
+            scaled_bessel_row(tau, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (m + 1)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16])
     def test_start_index_grows_like_sqrt_tau_log(self, eps):

@@ -253,6 +253,25 @@ def test_uncertified_kernel_window_exits_1(tmp_path, capsys, monkeypatch):
     assert "computation failed" in err and "certifies" in err
 
 
+def test_memory_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(tau, m):
+        raise MemoryError
+
+    monkeypatch.setattr(bessel, "_recurrence_row", exhausted)
+    err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "1e3"], code=1)
+    assert "computation failed: MemoryError" in err
+
+
+def test_moments_past_the_odd_order_overflow_guard(tmp_path):
+    # n^105 overflows on the t = 1e3 window, but odd moments are 0.0 without any power.
+    out, shorter = tmp_path / "m.csv", tmp_path / "m51.csv"
+    assert run(["moments", "--t", "1e3", "--kmax", "52", "--out", str(out)]) == 0
+    assert run(["moments", "--t", "1e3", "--kmax", "51", "--out", str(shorter)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 54 and all(row.endswith(",0.0") for row in rows[1:])
+    assert rows[:53] == shorter.read_text().splitlines()
+
+
 def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
     # At eps 1e-100 the window used to stop at 43 with a zero certificate; the proved start reaches the edge.
     out = tmp_path / "k.csv"

@@ -3,13 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from latticeheat import moments
+from latticeheat.kernel import KernelSlice
 from latticeheat.moments import (
     ROOTS_K_MAX,
     IntPolynomial,
     RootIsolationError,
     _dyadic_sign,
+    _sturm_chain,
     heat_kernel_for_moment,
     kernel_moment,
     moment_polynomials,
@@ -163,6 +167,59 @@ class TestRoots:
                     assert _dyadic_sign(poly, a, e) == (value > 0) - (value < 0)
 
 
+def _rational_sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    """Reference Sturm chain by division over the rationals: p, p', then -rem(p_{i-1}, p_i)."""
+
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    chain = [coeffs, [i * coeffs[i] for i in range(1, len(coeffs))]]
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+class TestSturmChain:
+    POLYS = [p.coeffs for p in moment_polynomials(ROOTS_K_MAX)[2:]] + [(0, 3, 4), (-6, 1, 1), (0, 0, 1, 5, 6)]
+
+    @pytest.mark.parametrize("coeffs", POLYS)
+    def test_integer_chain_is_a_positive_multiple_of_the_rational_one(self, coeffs):
+        q = list(coeffs)
+        while q[0] == 0:
+            q.pop(0)
+        chain = _sturm_chain(q)
+        reference = _rational_sturm_chain([Fraction(c) for c in q])
+        assert len(chain) == len(reference)
+        for i, (member, ref) in enumerate(zip(chain, reference)):
+            assert len(member.coeffs) == len(ref)
+            ratio = member.coeffs[-1] / ref[-1]
+            assert ratio > 0 and list(member.coeffs) == [ratio * c for c in ref], i
+            if i >= 2:  # every remainder is divided by its content; p and p' are taken as they are
+                assert math.gcd(*member.coeffs) == 1, i
+
+    def test_subdivision_evaluates_the_chain_once_per_point(self, monkeypatch):
+        seen = []
+        sign_changes = moments._sign_changes
+
+        def recording(chain, a, e):
+            seen.append(Fraction(a, 2**e))
+            return sign_changes(chain, a, e)
+
+        monkeypatch.setattr(moments, "_sign_changes", recording)
+        poly_real_roots(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
+        assert len(seen) > 2 and len(seen) == len(set(seen))
+
+
 class TestKernelMoments:
     def test_mass_and_second_moment(self):
         k = heat_kernel_for_moment(1.0, 2, 1e-10)
@@ -197,6 +254,13 @@ class TestKernelMoments:
 
     def test_overflow_guard(self):
         kernel = heat_kernel_for_moment(2.0, 2, 1e-8)
+        with pytest.raises(OverflowError):
+            kernel_moment(kernel, 10**6)
+
+    def test_odd_order_returns_before_the_overflow_guard(self):
+        # Window 20,047 is the slice of `moments --t 1e6 --kmax 35`, where n^71 would overflow.
+        kernel = KernelSlice(window=20_047, values=np.full(20_048, 1e-5), tail_mass=0.0)
+        assert kernel_moment(kernel, 71) == 0.0
         with pytest.raises(OverflowError):
             kernel_moment(kernel, 10**6)
 
