@@ -43,6 +43,9 @@ _RESCALE_THRESHOLD = 1e250
 _RESCALE_FACTOR = 1e-250
 
 _SERIES_TAU_MAX = 30.0
+# Longest recurrence a row may run (at eps 1e-12, t = 1e12 needs 17.2 million steps and
+# t = 1e13 54.8 million); a longer one is refused before its array is allocated.
+MAX_RECURRENCE_STEPS = 2**25
 
 # The normalisation rounds each value three times (the fsum, the add of b_0
 # and the division), each by at most u = 2^-53, on a window of mass below 1.0001.
@@ -203,7 +206,8 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     normalisation's rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
     tails carry polynomial weights).  Raises ArithmeticError if no window up
-    to the proved one meets it, or if the recurrence is too long to allocate.
+    to the proved one meets it, if the recurrence needs more than
+    ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
     """
     _validate_tau(tau)
     if not (0.0 < eps < 1.0):
@@ -217,6 +221,8 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
 
     floor = min_half_width or 0
     last, m = _start_index(tau, eps, floor)
+    if m > MAX_RECURRENCE_STEPS:
+        raise ArithmeticError(f"the row at tau={tau!r} needs {m} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
     b = _recurrence_row(tau, m)
     if b is None:
         b = np.zeros(m + 1)
@@ -275,9 +281,12 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
         y = np.zeros(m + 1)
     except (MemoryError, ValueError):  # ValueError: m + 1 exceeds the largest array dimension
         raise ArithmeticError(f"the row at tau={tau!r} needs {m + 1} recurrence values, more than can be allocated") from None
+    # Steps are stored and summed through a memoryview, which moves Python
+    # floats in and out of the row without making a NumPy scalar for each.
+    row = memoryview(y)
     y_next = 0.0
     y_cur = 1.0
-    y[m] = y_cur
+    row[m] = y_cur
     for n in range(m, 0, -1):
         y_prev = y_next + (2.0 * n / tau) * y_cur
         if y_prev > _RESCALE_THRESHOLD:
@@ -286,10 +295,10 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
             y_prev *= _RESCALE_FACTOR
             y_cur *= _RESCALE_FACTOR
             y[n:] *= _RESCALE_FACTOR
-        y[n - 1] = y_prev
+        row[n - 1] = y_prev
         y_next, y_cur = y_cur, y_prev
 
-    y /= y[0] + 2.0 * math.fsum(y[1:])
+    y /= row[0] + 2.0 * math.fsum(row[1:])
     return y
 
 

@@ -47,12 +47,17 @@ def forward_difference(s: LatticeSequence) -> LatticeSequence:
 
 def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
     """Second central difference f(n+1) - 2 f(n) + f(n-1); grows one step each side."""
-    n = len(s.values)
+    return LatticeSequence(s.offset - 1, _laplacian(s.values))
+
+
+def _laplacian(values: np.ndarray) -> np.ndarray:
+    """``discrete_laplacian`` on bare values: two longer, starting one index lower."""
+    n = len(values)
     out = np.zeros(n + 2)
-    out[0:n] += s.values
-    out[1 : n + 1] -= 2.0 * s.values
-    out[2 : n + 2] += s.values
-    return LatticeSequence(s.offset - 1, out)
+    out[0:n] += values
+    out[1 : n + 1] -= 2.0 * values
+    out[2 : n + 2] += values
+    return out
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
@@ -62,11 +67,16 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == 1.0:
-        return math.fsum(np.abs(s.values).tolist())
+        return _l1(s.values)
     if p == 2.0:
         return math.sqrt(math.fsum((s.values * s.values).tolist()))
     # Per element in Python: NumPy's power differs from ** in the last bit.
     return math.fsum(abs(v) ** p for v in s.values.tolist()) ** (1.0 / p)
+
+
+def _l1(values: np.ndarray) -> float:
+    """``lp_norm`` at p = 1 on bare values."""
+    return math.fsum(np.abs(values).tolist())
 
 
 def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, beta: float = 1.0) -> LatticeSequence:

@@ -184,6 +184,12 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     return roots
 
 
+def _guard_power(window: int, order: int) -> None:
+    """Raise OverflowError where window^order could leave binary64."""
+    if window > 1 and order * math.log(window) > 700.0:
+        raise OverflowError(f"n^{order} exceeds binary64 range on window {window}")
+
+
 def kernel_moment(slice: KernelSlice, order: int) -> float:
     """sum_{|n| <= N} n^order G(t, n) over the carried window, compensated."""
     if order < 0:
@@ -191,9 +197,7 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     # (-n)^order = +-n^order exactly and doubling is exact, so these are the full sum's bits.
     if order % 2:
         return 0.0
-    n_max = slice.window
-    if n_max > 1 and order * math.log(n_max) > 700.0:
-        raise OverflowError(f"n^{order} exceeds binary64 range on window {n_max}")
+    _guard_power(slice.window, order)
     v = slice.values.tolist()
     terms = [2.0 * (float(n) ** order * v[n]) for n in range(1, len(v))]
     return math.fsum([0.0**order * v[0], *terms])
@@ -204,7 +208,7 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
 
     Uses the geometric ratio at the window edge, inflated by the polynomial
     growth factor (1 + 1/N)^order per step; infinite if the inflated ratio
-    is not below 1.
+    is not below 1.  Raises OverflowError where N^order could leave binary64.
     """
     n = slice.window
     if n < 2:
@@ -213,6 +217,7 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
     v_prev = slice.value(n - 1)
     if v_edge == 0.0:
         return 0.0
+    _guard_power(n, order)  # which also keeps (1 + 1/N)^order in range
     ratio = v_edge / v_prev
     grow = ratio * (1.0 + 1.0 / n) ** order
     if grow >= 1.0:

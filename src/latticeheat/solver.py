@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm, read_sequence_csv
+from .kernel import LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -160,11 +160,11 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
     Rounded nodes stay in [s0, s1] within 4u s1 of the Gauss nodes, their kernel times within
     5u s1 + u (t - s0), which moves a panel's sum by its term in moves.
     """
-    norms, err, v = [], 0.0, g.spatial  # ||Delta^j phi||_1 rounded up; a step rounds twice
+    norms, err, v = [], 0.0, g.spatial.values  # ||Delta^j phi||_1 rounded up; a step rounds twice
     for _ in range(17):
-        l1 = lp_norm(v, 1.0)
+        l1 = _l1(v)
         norms.append(math.nextafter(l1 + err, math.inf))
-        err, v = 4.0 * err + 4.0 * _gamma(3) * l1, discrete_laplacian(v)
+        err, v = 4.0 * err + 4.0 * _gamma(3) * l1, _laplacian(v)
     poch = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) for i in range(17)]
     scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 192))  # |A|, past rounding in each bound
     ends, quad, moves, u = [0.0], [], [], 2.0**-53
@@ -214,13 +214,15 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift, math.inf)
     if trunc_error > eps:
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
-    acc, panel = np.zeros((2, len(g.spatial.values) + 2 * width))
+    phi = g.spatial.values
+    acc, panel = np.zeros((2, len(phi) + 2 * width))
     for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
         ks = heat_kernel(t - s, kernel_eps)
         if ks.window > width:
             raise KernelFrameError(f"kernel window {ks.window} at s={s!r} exceeds the frame half-width {width}")
         j = width - ks.window  # where this node's convolution starts in the frame
-        panel[j : len(acc) - j] += (w * g.temporal(s)) * convolve(ks.to_sequence(), g.spatial).values
+        v = ks.values  # convolve(ks.to_sequence(), g.spatial) on the bare arrays
+        panel[j : len(acc) - j] += (w * g.temporal(s)) * np.convolve(np.concatenate((v[:0:-1], v)), phi)
         if i % 8 == 7:  # a panel's sum joins the frame
             acc, panel = acc + panel, np.zeros_like(acc)
     return SolutionSnapshot(t, LatticeSequence(g.spatial.offset - width, acc), quad_error, trunc_error)

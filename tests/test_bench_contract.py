@@ -66,3 +66,8 @@ def test_one_traced_round_passes_the_checks(bench, name, tmp_path):
         # The tracer counts a row's work through ``half_width``; seed 1 pins every window of the round.
         counts = (metrics["bessel.scaled_bessel_row.values"]["value"], metrics["kernel.heat_kernel.calls"]["value"])
         assert counts == (74_261, 151)
+    if name == "forced_duhamel":
+        # Seed 1 pins the round's node rows (the frame row of each call included) and integrand evaluations.
+        counts = tuple(metrics[key]["value"] for key in (
+            "bessel.scaled_bessel_row.calls", "bessel.scaled_bessel_row.values", "solver.duhamel.integrand_evals"))
+        assert counts == (946, 16_273, 904)

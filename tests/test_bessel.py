@@ -175,17 +175,27 @@ class TestRow:
             scaled_bessel_row(2e40, 1e-12)
 
     def test_failed_allocation_raises(self, monkeypatch):
-        # tau = 2e20 needs about 1.8e11 values (1.3 TiB); the allocation is refused here, never attempted.
+        # tau = 2e10 needs about 1.7e6 values, below the step cap; the allocation is refused here, never attempted.
         real_zeros = np.zeros
 
         def zeros(shape, *args, **kwargs):
-            if shape > 10**8:
+            if shape > 10**6:
                 raise MemoryError(f"refused {shape} values")
             return real_zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(bessel.np, "zeros", zeros)
-        with pytest.raises(ArithmeticError, match=r"tau=2e\+20"):
-            scaled_bessel_row(2e20, 1e-12)
+        with pytest.raises(ArithmeticError, match=r"tau=20000000000\.0 needs \d+ recurrence values"):
+            scaled_bessel_row(2e10, 1e-12)
+
+    def test_over_long_recurrence_is_refused_before_allocation(self, monkeypatch):
+        def unreachable(tau, m):
+            raise AssertionError("the recurrence ran")
+
+        # t = 1e12 (tau = 2e12) stays under the cap; t = 1e13 needs 54,796,881 steps and is refused at once.
+        assert bessel._start_index(2e12, 1e-12, 0)[1] == 17_194_910 <= bessel.MAX_RECURRENCE_STEPS
+        monkeypatch.setattr(bessel, "_recurrence_row", unreachable)
+        with pytest.raises(ArithmeticError, match=r"tau=20000000000000\.0 needs 54796881 recurrence steps"):
+            scaled_bessel_row(2e13, 1e-12)
 
     def test_peak_memory_per_recurrence_value(self):
         # The recurrence array, normalised in place, and the returned window: no copy of the head.
@@ -234,6 +244,55 @@ class TestRow:
         assert 1.0 - row.tail_mass <= row.mass() <= 1.0 + 1e-14
         diffs = row.values[:-1] - row.values[1:]
         assert (diffs >= -1e-18).all()
+
+
+def _per_step_recurrence_row(tau: float, m: int, rescales: list[int]) -> np.ndarray | None:
+    """The recurrence as it stored one NumPy scalar per step, kept as a reference for the bits."""
+    y = np.zeros(m + 1)
+    y_next = 0.0
+    y_cur = 1.0
+    y[m] = y_cur
+    for n in range(m, 0, -1):
+        y_prev = y_next + (2.0 * n / tau) * y_cur
+        if y_prev > bessel._RESCALE_THRESHOLD:
+            if y_prev == math.inf:
+                return None
+            y_prev *= bessel._RESCALE_FACTOR
+            y_cur *= bessel._RESCALE_FACTOR
+            y[n:] *= bessel._RESCALE_FACTOR
+            rescales.append(n)
+        y[n - 1] = y_prev
+        y_next, y_cur = y_cur, y_prev
+    y /= y[0] + 2.0 * math.fsum(y[1:])
+    return y
+
+
+class TestRecurrenceBits:
+    def test_rows_match_the_per_step_recurrence(self, monkeypatch):
+        # Seeded log-uniform tau over the whole accepted range, with the series fallback at the bottom,
+        # rows that rescale and rows of thousands of steps at the top.
+        rng = np.random.default_rng(20)
+        taus = [1e-300, 2e6] + (10.0 ** rng.uniform(-300.0, math.log10(2e6), 22)).tolist()
+        taus += (10.0 ** rng.uniform(2.0, math.log10(2e6), 6)).tolist()
+        cases, rescales, lengths = [], [], []
+        for tau in taus:
+            for eps, floor in ((1e-3, None), (1e-12, None), (1e-16, 300)):
+                m = bessel._start_index(tau, eps, floor or 0)[1]
+                row, reference = bessel._recurrence_row(tau, m), _per_step_recurrence_row(tau, m, rescales)
+                assert (row is None) == (reference is None)
+                if row is not None:
+                    assert row.tobytes() == reference.tobytes()
+                    lengths.append(m)
+                cases.append((tau, eps, floor))
+        assert rescales and max(lengths) > 10_000 and min(lengths) < 50
+
+        def digest(tau, eps, floor):
+            row = scaled_bessel_row(tau, eps, floor)
+            return row.window, row.tail_mass, row.values.tobytes()
+
+        rows = [digest(*case) for case in cases]
+        monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _per_step_recurrence_row(tau, m, []))
+        assert rows == [digest(*case) for case in cases]
 
 
 class TestScipyOracle:

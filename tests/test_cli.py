@@ -272,6 +272,21 @@ def test_moments_past_the_odd_order_overflow_guard(tmp_path):
     assert rows[:53] == shorter.read_text().splitlines()
 
 
+def test_moments_past_the_weighted_tail_overflow_guard_exits_1(tmp_path, capsys):
+    # The weighted tail of order 106 on the t = 1e3 window used to fail as "(34, 'Numerical result out of range')".
+    err = _assert_rejected(capsys, tmp_path / "m.csv", ["moments", "--t", "1e3", "--kmax", "53"], code=1)
+    assert "computation failed: n^106 exceeds binary64 range on window 824" in err
+
+
+def test_over_long_recurrence_exits_1_at_once(tmp_path, capsys, monkeypatch):
+    def unreachable(tau, m):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(bessel, "_recurrence_row", unreachable)
+    err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "1e13"], code=1)
+    assert "computation failed" in err and "54796881 recurrence steps" in err
+
+
 def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
     # At eps 1e-100 the window used to stop at 43 with a zero certificate; the proved start reaches the edge.
     out = tmp_path / "k.csv"
@@ -289,7 +304,7 @@ def test_unbounded_or_empty_grid_exits_2(tmp_path, capsys, grid):
 
 
 def test_unallocatable_kernel_exits_1(tmp_path, capsys):
-    # The row at t = 1e40 needs more recurrence values than numpy can index.
+    # The row at t = 1e40 needs more recurrence values than numpy can index, far past the step cap.
     err = _assert_rejected(capsys, tmp_path / "k.csv", ["kernel", "--t", "1e40"], code=1)
     assert "computation failed" in err and "tau=2e+40" in err
 

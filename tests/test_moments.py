@@ -264,6 +264,13 @@ class TestKernelMoments:
         with pytest.raises(OverflowError):
             kernel_moment(kernel, 10**6)
 
+    def test_weighted_tail_overflow_guard_names_order_and_window(self):
+        # Window 824 is the slice of `moments --t 1e3 --kmax 53`, where 824^106 would overflow.
+        kernel = KernelSlice(window=824, values=np.geomspace(0.5, 1e-300, 825), tail_mass=0.0)
+        assert math.isfinite(weighted_tail_bound(kernel, 104))
+        with pytest.raises(OverflowError, match=r"n\^106 exceeds binary64 range on window 824"):
+            weighted_tail_bound(kernel, 106)
+
     def test_continuum_ratio(self):
         polys = moment_polynomials(4)
         t = 1e4

@@ -264,6 +264,26 @@ class TestDuhamel:
             decay_panels += decay and s1 < c * (1.0 - 1e-9)
         assert decay_panels >= 1  # some panel's width comes from the decay bound, not from its end
 
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 30.0, 300.0])
+    def test_matches_the_node_loop_through_convolve(self, t):
+        # The straightforward loop: each node's kernel slice unfolded to a sequence and convolved with
+        # phi through the public wrapper, on the same mesh, frame and kernel tolerance as duhamel.
+        g = ForcingSpec(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 2: -0.25}), 2.0, 1.0)
+        eps = 1e-10
+        nodes, weights, _, _ = solver_module._mesh(g, t, 0.5 * eps * (1.0 - 2.0**-30))
+        kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / g.l1_time_integral(t)))
+        width = heat_kernel(t, kernel_eps).window + 2
+        acc, panel = np.zeros((2, len(g.spatial.values) + 2 * width))
+        for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
+            ks = heat_kernel(t - s, kernel_eps)
+            j = width - ks.window
+            panel[j : len(acc) - j] += (w * g.temporal(s)) * convolve(ks.to_sequence(), g.spatial).values
+            if i % 8 == 7:
+                acc, panel = acc + panel, np.zeros_like(acc)
+        snap = duhamel(g, t, eps)
+        assert snap.u.offset == g.spatial.offset - width
+        assert snap.u.values.tobytes() == acc.tobytes()
+
     def test_leaves_no_cyclic_garbage(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
         gc.collect()
