@@ -23,7 +23,7 @@ from .kernel import (
     heat_kernel,
     lp_norm,
 )
-from .solver import ForcingSpec, convolve, duhamel, evolve, rounding_bound
+from .solver import ForcingSpec, _evolve, duhamel, evolve
 
 __all__ = [
     "DecayReport",
@@ -181,7 +181,6 @@ def large_time_profile(
         m = f.mass()
         if abs(m) <= 1e-14:
             raise ValueError("homogeneous profile requires nonzero mass")
-        f_l1 = lp_norm(f, 1.0)
     elif g.gamma <= 1.0:
         raise ValueError("forced profile requires gamma > 1")
     else:
@@ -189,14 +188,10 @@ def large_time_profile(
     points = []
     for t in sorted(t_grid):
         kernel = heat_kernel(t, eps)
-        seq = kernel.to_sequence()
-        if f is not None:
-            u, u_err = convolve(seq, f), kernel.tail_mass * f_l1 + rounding_bound(seq, f)
-        else:
-            snap = duhamel(g, t, eps=max(1e-8, eps))
-            u, u_err = snap.u, snap.quad_error + snap.trunc_error
-        diff = add_sequences(u, seq, 1.0, -m)
-        points.append((t, weight(t) * lp_norm(diff, p), weight(t) * (u_err + kernel.tail_mass * abs(m))))
+        snap = _evolve(f, t, kernel) if f is not None else duhamel(g, t, eps=max(1e-8, eps))
+        diff = add_sequences(snap.u, kernel.to_sequence(), 1.0, -m)
+        err = snap.quad_error + snap.trunc_error + kernel.tail_mass * abs(m)
+        points.append((t, weight(t) * lp_norm(diff, p), weight(t) * err))
     report = _gate(points, label=f"large-time[{'u_f' if f is not None else 'u_g'}, p={p}]")
     values = [v for _, v in report.pairs]
     monotone = all(b <= a for a, b in zip(values[1:], values[2:]))

@@ -28,7 +28,7 @@ def _parse_p(text: str) -> float:
     if text == "inf":
         return math.inf
     value = float(text)
-    if value < 1.0:
+    if not value >= 1.0:  # also refuses "nan"
         raise argparse.ArgumentTypeError(f"p must be >= 1 or 'inf', got {text!r}")
     return value
 
@@ -82,7 +82,7 @@ def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list
         "t_range": list(report.t_range),
         "dropped": [list(p) for p in report.dropped],
     }
-    meta.update({k: v for k, v in report.extras.items() if not isinstance(v, tuple)})
+    meta.update(report.extras)
     outputs = [
         (out, csv_text(["t", "value"], report.pairs)),
         (_with_suffix(out, ".json"), _json_text(meta)),

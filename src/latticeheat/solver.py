@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
+from .kernel import KernelSlice, LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -125,16 +125,16 @@ def _gamma(k: int) -> float:
     return k * 2.0**-53 / (1.0 - k * 2.0**-53) if k * 2.0**-53 < 1.0 else math.inf
 
 
-def rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
-    """A-priori bound on ||convolve(a, b) - a * b||_1 from binary64 rounding.
+def rounding_bound(la: int, a_l1: float, lb: int, b_l1: float) -> float:
+    """A-priori bound on ||convolve(a, b) - a * b||_1 from binary64 rounding, for a and b of lengths
+    la, lb and l1 norms a_l1, b_l1.
 
-    An output is a dot product of n <= min(len a, len b) terms, off by at most
+    An output is a dot product of n <= min(la, lb) terms, off by at most
     gamma_n sum |a_j| |b_{i-j}| in any order (Higham, Accuracy and Stability of
     Numerical Algorithms, 3.1); gamma_{n+1} and rounding up absorb the error of
     this formula, and one smallest subnormal per product covers underflow.
     """
-    la, lb = len(a.values), len(b.values)
-    bound = _gamma(min(la, lb) + 1) * lp_norm(a, 1.0) * lp_norm(b, 1.0)
+    bound = _gamma(min(la, lb) + 1) * a_l1 * b_l1
     return math.nextafter(bound + la * lb * math.ulp(0.0), math.inf)
 
 
@@ -142,9 +142,14 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
     """Homogeneous evolution u_f(t, .) = G(t, .) * f with certified truncation."""
     if t == 0.0:
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
-    kernel = heat_kernel(t, eps)
-    seq = kernel.to_sequence()
-    return SolutionSnapshot(t, convolve(seq, f), 0.0, kernel.tail_mass * lp_norm(f, 1.0) + rounding_bound(seq, f))
+    return _evolve(f, t, heat_kernel(t, eps))
+
+
+def _evolve(f: LatticeSequence, t: float, kernel: KernelSlice) -> SolutionSnapshot:
+    """``evolve`` with the row of G(t, .) given; ||f||_1 is summed once for both terms."""
+    seq, f_l1 = kernel.to_sequence(), lp_norm(f, 1.0)
+    trunc_error = kernel.tail_mass * f_l1 + rounding_bound(len(seq.values), lp_norm(seq, 1.0), len(f.values), f_l1)
+    return SolutionSnapshot(t, convolve(seq, f), 0.0, trunc_error)
 
 
 def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -211,10 +216,16 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     # unit mass), temporal factor, weight, two products and the sums over a panel's 8 nodes and over the panels.
     # The rule underestimates int_0^t |a| = g_l1 / ||phi||_1, as every even derivative of a is positive.
     k = min(2 * width + 1, len(g.spatial.values)) + math.ceil(g.gamma) + 17 + len(nodes) // 8
-    trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift, math.inf)
+    # Underflow, which no relative term covers: a result below 2^-1022 is off by up to one ulp(0.0), charged twice
+    # (2^-1073) to absorb the rounding of the weights' sum and of this count.  Node i adds c_i (row * phi) with c_i =
+    # w_i A (1 + s_i)^-gamma, and sum |c_i| <= |A| t = a_t.  Its (2 width + 1) len(phi) row products are scaled by |c_i|,
+    # each frame entry's scaling product underflows once, and the power, A and w_i put (|A| w_i + w_i + 1) ulp(0.0)
+    # into c_i, which scales a convolution of l1 norm at most ||phi||_1.
+    phi, a_t, n = g.spatial.values, abs(g.amplitude) * t, len(nodes)
+    ulps = (2 * width + 1) * len(phi) * a_t + (len(phi) + 2 * width) * n + (a_t + t + n) * _l1(phi)
+    trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift + math.ldexp(ulps, -1073), math.inf)
     if trunc_error > eps:
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
-    phi = g.spatial.values
     acc, panel = np.zeros((2, len(phi) + 2 * width))
     for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
         ks = heat_kernel(t - s, kernel_eps)

@@ -379,3 +379,14 @@ def test_import_builds_no_parser():
     code = "import latticeheat.cli as c; assert c._build_parser.cache_info().currsize == 0"
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("subcommand", ["decay", "diffdecay", "converge"])
+@pytest.mark.parametrize("p", ["nan", "NaN"])
+def test_nan_p_exits_2(tmp_path, capsys, subcommand, p):
+    # NaN fails every comparison: a p < 1 test lets it through, every norm is NaN and the error gate exits 1.
+    f_csv = tmp_path / "f.csv"
+    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 2: -0.5})))
+    data = ["--f", str(f_csv)] if subcommand == "converge" else []
+    err = _assert_rejected(capsys, tmp_path / "d.csv", [subcommand, "--p", p, *data])
+    assert "usage: lattice-heat" in err and f"p must be >= 1 or 'inf', got '{p}'" in err

@@ -12,6 +12,7 @@ from latticeheat.kernel import (
     KernelSlice,
     LatticeSequence,
     add_sequences,
+    csv_text,
     discrete_laplacian,
     forward_difference,
     heat_kernel,
@@ -141,6 +142,10 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(LatticeSequence.delta(0), 0.5)
 
+    def test_rejects_nan_p(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(LatticeSequence.delta(0), math.nan)
+
     def test_matches_per_element_fsum(self):
         rng = np.random.default_rng(20251)
         for size in (1, 7, 1000):
@@ -204,6 +209,15 @@ class TestSequencePlumbing:
         back = read_sequence_csv(path)
         assert back.offset == seq.offset
         assert np.array_equal(back.values, seq.values)
+
+    def test_csv_text_writes_every_float_as_its_repr(self):
+        # Random bit patterns: normal, subnormal, signed zero, inf and nan, as Python floats and NumPy float64.
+        floats = np.random.default_rng(20262).integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+        floats[:6] = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324)
+        rows = [(i, float(x), x) for i, x in enumerate(floats)]
+        assert csv_text(["i", "float", "float64"], rows) == "i,float,float64\n" + "".join(
+            f"{i},{float(x)!r},{float(x)!r}\n" for i, x in enumerate(floats)
+        )
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -101,7 +101,8 @@ class TestRoundingBound:
             b = signed_data(rng) if i % 2 == 0 else kernel_row()
             out = convolve(a, b)
             assert out.offset == a.offset + b.offset
-            assert l1_distance(out, exact_convolution(a, b)) <= Fraction(rounding_bound(a, b))
+            bound = rounding_bound(len(a.values), lp_norm(a, 1.0), len(b.values), lp_norm(b, 1.0))
+            assert l1_distance(out, exact_convolution(a, b)) <= Fraction(bound)
 
     def test_evolve_certificate_covers_rounding(self):
         rng = random.Random(20242)
@@ -113,6 +114,12 @@ class TestRoundingBound:
 
 
 class TestEvolve:
+    def test_sums_each_l1_norm_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver_module, "lp_norm", lambda s, p: calls.append(p) or lp_norm(s, p))
+        evolve(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 4: -2.0}), 3.0)
+        assert calls == [1.0, 1.0]  # ||f||_1 and the kernel row's, for truncation and rounding both
+
     def test_time_zero_is_identity(self):
         f = LatticeSequence.from_pairs({0: 1.0, 3: -2.0})
         snap = evolve(f, 0.0)
@@ -283,6 +290,16 @@ class TestDuhamel:
         snap = duhamel(g, t, eps)
         assert snap.u.offset == g.spatial.offset - width
         assert snap.u.values.tobytes() == acc.tobytes()
+
+    def test_certificate_covers_underflow(self):
+        # One problem twice, scaled by exact powers of two, so both have the same exact solution: phi 2^-1070 with
+        # amplitude 2^1000 makes every node product subnormal, phi with amplitude 2^-70 keeps them all normal.
+        phi = np.array([1.0, 0.5, 0.25])
+        tiny = duhamel(ForcingSpec(LatticeSequence(0, phi * 2.0**-1070), 2.0, 2.0**1000), 1.0, 1e-10)
+        plain = duhamel(ForcingSpec(LatticeSequence(0, phi), 2.0, 2.0**-70), 1.0, 1e-10)
+        gap = lp_norm(add_sequences(tiny.u, plain.u, 1.0, -1.0), 1.0)
+        assert gap > 0.0
+        assert gap <= tiny.quad_error + tiny.trunc_error + plain.quad_error + plain.trunc_error
 
     def test_leaves_no_cyclic_garbage(self):
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)

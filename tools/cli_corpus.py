@@ -1,0 +1,90 @@
+"""Run the ``lattice-heat`` byte corpus and write a manifest of what each run left behind.
+
+    python3 tools/cli_corpus.py OUT_DIR [SRC_DIR]
+
+Each run is a fresh ``python3 -c 'from latticeheat.cli import main; main()' ARGS`` process with
+``PYTHONPATH=SRC_DIR`` (default: the ``src`` next to this file) and its working directory at
+``OUT_DIR``, which must not exist yet.  Every path in an argument or a message is relative to it,
+so it reads the same from any checkout.  ``OUT_DIR/manifest.jsonl`` holds one line per run: its
+index, arguments, exit code, stderr and the sha256 of each file at its ``--out`` path.  Two checkouts compare by a ``diff`` of their manifests;
+the hashes depend on the host's libm, so compare manifests made on one host.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+INPUTS = {
+    "f.csv": "n,value\n-1,0.25\n0,1.0\n2,-0.5\n",
+    "phi.csv": "n,value\n-1,0.5\n0,1.0\n2,-0.25\n",
+    "g.json": '{"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}',
+    "none.json": '{"kind": "none"}',
+    # One forcing twice, scaled by exact powers of two: every Duhamel node product of the first is subnormal.
+    "tiny_phi.csv": "n,value\n" + "".join(f"{i},{v * 2.0**-1070!r}\n" for i, v in enumerate((1.0, 0.5, 0.25))),
+    "tiny.json": '{"kind": "separable", "spatial": "tiny_phi.csv", "gamma": 2.0, "amplitude": %r}' % 2.0**1000,
+    "unit_phi.csv": "n,value\n0,1.0\n1,0.5\n2,0.25\n",
+    "unit.json": '{"kind": "separable", "spatial": "unit_phi.csv", "gamma": 2.0, "amplitude": %r}' % 2.0**-70,
+}
+
+
+def corpus() -> list[list[str]]:
+    """Each run's arguments, without ``--out``."""
+    runs = [["kernel", "--t", t] for t in ("0", "1e-200", "1e-3", "0.5", "1.5", "1e3", "1e5")]
+    runs += [["kernel", "--t", t, "--eps", e] for t in ("0.5", "1.5", "1e3") for e in ("1e-10", "1e-100")]
+    runs += [["kernel", "--t", "1.5", "--plot"], ["kernel", "--t", "1e3", "--plot"], ["kernel", "--t", "1e40"]]
+    f, g = ["--f", "inputs/f.csv"], ["--g", "inputs/g.json"]
+    runs += [["evolve", "--t", "2", *f], ["evolve", "--t", "2", *f, *g, "--eps", "1e-9"]]
+    runs += [["evolve", "--t", "2", *f, "--g", "inputs/none.json"], ["evolve", "--t", "300", *f]]
+    runs += [["evolve", "--t", "2", *f, "--plot"]]
+    runs += [["duhamel", "--t", "5", *g, "--eps", "1e-9"], ["duhamel", "--t", "10", *g], ["duhamel", "--t", "0.5", *g]]
+    runs += [["duhamel", "--t", "2", "--g", "inputs/none.json"]]
+    runs += [["duhamel", "--t", "1", "--g", f"inputs/{name}.json", "--eps", "1e-10"] for name in ("tiny", "unit")]
+    for t in ("0.5", "1", "3", "10", "30", "100", "300"):
+        runs += [["moments", "--t", t, "--kmax", k] for k in ("6", "12")]
+    runs += [["moments", "--t", "1.3", "--kmax", "12"], ["moments", "--t", "1", "--kmax", "65"]]
+    runs += [["moments", "--t", "1e3", "--kmax", k] for k in ("51", "52", "53")]
+    runs += [["moments", "--t", "1e6", "--kmax", k] for k in ("34", "35")]
+    for k in range(2, 13):
+        runs += [["poly", "--kmax", str(k)], ["poly", "--kmax", str(k), "--roots"]]
+    runs += [["poly", "--kmax", "13", "--roots"]]
+    grid = ["--grid", "dyadic:16:512"]
+    runs += [["decay", "--quantity", q, "--p", p, *grid] for q in ("G", "grad", "laplacian") for p in ("1", "2", "inf", "3")]
+    runs += [["decay", "--quantity", q, "--p", "2", *grid, "--plot"] for q in ("G", "laplacian")]
+    runs += [["decay"], ["decay", "--eps", "0.5"]]
+    runs += [["converge", *f, "--p", p, *grid] for p in ("1", "2", "inf", "3")]
+    runs += [["converge", *f, "--p", "2", *grid, "--plot"]]
+    runs += [["converge", *g, "--p", p, "--grid", "dyadic:16:128"] for p in ("1", "2", "inf")]
+    runs += [["fourier", "--t", t] for t in ("1", "7.5", "0")]
+    runs += [["diffdecay", "--order", str(o), "--p", p, *grid] for o in range(1, 5) for p in ("1", "2", "inf")]
+    runs += [["diffdecay", "--order", "2", "--p", "2", *grid, "--plot"]]
+    runs += [["decay", "--p", "nan"], ["diffdecay", "--p", "nan"], ["converge", *f, "--p", "nan"]]
+    return runs
+
+
+def main(out_dir: str, src_dir: str = str(Path(__file__).resolve().parent.parent / "src")) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True)  # a fresh directory, so no earlier run's file is hashed
+    (out / "inputs").mkdir()
+    (out / "runs").mkdir()
+    for name, text in INPUTS.items():
+        (out / "inputs" / name).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(src_dir).resolve()))
+    code = "from latticeheat.cli import main; main()"
+    with open(out / "manifest.jsonl", "w", encoding="utf-8") as manifest:
+        for i, args in enumerate(corpus()):
+            target = f"runs/{i:03d}-{args[0]}.csv"
+            proc = subprocess.run([sys.executable, "-c", code, *args, "--out", target], cwd=out, env=env,
+                                  capture_output=True, text=True)
+            files = {p: hashlib.sha256((out / p).read_bytes()).hexdigest()
+                     for p in (target, target + ".json", target + ".svg") if (out / p).exists()}
+            record = {"run": i, "args": args, "exit": proc.returncode, "stderr": proc.stderr, "files": files}
+            manifest.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if not 2 <= len(sys.argv) <= 3:
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
