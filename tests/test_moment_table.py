@@ -1,0 +1,104 @@
+"""``moments.moment_table`` against the per-order table loop, bit for bit.
+
+The reference below builds the table one order at a time, each order walking
+its own fresh chain of rows.  ``moment_table`` shares one chain across the
+orders, so every cell, and every error with its message, must be the same.
+"""
+
+import math
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from latticeheat import kernel, moments
+from latticeheat.moments import kernel_moment, moment_polynomials, moment_table, poly_eval
+
+
+def fresh_walk(t, order, tol):
+    """The row for one order from a chain of its own: eps 1e-16, then floors max(N + 8, int(1.3 N))."""
+    slice = moments.heat_kernel(t, 1e-16)
+    for _ in range(60):
+        if moments.weighted_tail_bound(slice, order) <= tol:
+            return slice
+        wider = max(slice.window + 8, int(slice.window * 1.3))
+        slice = moments.heat_kernel(t, 1e-16, min_half_width=wider)
+    raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
+
+
+def per_order_rows(t, k_max):
+    """The table one order at a time, yielding each row as it is made."""
+    for k, poly in enumerate(moment_polynomials(k_max)):
+        expected = poly_eval(poly, 2.0 * t)
+        row = fresh_walk(t, 2 * k, max(1e-12, 1e-10 * expected))
+        yield [k, kernel_moment(row, 2 * k), expected, kernel_moment(row, 2 * k + 1)]
+
+
+def outcome(rows):
+    """(the rows with every float as its hex, the error's type and message or None)."""
+    cells = []
+    try:
+        for k, *values in rows:
+            cells.append([k, *(v.hex() for v in values)])
+    except (ValueError, ArithmeticError) as exc:
+        return cells, (type(exc), str(exc))
+    return cells, None
+
+
+def table_outcome(t, k_max):
+    try:
+        return outcome(moment_table(t, k_max))
+    except (ValueError, ArithmeticError) as exc:
+        return [], (type(exc), str(exc))
+
+
+_rng = random.Random(13)
+# t = 0, both sides of each overflow limit (53 at t = 1e3, 35 at 1e6), refusals before any row, and seeded
+# (t, k_max) with t log-uniform in 1e-3..1e5 and k_max up to the polynomials' cap and past it.
+CASES = [(0.0, 3), (0.0, 64), (-1.0, 65), (-1.0, 3), (1.0, 65), (1.0, -1), (0.5, 50), (1e3, 53), (1e6, 35)]
+CASES += [(10.0 ** _rng.uniform(-3.0, 5.0), _rng.randint(0, 65)) for _ in range(16)]
+
+
+@pytest.mark.parametrize("t, k_max", CASES)
+def test_table_keeps_the_bits_of_the_per_order_loop(t, k_max):
+    ref_cells, ref_error = outcome(per_order_rows(t, k_max))
+    cells, error = table_outcome(t, k_max)
+    assert error == ref_error
+    if error is None:
+        assert cells == ref_cells
+    elif ref_cells:  # the orders made before the error, from a table that stops just short of it
+        assert table_outcome(t, len(ref_cells) - 1) == (ref_cells, None)
+
+
+def test_builds_each_row_once(monkeypatch):
+    calls = []
+    row = kernel.scaled_bessel_row
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "scaled_bessel_row", counting)
+    list(per_order_rows(0.5, 50))
+    assert len(calls) == 163
+    calls.clear()
+    moment_table(0.5, 50)
+    assert len(calls) == 5
+
+
+def test_a_chain_that_certifies_nothing_fails_as_before(monkeypatch):
+    # With no tail ever small enough, every walk runs to the end of its chain; the stub rows cost nothing.
+    floors = []
+
+    def stub(t, eps, min_half_width=None):
+        floors.append(min_half_width)
+        return SimpleNamespace(window=min_half_width or 3)
+
+    monkeypatch.setattr(moments, "weighted_tail_bound", lambda slice, order: math.inf)
+    monkeypatch.setattr(moments, "heat_kernel", stub)
+    ref_cells, ref_error = outcome(per_order_rows(0.5, 4))
+    ref_floors, floors[:] = floors[:], []
+    assert ref_error == (ArithmeticError, "could not certify weighted tail <= 1e-10 at t=0.5, order=0")
+    assert table_outcome(0.5, 4) == (ref_cells, ref_error)
+    # The table builds the 60 rows it checks; the fresh walk also built a 61st that it never checked.
+    assert len(floors) == 60 and floors == ref_floors[:60]

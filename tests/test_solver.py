@@ -336,6 +336,14 @@ class TestSolve:
         b = evolve(f, 3.0)
         assert np.array_equal(a.u.values, b.u.values)
 
+    def test_time_zero_with_forcing_is_f(self):
+        f = LatticeSequence.from_pairs({0: 1.0, 2: -0.5})
+        g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)
+        snap = solve(f, g, 0.0)
+        assert snap.u is f and snap.quad_error == snap.trunc_error == 0.0
+        with pytest.raises(ValueError, match="eps must lie in"):
+            solve(f, g, 0.0, eps=2.0)  # as at t > 0, where the homogeneous part gets eps / 2
+
     def test_combined_mass(self):
         f = LatticeSequence.delta(0)
         g = ForcingSpec.separable(LatticeSequence.delta(0), gamma=2.0, amplitude=1.0)

@@ -61,6 +61,9 @@ def corpus() -> list[list[str]]:
     runs += [["diffdecay", "--order", str(o), "--p", p, *grid] for o in range(1, 5) for p in ("1", "2", "inf")]
     runs += [["diffdecay", "--order", "2", "--p", "2", *grid, "--plot"]]
     runs += [["decay", "--p", "nan"], ["diffdecay", "--p", "nan"], ["converge", *f, "--p", "nan"]]
+    runs += [["moments", "--t", "0.5", "--kmax", "50"], ["moments", "--t", "0", "--kmax", "3"]]
+    runs += [["moments", "--t", "-1", "--kmax", "65"]]
+    runs += [["evolve", "--t", "0", *f, "--eps", "7"], ["evolve", "--t", "0", *f, "--eps", "nan"], ["evolve", "--t", "0", *f, *g]]
     return runs
 
 
