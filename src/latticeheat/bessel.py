@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -58,6 +59,16 @@ class NonConvergenceError(ArithmeticError):
     """A series oracle failed to reach its convergence criterion."""
 
 
+def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
+    """values[i] * n^order for n = first + i, each n^order from libm ``pow`` as ``float(n) ** order`` takes it.
+
+    NumPy's ``power`` differs from ``pow`` in the last bit for some n, so the powers are
+    taken one by one; the products are single correctly rounded multiplies either way.
+    """
+    n = memoryview(np.arange(float(first), first + len(values)))
+    return np.fromiter(map(pow, n, repeat(float(order))), float, len(values)) * values
+
+
 @dataclass(frozen=True)
 class LatticeSequence:
     """A real sequence on Z carried on the window [offset, offset + len - 1]."""
@@ -86,8 +97,7 @@ class LatticeSequence:
         return math.fsum(self.values)
 
     def moment(self, order: int) -> float:
-        # Python's float ** int: NumPy's power differs in the last bit for some n.
-        return math.fsum(float(n) ** order * v for n, v in zip(self.indices(), self.values.tolist()))
+        return math.fsum(memoryview(power_weighted(self.values, self.offset, order)))
 
     def scaled(self, alpha: float) -> "LatticeSequence":
         return LatticeSequence(self.offset, alpha * self.values)

@@ -6,10 +6,13 @@ The polynomial family satisfies p_0 = 1 and, for k >= 1,
 
 integrated term by term in exact integer arithmetic.  The even moment of
 the kernel obeys sum_n n^{2k} G(t, n) = p_k(2t) while odd moments vanish
-by symmetry.  Root isolation takes exact integer signs at dyadic points
+by symmetry.  Root finding takes exact integer signs at dyadic points
 a / 2^e: the smallest negative zeros sit within 1e-3 of the zero at the
-origin, where floating point sign tests are unreliable.  The Sturm chain
-is built by integer pseudo-division, so no rational arithmetic is needed.
+origin, where floating point sign tests are unreliable.  Float estimates
+of the roots only pick the grid cells that bisection would end in; two
+exact signs per cell verify them, and where they do not, Sturm isolation
+and bisection run.  The Sturm chain is built by integer pseudo-division,
+so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .bessel import power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -128,13 +134,65 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
 
     Sturm-count subdivision isolates the roots in [-(deg + 2), 0]; bisection
     with exact signs at dyadic points then refines each to within ``tol``.
-    The root at the origin is returned exactly.
+    The root at the origin is returned exactly.  Every interval the two visit
+    has width (deg + 2) 2^-e, and bisection stops at the first level E with
+    (deg + 2) 2^-E <= tol / 4, so a root is the midpoint of a cell of the grid
+    (deg + 2) j / 2^E.  ``_cell_roots`` first takes those cells from float
+    estimates and checks each by two exact signs, which gives the same floats;
+    where a check fails, Sturm isolation and bisection (``_sturm_roots``) run.
     """
     if p.degree > ROOTS_K_MAX:
         raise ValueError(f"root finding capped at degree {ROOTS_K_MAX}")
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise ValueError("tol must be at least 1e-12")
+    roots = _cell_roots(p, tol)
+    return _sturm_roots(p, tol) if roots is None else roots
 
+
+def _cell_roots(p: IntPolynomial, tol: float) -> list[float] | None:
+    """The roots ``_sturm_roots`` returns, from verified cells of its last grid, or None.
+
+    The d nonzero roots of q, p without its zero roots, are estimated in
+    binary64 (``np.roots`` and two Newton steps) and snapped to cells
+    (deg + 2) (j, j + 1] / 2^E.  The cells are accepted only if they strictly
+    increase, lie in [-(deg + 2), 0] and q has nonzero, opposite exact signs
+    at both ends of each.  Then each of the d cells holds an odd number of
+    roots of a degree-d polynomial, so exactly one, simple, and no root is on
+    a grid point: the Sturm count is d, isolation ends by level E, bisection
+    never meets a zero sign, and it ends in the same cell, whose midpoint
+    (2j + 1)(deg + 2) / 2^(E + 1) is its float bit for bit.
+    """
+    zeros = next((i for i, c in enumerate(p.coeffs) if c), len(p.coeffs))
+    q = IntPolynomial(p.coeffs[zeros:])
+    if q.degree < 1:
+        return None
+    try:
+        c = np.array([float(x) for x in reversed(q.coeffs)])
+        with np.errstate(all="ignore"):
+            x, dc = np.roots(c).real, np.polyder(c)
+            for _ in range(2):
+                powers = np.vander(x, len(c))
+                x = x - (powers @ c) / (powers[:, 1:] @ dc)
+    except (OverflowError, np.linalg.LinAlgError):  # a coefficient past binary64, or no eigenvalues
+        return None
+    bound, level = p.degree + 2, 0
+    while math.ldexp(bound, -level) > tol / 4:
+        level += 1
+    # Estimates in [-(deg + 2), 0) give cells in [-(deg + 2), 0]; NaN fails both tests.  A wrong estimate fails the signs.
+    if len(x) != q.degree or not np.all((-bound <= x) & (x < 0)):
+        return None
+    cells = [math.floor(math.ldexp(v, level) / bound) for v in sorted(x.tolist())]
+    if any(i >= j for i, j in zip(cells, cells[1:])):
+        return None
+    for j in cells:
+        if _dyadic_sign(q, bound * j, level) * _dyadic_sign(q, bound * (j + 1), level) != -1:
+            return None
+    roots = [bound * (2 * j + 1) / (1 << (level + 1)) for j in cells]
+    return roots + [0.0] if zeros else roots
+
+
+def _sturm_roots(p: IntPolynomial, tol: float) -> list[float]:
+    """The roots by Sturm isolation and exact bisection: the path ``_cell_roots`` falls back to."""
     coeffs = list(p.coeffs)
     mult_zero = 0
     while coeffs and coeffs[0] == 0:
@@ -199,9 +257,9 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     if order % 2:
         return 0.0
     _guard_power(slice.window, order)
-    v = slice.values.tolist()
-    terms = [2.0 * (float(n) ** order * v[n]) for n in range(1, len(v))]
-    return math.fsum([0.0**order * v[0], *terms])
+    terms = power_weighted(slice.values, 0, order)
+    terms[1:] *= 2.0
+    return math.fsum(memoryview(terms))
 
 
 def weighted_tail_bound(slice: KernelSlice, order: int) -> float:

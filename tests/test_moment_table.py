@@ -1,8 +1,9 @@
 """``moments.moment_table`` against the per-order table loop, bit for bit.
 
 The reference below builds the table one order at a time, each order walking
-its own fresh chain of rows.  ``moment_table`` shares one chain across the
-orders, so every cell, and every error with its message, must be the same.
+its own fresh chain of rows and summing each moment over a per-term list.
+``moment_table`` shares one chain across the orders and forms the terms in
+NumPy, so every cell, and every error with its message, must be the same.
 """
 
 import math
@@ -26,12 +27,22 @@ def fresh_walk(t, order, tol):
     raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
 
 
+def listed_moment(slice, order):
+    """``kernel_moment`` with one Python float ** int and one multiply per term, summed over a list."""
+    if order % 2:
+        return 0.0
+    moments._guard_power(slice.window, order)
+    v = slice.values.tolist()
+    terms = [2.0 * (float(n) ** order * v[n]) for n in range(1, len(v))]
+    return math.fsum([0.0**order * v[0], *terms])
+
+
 def per_order_rows(t, k_max):
     """The table one order at a time, yielding each row as it is made."""
     for k, poly in enumerate(moment_polynomials(k_max)):
         expected = poly_eval(poly, 2.0 * t)
         row = fresh_walk(t, 2 * k, max(1e-12, 1e-10 * expected))
-        yield [k, kernel_moment(row, 2 * k), expected, kernel_moment(row, 2 * k + 1)]
+        yield [k, listed_moment(row, 2 * k), expected, listed_moment(row, 2 * k + 1)]
 
 
 def outcome(rows):
@@ -68,6 +79,15 @@ def test_table_keeps_the_bits_of_the_per_order_loop(t, k_max):
         assert cells == ref_cells
     elif ref_cells:  # the orders made before the error, from a table that stops just short of it
         assert table_outcome(t, len(ref_cells) - 1) == (ref_cells, None)
+
+
+def test_kernel_moment_keeps_the_bits_of_the_listed_sum():
+    rng = random.Random(1414)
+    for _ in range(12):
+        t = 10.0 ** rng.uniform(-2.0, 6.0)
+        for row in (moments.heat_kernel(t, 1e-16), moments.heat_kernel(t, 10.0 ** rng.uniform(-12.0, -3.0))):
+            for order in range(25):
+                assert kernel_moment(row, order).hex() == listed_moment(row, order).hex(), (t, row.window, order)
 
 
 def test_builds_each_row_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the moment polynomial family, its zeros, and kernel moments."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -131,8 +132,9 @@ class TestRoots:
 
     def test_tol_floor(self):
         polys = moment_polynomials(2)
-        with pytest.raises(ValueError):
-            poly_real_roots(polys[2], 1e-14)
+        for tol in (1e-14, math.nan):
+            with pytest.raises(ValueError, match="tol must be at least 1e-12"):
+                poly_real_roots(polys[2], tol)
 
     def test_signals_on_complex_roots(self):
         # t^2 + t + 1 has no real roots at all.
@@ -216,8 +218,97 @@ class TestSturmChain:
             return sign_changes(chain, a, e)
 
         monkeypatch.setattr(moments, "_sign_changes", recording)
-        poly_real_roots(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
+        moments._sturm_roots(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
         assert len(seen) > 2 and len(seen) == len(set(seen))
+
+
+def roots_outcome(find, p, tol):
+    """The roots as hex strings, or the error's type and message."""
+    try:
+        return [r.hex() for r in find(p, tol)]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def with_roots(scale, roots):
+    """scale * prod (b x - a) for each rational root a / b, constant term first."""
+    coeffs = [scale]
+    for a, b in roots:
+        coeffs = [x * b - y * a for x, y in zip([0, *coeffs], [*coeffs, 0])]
+    return IntPolynomial(tuple(coeffs))
+
+
+TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
+_rng = random.Random(14)
+
+
+def seeded_poly(deg: int) -> IntPolynomial:
+    """Rational roots a / b in [-(deg + 2) - 1 / b, 1 / b]: some repeat, some are dyadic and so on a grid
+    point at a fine enough grid, some are positive or past -(deg + 2), and most are none of these."""
+    roots = []
+    for _ in range(deg):
+        b = _rng.choice((1, 2, 3, 5, 7, 11, 13, 16, 64, 97))
+        roots.append((-_rng.randint(-1, b * (deg + 2) + 1), b))
+    return with_roots(_rng.choice((1, -1, 3)), roots)
+
+
+RANDOM_POLYS = [seeded_poly(_rng.randint(1, 12)) for _ in range(150)]
+EDGE_POLYS = [
+    IntPolynomial((0, 3, 4)),  # -0.75, on a bisection midpoint
+    with_roots(1, [(-1, 1), (-1, 3)]),  # -1 is a point of every grid
+    with_roots(1, [(-1, 3), (-(10**14 + 1), 3 * 10**14)]),  # two roots 3.3e-15 apart, in one cell
+    with_roots(1, [(-10, 1), (-1, 2)]),  # -10 is below -(deg + 2) = -4
+    with_roots(1, [(1, 2), (-1, 2)]),  # a positive root
+    IntPolynomial((1, 1, 1)),  # no real roots
+    with_roots(1, [(-1, 3), (-1, 3)]),  # a double root
+    with_roots(10**309, [(-1, 3), (-2, 1)]),  # coefficients past binary64
+    with_roots(1, [(-1, 10**309)]),  # a root at -1e-309 with a coefficient past binary64
+    IntPolynomial((0, 0, 5)),
+    IntPolynomial((7,)),
+    IntPolynomial((0,)),
+    IntPolynomial((3, 0)),  # a zero leading coefficient
+]
+
+
+class TestVerifiedCells:
+    """``poly_real_roots`` against ``_sturm_roots``, the Sturm isolation and bisection it falls back to."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_moment_polynomials_match_the_sturm_path(self, tol):
+        for p in moment_polynomials(ROOTS_K_MAX):
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_edge_cases_match_the_sturm_path(self, tol):
+        for p in EDGE_POLYS:
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol), p
+
+    def test_seeded_polynomials_match_the_sturm_path(self):
+        taken = 0
+        for i, p in enumerate(RANDOM_POLYS):
+            tol = TOLS[i % len(TOLS)]
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol), (p, tol)
+            taken += moments._cell_roots(p, tol) is not None
+        # Both paths run: the cells are verified for some polynomials and refused for others.
+        assert 30 < taken < len(RANDOM_POLYS) - 30
+
+    def test_moment_polynomials_never_reach_the_sturm_path(self, monkeypatch):
+        signs = []
+        dyadic_sign = moments._dyadic_sign
+
+        def counting(poly, a, e):
+            signs.append(a)
+            return dyadic_sign(poly, a, e)
+
+        def refused(coeffs):
+            raise AssertionError("the Sturm path ran")
+
+        monkeypatch.setattr(moments, "_dyadic_sign", counting)
+        monkeypatch.setattr(moments, "_sturm_chain", refused)
+        for p in moment_polynomials(ROOTS_K_MAX)[2:]:
+            signs.clear()
+            assert len(poly_real_roots(p, 1e-12)) == p.degree
+            assert len(signs) <= 2 * (p.degree - 1)
 
 
 class TestKernelMoments:

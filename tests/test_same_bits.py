@@ -1,4 +1,5 @@
-"""``evolve`` and the homogeneous ``large_time_profile`` match, bit for bit, references that form G(t)·f apart.
+"""``evolve``, the homogeneous ``large_time_profile`` and ``LatticeSequence.moment`` match, bit for bit, references
+that form G(t)·f and the moment sums apart.
 
 Each reference sums ||f||_1 for itself, takes the rounding bound from the two sequences, and sums every l1
 norm over a ``tolist()`` list, so the library's one ``_evolve`` core, its norm-based ``rounding_bound`` and
@@ -79,6 +80,15 @@ def test_evolve_keeps_its_bits():
         offset, values, trunc_error = reference_evolve(f, t, eps)
         assert (snap.u.offset, snap.u.values.tobytes(), snap.trunc_error.hex()) == (offset, values, trunc_error.hex())
         assert snap.quad_error == 0.0
+
+
+def test_sequence_moment_keeps_its_bits():
+    rng = random.Random(1415)
+    for i in range(60):
+        f = seeded_data(rng, i % 3)
+        for order in range(7):
+            listed = math.fsum(float(n) ** order * v for n, v in zip(f.indices(), f.values.tolist()))
+            assert f.moment(order).hex() == listed.hex(), (i, order)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
