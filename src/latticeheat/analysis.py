@@ -188,8 +188,9 @@ def large_time_profile(
     points = []
     for t in sorted(t_grid):
         kernel = heat_kernel(t, eps)
-        snap = _evolve(f, t, kernel) if f is not None else duhamel(g, t, eps=max(1e-8, eps))
-        diff = add_sequences(snap.u, kernel.to_sequence(), 1.0, -m)
+        seq = kernel.to_sequence()
+        snap = _evolve(f, t, seq, kernel.tail_mass) if f is not None else duhamel(g, t, eps=max(1e-8, eps))
+        diff = add_sequences(snap.u, seq, 1.0, -m)
         err = snap.quad_error + snap.trunc_error + kernel.tail_mass * abs(m)
         points.append((t, weight(t) * lp_norm(diff, p), weight(t) * err))
     report = _gate(points, label=f"large-time[{'u_f' if f is not None else 'u_g'}, p={p}]")
@@ -204,7 +205,8 @@ def large_time_profile(
 def fourier_symbol_rows(t: float, grid_size: int = 64, eps: float = 1e-12) -> list[tuple[float, float, float]]:
     """(theta, transform of G(t, .), exp(-4 t sin^2(theta/2))) on the theta grid.
 
-    The transform is the direct cosine sum over the window; the imaginary
+    The transform is the direct cosine sum over the window, by fsum: its
+    terms cancel, which ``exact_sum``'s check would refuse.  The imaginary
     part vanishes by symmetry.
     """
     if t <= 0.0:
@@ -216,7 +218,7 @@ def fourier_symbol_rows(t: float, grid_size: int = 64, eps: float = 1e-12) -> li
     rows = []
     for j in range(grid_size):
         theta = -math.pi + 2.0 * math.pi * (j + 1) / grid_size
-        transform = float(kernel.values[0] + 2.0 * math.fsum(kernel.values[1:] * np.cos(n * theta)))
+        transform = float(kernel.values[0] + 2.0 * math.fsum(memoryview(kernel.values[1:] * np.cos(n * theta))))
         rows.append((theta, transform, math.exp(-4.0 * t * math.sin(theta / 2.0) ** 2)))
     return rows
 

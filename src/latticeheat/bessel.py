@@ -48,11 +48,17 @@ _SERIES_TAU_MAX = 30.0
 # t = 1e13 54.8 million); a longer one is refused before its array is allocated.
 MAX_RECURRENCE_STEPS = 2**25
 
-# The normalisation rounds each value three times (the fsum, the add of b_0
+# The normalisation rounds each value three times (the sum, the add of b_0
 # and the division), each by at most u = 2^-53, on a window of mass below 1.0001.
 _NORM_ROUNDING = 3.001 * 2.0**-53
 # Miller's relative seed error is held below this share of the target.
 _SEED_SHARE = 2.0**-40
+# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum: in a tight loop the
+# extraction's seven NumPy calls beat fsum from about 320 values, but between other
+# work, as in an ``evolve`` of 320 to 1,000 points, they cost more than they save.
+# It extracts _SUM_BLOCK values per pass, so its one temporary is at most 32 KiB.
+_EXACT_SUM_MIN = 1024
+_SUM_BLOCK = 4096
 
 
 class NonConvergenceError(ArithmeticError):
@@ -67,6 +73,45 @@ def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
     """
     n = memoryview(np.arange(float(first), first + len(values)))
     return np.fromiter(map(pow, n, repeat(float(order))), float, len(values)) * values
+
+
+def exact_sum(values) -> float:
+    """``math.fsum(values)``, bit for bit, for a 1-D float64 array, from a fixed number of NumPy passes.
+
+    Callers pass a ``memoryview`` of the array, which fsum reads as Python floats.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, Lemma 3.3):
+    with M = max |x_i| and sigma = 2^k >= 2^(bit_length(n) + 1) M, q = (sigma + x) - sigma and
+    r = x - q are exact, each q_i is a multiple of 2^(k - 53) of size at most sigma 2^-(bit_length(n) + 1),
+    and |r_i| <= 2^(k - 53).  So every partial sum of the q_i is exact, in any order, and
+    the sum of the r_i in any order is off by at most gamma_{n-1} n 2^(k - 53) <= n^2 2^(k - 105).
+    If the exact sum's two bounds, rounded outward, round to one nonzero float, monotone rounding
+    makes it fsum's correctly rounded value.  Otherwise, and for short, zero, non-finite or huge
+    arrays, fsum decides.  One sigma serves every block of ``_SUM_BLOCK`` values, so the
+    argument holds block by block and the only temporary is one block.
+    """
+    n = len(values)
+    if n >= _EXACT_SUM_MIN:
+        x = np.asarray(values)
+        # M below 2^(999 - bit_length(n)), so sigma <= 2^1000; NaN, inf and all zeros fail too.
+        if 0.0 < (top := max(x.max(), -x.min())) < math.ldexp(1.0, 999 - n.bit_length()):
+            k = math.frexp(top)[1] + n.bit_length() + 1
+            sigma = math.ldexp(1.0, k)
+            buf = np.empty(min(n, _SUM_BLOCK))
+            head = tail = 0.0
+            for i in range(0, n, _SUM_BLOCK):
+                part = x[i : i + _SUM_BLOCK]
+                q = buf[: len(part)]
+                np.add(part, sigma, out=q)
+                q -= sigma
+                head += float(np.add.reduce(q))
+                tail += float(np.add.reduce(np.subtract(part, q, out=q)))  # the r_i, in q's place
+            # n 2^-1074 absorbs the rounding of the first term where it is subnormal.
+            err = math.ldexp(n * n, k - 105) + math.ldexp(n, -1074)
+            lo = head + math.nextafter(tail - err, -math.inf)
+            hi = head + math.nextafter(tail + err, math.inf)
+            if lo == hi != 0.0:
+                return lo
+    return math.fsum(values)
 
 
 @dataclass(frozen=True)
@@ -94,10 +139,10 @@ class LatticeSequence:
         return range(self.offset, self.hi + 1)
 
     def mass(self) -> float:
-        return math.fsum(self.values)
+        return exact_sum(memoryview(self.values))
 
     def moment(self, order: int) -> float:
-        return math.fsum(memoryview(power_weighted(self.values, self.offset, order)))
+        return exact_sum(memoryview(power_weighted(self.values, self.offset, order)))
 
     def scaled(self, alpha: float) -> "LatticeSequence":
         return LatticeSequence(self.offset, alpha * self.values)
@@ -157,7 +202,7 @@ class KernelSlice:
 
     def mass(self) -> float:
         """b_0 + 2 * sum_{1 <= n <= window} b_n over the carried window."""
-        return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
+        return float(self.values[0] + 2.0 * exact_sum(memoryview(self.values)[1:]))
 
 
 def _budget(eps: float) -> tuple[float, float]:
@@ -308,7 +353,7 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
         row[n - 1] = y_prev
         y_next, y_cur = y_cur, y_prev
 
-    y /= row[0] + 2.0 * math.fsum(row[1:])
+    y /= row[0] + 2.0 * exact_sum(row[1:])
     return y
 
 

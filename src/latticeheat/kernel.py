@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bessel import KernelSlice, LatticeSequence, scaled_bessel_row
+from .bessel import KernelSlice, LatticeSequence, exact_sum, scaled_bessel_row
 
 __all__ = [
     "KernelSlice",
@@ -69,14 +69,14 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if p == 1.0:
         return _l1(s.values)
     if p == 2.0:
-        return math.sqrt(math.fsum(memoryview(s.values * s.values)))
+        return math.sqrt(exact_sum(memoryview(s.values * s.values)))
     # Per element in Python: NumPy's power differs from ** in the last bit.
     return math.fsum(abs(v) ** p for v in s.values.tolist()) ** (1.0 / p)
 
 
 def _l1(values: np.ndarray) -> float:
     """``lp_norm`` at p = 1 on bare values; a memoryview yields the same floats as ``tolist()`` without the list."""
-    return math.fsum(memoryview(np.abs(values)))
+    return exact_sum(memoryview(np.abs(values)))
 
 
 def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, beta: float = 1.0) -> LatticeSequence:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import power_weighted
+from .bessel import exact_sum, power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -223,18 +223,19 @@ def _sturm_roots(p: IntPolynomial, tol: float) -> list[float]:
 
     roots: list[float] = []
     for a, b, e in isolated:
-        # Sturm counts roots in (a, b]; bisect on the sign at a.
-        sa = _dyadic_sign(q, a, e)
-        while math.ldexp(b - a, -e) > tol / 4:
+        # Sturm counts roots in (a, b], so a may be another root; bisect on the sign at b, where 0 marks the root.
+        sb = _dyadic_sign(q, b, e)
+        if sb == 0:
+            a = b
+        while a < b and math.ldexp(b - a, -e) > tol / 4:
             a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
             sm = _dyadic_sign(q, mid, e)
             if sm == 0:
                 a = b = mid
-                break
-            if sm == sa:
-                a = mid
-            else:
+            elif sm == sb:
                 b = mid
+            else:
+                a = mid
         roots.append((a + b) / (1 << (e + 1)))
 
     if mult_zero:
@@ -259,7 +260,7 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     _guard_power(slice.window, order)
     terms = power_weighted(slice.values, 0, order)
     terms[1:] *= 2.0
-    return math.fsum(memoryview(terms))
+    return exact_sum(memoryview(terms))
 
 
 def weighted_tail_bound(slice: KernelSlice, order: int) -> float:

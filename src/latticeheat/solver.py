@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import KernelSlice, LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
+from .kernel import LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -143,13 +143,13 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
     kernel = heat_kernel(t, eps)  # which checks t and eps at t = 0 too
     if t == 0.0:
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
-    return _evolve(f, t, kernel)
+    return _evolve(f, t, kernel.to_sequence(), kernel.tail_mass)
 
 
-def _evolve(f: LatticeSequence, t: float, kernel: KernelSlice) -> SolutionSnapshot:
-    """``evolve`` with the row of G(t, .) given; ||f||_1 is summed once for both terms."""
-    seq, f_l1 = kernel.to_sequence(), lp_norm(f, 1.0)
-    trunc_error = kernel.tail_mass * f_l1 + rounding_bound(len(seq.values), lp_norm(seq, 1.0), len(f.values), f_l1)
+def _evolve(f: LatticeSequence, t: float, seq: LatticeSequence, tail_mass: float) -> SolutionSnapshot:
+    """``evolve`` with G(t, .) given unfolded, and its tail mass; ||f||_1 is summed once for both terms."""
+    f_l1 = lp_norm(f, 1.0)
+    trunc_error = tail_mass * f_l1 + rounding_bound(len(seq.values), lp_norm(seq, 1.0), len(f.values), f_l1)
     return SolutionSnapshot(t, convolve(seq, f), 0.0, trunc_error)
 
 

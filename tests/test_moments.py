@@ -159,6 +159,31 @@ class TestRoots:
         # t (4t + 3): bisection of (-4, 0] visits -2, -1, -0.5 and then hits -0.75 exactly.
         assert poly_real_roots(IntPolynomial((0, 3, 4)), 1e-12) == [-0.75, 0.0]
 
+    @pytest.mark.parametrize("coeffs, exact", [((1, 4, 3), (-1, Fraction(-1, 3))), ((2, 3, 1), (-2, -1))])
+    def test_root_at_the_left_end_of_an_isolating_interval_is_kept(self, coeffs, exact):
+        # -1 is a point of every grid: it closes the isolating interval of -2 and opens that of -1/3.
+        roots = poly_real_roots(IntPolynomial(coeffs), 1e-12)
+        assert len(roots) == 2
+        assert all(abs(Fraction(r) - x) <= 1e-12 for r, x in zip(roots, exact))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_seeded_roots_on_grid_points_are_all_found(self, tol):
+        rng = random.Random(15)
+        for _ in range(60):
+            deg = rng.randint(2, 8)
+            exact = set()
+            while len(exact) < deg:  # mostly grid points -(deg + 2) j / 2^e, some thirds, fifths and zero
+                if rng.random() < 0.75:
+                    e = rng.randint(1, 4)
+                    exact.add(Fraction(-(deg + 2) * rng.randint(1, 2**e - 1), 2**e))
+                else:
+                    b = rng.choice((3, 5))
+                    exact.add(Fraction(-rng.randint(0, b * (deg + 2) - 1), b))
+            p = with_roots(rng.choice((1, -2)), [(x.numerator, x.denominator) for x in exact])
+            roots = poly_real_roots(p, tol)
+            assert len(roots) == deg, (p, roots)
+            assert all(abs(Fraction(r) - x) <= tol for r, x in zip(roots, sorted(exact))), (p, roots)
+
     def test_dyadic_sign_matches_rational_evaluation(self):
         mixed = [IntPolynomial((3, -7, 0, 5, -2)), IntPolynomial((-1, 0, 0, 0, 0, 0, 1 << 40))]
         for poly in moment_polynomials(ROOTS_K_MAX)[1:] + mixed:

@@ -64,6 +64,10 @@ def corpus() -> list[list[str]]:
     runs += [["moments", "--t", "0.5", "--kmax", "50"], ["moments", "--t", "0", "--kmax", "3"]]
     runs += [["moments", "--t", "-1", "--kmax", "65"]]
     runs += [["evolve", "--t", "0", *f, "--eps", "7"], ["evolve", "--t", "0", *f, "--eps", "nan"], ["evolve", "--t", "0", *f, *g]]
+    # Long rows, whose norms and sums cross exact_sum's cutoff.
+    wide = ["--grid", "dyadic:1024:65536"]
+    runs += [["decay", "--p", p, *wide] for p in ("1", "2")] + [["diffdecay", "--order", "2", "--p", "1", *wide]]
+    runs += [["converge", *f, "--p", p, "--grid", "dyadic:1024:32768"] for p in ("1", "2")] + [["evolve", "--t", "1e5", *f]]
     return runs
 
 
