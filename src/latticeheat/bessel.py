@@ -65,20 +65,20 @@ class NonConvergenceError(ArithmeticError):
     """A series oracle failed to reach its convergence criterion."""
 
 
+def libm_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x[i] ** y for each i by libm ``pow``, as float ``**`` takes it (NumPy's ``power`` differs in the last bit for some)."""
+    return np.fromiter(map(pow, memoryview(x), repeat(y)), float, len(x))
+
+
 def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
-    """values[i] * n^order for n = first + i, each n^order from libm ``pow`` as ``float(n) ** order`` takes it.
-
-    NumPy's ``power`` differs from ``pow`` in the last bit for some n, so the powers are
-    taken one by one; the products are single correctly rounded multiplies either way.
-    """
-    n = memoryview(np.arange(float(first), first + len(values)))
-    return np.fromiter(map(pow, n, repeat(float(order))), float, len(values)) * values
+    """values[i] * n^order for n = first + i, each n^order as ``float(n) ** order`` takes it, each product one rounding."""
+    return libm_pow(np.arange(float(first), first + len(values)), float(order)) * values
 
 
-def exact_sum(values) -> float:
+def exact_sum(values: np.ndarray) -> float:
     """``math.fsum(values)``, bit for bit, for a 1-D float64 array, from a fixed number of NumPy passes.
 
-    Callers pass a ``memoryview`` of the array, which fsum reads as Python floats.
+    fsum reads the array through a ``memoryview``, as Python floats.
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, Lemma 3.3):
     with M = max |x_i| and sigma = 2^k >= 2^(bit_length(n) + 1) M, q = (sigma + x) - sigma and
     r = x - q are exact, each q_i is a multiple of 2^(k - 53) of size at most sigma 2^-(bit_length(n) + 1),
@@ -111,7 +111,7 @@ def exact_sum(values) -> float:
             hi = head + math.nextafter(tail + err, math.inf)
             if lo == hi != 0.0:
                 return lo
-    return math.fsum(values)
+    return math.fsum(memoryview(values))
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,10 @@ class LatticeSequence:
         return range(self.offset, self.hi + 1)
 
     def mass(self) -> float:
-        return exact_sum(memoryview(self.values))
+        return exact_sum(self.values)
 
     def moment(self, order: int) -> float:
-        return exact_sum(memoryview(power_weighted(self.values, self.offset, order)))
+        return exact_sum(power_weighted(self.values, self.offset, order))
 
     def scaled(self, alpha: float) -> "LatticeSequence":
         return LatticeSequence(self.offset, alpha * self.values)
@@ -202,7 +202,7 @@ class KernelSlice:
 
     def mass(self) -> float:
         """b_0 + 2 * sum_{1 <= n <= window} b_n over the carried window."""
-        return float(self.values[0] + 2.0 * exact_sum(memoryview(self.values)[1:]))
+        return float(self.values[0] + 2.0 * exact_sum(self.values[1:]))
 
 
 def _budget(eps: float) -> tuple[float, float]:
@@ -353,7 +353,7 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
         row[n - 1] = y_prev
         y_next, y_cur = y_cur, y_prev
 
-    y /= row[0] + 2.0 * exact_sum(row[1:])
+    y /= row[0] + 2.0 * exact_sum(y[1:])
     return y
 
 

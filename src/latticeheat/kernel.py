@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bessel import KernelSlice, LatticeSequence, exact_sum, scaled_bessel_row
+from .bessel import KernelSlice, LatticeSequence, exact_sum, libm_pow, scaled_bessel_row
 
 __all__ = [
     "KernelSlice",
@@ -69,14 +69,17 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if p == 1.0:
         return _l1(s.values)
     if p == 2.0:
-        return math.sqrt(exact_sum(memoryview(s.values * s.values)))
-    # Per element in Python: NumPy's power differs from ** in the last bit.
-    return math.fsum(abs(v) ** p for v in s.values.tolist()) ** (1.0 / p)
+        with np.errstate(over="ignore"):  # a square past binary64 is refused below
+            total = exact_sum(s.values * s.values)
+        if total == math.inf and np.isfinite(s.values).all():
+            raise OverflowError(f"the l2 norm of a sequence on {len(s.values)} sites exceeds binary64 range")
+        return math.sqrt(total)
+    return exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
 
 
 def _l1(values: np.ndarray) -> float:
-    """``lp_norm`` at p = 1 on bare values; a memoryview yields the same floats as ``tolist()`` without the list."""
-    return exact_sum(memoryview(np.abs(values)))
+    """``lp_norm`` at p = 1 on bare values."""
+    return exact_sum(np.abs(values))
 
 
 def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, beta: float = 1.0) -> LatticeSequence:
@@ -158,5 +161,7 @@ def read_sequence_csv(path) -> LatticeSequence:
             except (IndexError, ValueError):
                 message = f"expected an integer and a finite value, got {row!r}"
                 raise ValueError(f"{path}, line {reader.line_num}: {message}") from None
+            if n in pairs:
+                raise ValueError(f"{path}, line {reader.line_num}: index {n} appears twice")
             pairs[n] = v
     return LatticeSequence.from_pairs(pairs)

@@ -132,10 +132,10 @@ def _sign_changes(chain: list[IntPolynomial], a: int, e: int) -> int:
 def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     """All real roots of a moment polynomial, sorted ascending.
 
-    Sturm-count subdivision isolates the roots in [-(deg + 2), 0]; bisection
-    with exact signs at dyadic points then refines each to within ``tol``.
-    The root at the origin is returned exactly.  Every interval the two visit
-    has width (deg + 2) 2^-e, and bisection stops at the first level E with
+    The root at the origin is returned exactly; the roots of q, p without its
+    zero roots, are refined in [-(deg + 2), 0].  Every interval Sturm-count
+    subdivision and bisection with exact signs at dyadic points visit has width
+    (deg + 2) 2^-e, and bisection stops at the first level E with
     (deg + 2) 2^-E <= tol / 4, so a root is the midpoint of a cell of the grid
     (deg + 2) j / 2^E.  ``_cell_roots`` first takes those cells from float
     estimates and checks each by two exact signs, which gives the same floats;
@@ -145,27 +145,31 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
         raise ValueError(f"root finding capped at degree {ROOTS_K_MAX}")
     if not tol >= 1e-12:
         raise ValueError("tol must be at least 1e-12")
-    roots = _cell_roots(p, tol)
-    return _sturm_roots(p, tol) if roots is None else roots
-
-
-def _cell_roots(p: IntPolynomial, tol: float) -> list[float] | None:
-    """The roots ``_sturm_roots`` returns, from verified cells of its last grid, or None.
-
-    The d nonzero roots of q, p without its zero roots, are estimated in
-    binary64 (``np.roots`` and two Newton steps) and snapped to cells
-    (deg + 2) (j, j + 1] / 2^E.  The cells are accepted only if they strictly
-    increase, lie in [-(deg + 2), 0] and q has nonzero, opposite exact signs
-    at both ends of each.  Then each of the d cells holds an odd number of
-    roots of a degree-d polynomial, so exactly one, simple, and no root is on
-    a grid point: the Sturm count is d, isolation ends by level E, bisection
-    never meets a zero sign, and it ends in the same cell, whose midpoint
-    (2j + 1)(deg + 2) / 2^(E + 1) is its float bit for bit.
-    """
     zeros = next((i for i, c in enumerate(p.coeffs) if c), len(p.coeffs))
     q = IntPolynomial(p.coeffs[zeros:])
     if q.degree < 1:
-        return None
+        return [0.0] if zeros else []
+    bound, level = p.degree + 2, 0
+    while math.ldexp(bound, -level) > tol / 4:
+        level += 1
+    roots = _cell_roots(q, bound, level)
+    if roots is None:
+        roots = _sturm_roots(q, bound, level)
+    return roots + [0.0] if zeros else roots
+
+
+def _cell_roots(q: IntPolynomial, bound: int, level: int) -> list[float] | None:
+    """The roots ``_sturm_roots`` returns, from verified cells of its last grid, or None.
+
+    The d roots of q (q(0) != 0) are estimated in binary64 (``np.roots`` and two
+    Newton steps) and snapped to cells bound (j, j + 1] / 2^level.  The cells are
+    accepted only if they strictly increase, lie in [-bound, 0] and q has nonzero,
+    opposite exact signs at both ends of each.  Then each of the d cells holds an
+    odd number of roots of a degree-d polynomial, so exactly one, simple, and no
+    root is on a grid point: the Sturm count is d, isolation ends by the last
+    level, bisection never meets a zero sign, and it ends in the same cell, whose
+    midpoint (2j + 1) bound / 2^(level + 1) is its float bit for bit.
+    """
     try:
         c = np.array([float(x) for x in reversed(q.coeffs)])
         with np.errstate(all="ignore"):
@@ -175,10 +179,7 @@ def _cell_roots(p: IntPolynomial, tol: float) -> list[float] | None:
                 x = x - (powers @ c) / (powers[:, 1:] @ dc)
     except (OverflowError, np.linalg.LinAlgError):  # a coefficient past binary64, or no eigenvalues
         return None
-    bound, level = p.degree + 2, 0
-    while math.ldexp(bound, -level) > tol / 4:
-        level += 1
-    # Estimates in [-(deg + 2), 0) give cells in [-(deg + 2), 0]; NaN fails both tests.  A wrong estimate fails the signs.
+    # Estimates in [-bound, 0) give cells in [-bound, 0]; NaN fails both tests.  A wrong estimate fails the signs.
     if len(x) != q.degree or not np.all((-bound <= x) & (x < 0)):
         return None
     cells = [math.floor(math.ldexp(v, level) / bound) for v in sorted(x.tolist())]
@@ -187,24 +188,15 @@ def _cell_roots(p: IntPolynomial, tol: float) -> list[float] | None:
     for j in cells:
         if _dyadic_sign(q, bound * j, level) * _dyadic_sign(q, bound * (j + 1), level) != -1:
             return None
-    roots = [bound * (2 * j + 1) / (1 << (level + 1)) for j in cells]
-    return roots + [0.0] if zeros else roots
+    return [bound * (2 * j + 1) / (1 << (level + 1)) for j in cells]
 
 
-def _sturm_roots(p: IntPolynomial, tol: float) -> list[float]:
-    """The roots by Sturm isolation and exact bisection: the path ``_cell_roots`` falls back to."""
-    coeffs = list(p.coeffs)
-    mult_zero = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        mult_zero += 1
-    if not coeffs or len(coeffs) == 1:
-        return [0.0] if mult_zero else []
-
-    chain = _sturm_chain(coeffs)
-    q = chain[0]
+def _sturm_roots(q: IntPolynomial, bound: int, level: int) -> list[float]:
+    """The roots of q (q(0) != 0) in [-bound, 0] by Sturm isolation and exact bisection to the
+    given level: the path ``_cell_roots`` falls back to."""
+    chain = _sturm_chain(list(q.coeffs))
     # Every point visited is a dyadic a / 2^e, held as the integers (a, e).
-    lo, hi = -(p.degree + 2), 0
+    lo, hi = -bound, 0
     v_lo, v_hi = _sign_changes(chain, lo, 0), _sign_changes(chain, hi, 0)
     if v_lo - v_hi != q.degree:
         raise RootIsolationError(f"isolated {v_lo - v_hi} real roots in [{float(lo)}, 0], expected {q.degree}")
@@ -227,7 +219,7 @@ def _sturm_roots(p: IntPolynomial, tol: float) -> list[float]:
         sb = _dyadic_sign(q, b, e)
         if sb == 0:
             a = b
-        while a < b and math.ldexp(b - a, -e) > tol / 4:
+        while a < b and e < level:
             a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
             sm = _dyadic_sign(q, mid, e)
             if sm == 0:
@@ -237,11 +229,7 @@ def _sturm_roots(p: IntPolynomial, tol: float) -> list[float]:
             else:
                 a = mid
         roots.append((a + b) / (1 << (e + 1)))
-
-    if mult_zero:
-        roots.append(0.0)
-    roots.sort()
-    return roots
+    return sorted(roots)
 
 
 def _guard_power(window: int, order: int) -> None:
@@ -260,7 +248,7 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     _guard_power(slice.window, order)
     terms = power_weighted(slice.values, 0, order)
     terms[1:] *= 2.0
-    return exact_sum(memoryview(terms))
+    return exact_sum(terms)
 
 
 def weighted_tail_bound(slice: KernelSlice, order: int) -> float:

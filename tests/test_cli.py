@@ -205,6 +205,23 @@ def test_forcing_json_missing_key_exits_2(tmp_path, capsys, key):
     assert "g.json" in err and err.rstrip().endswith(f"key(s) {key}")
 
 
+def test_repeated_csv_index_exits_2(tmp_path, capsys):
+    f_csv = tmp_path / "dup.csv"
+    f_csv.write_text("n,value\n0,1.0\n0,2.0\n")
+    err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)])
+    assert "dup.csv, line 3: index 0 appears twice" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_l2_norm_exits_1(tmp_path, capsys):
+    # Finite data whose squares overflow: the l2 norms of u(t) are infinite, and no inf may leave with exit 0.
+    f_csv = tmp_path / "big.csv"
+    f_csv.write_text("n,value\n0,1e300\n1,2e300\n2,1e300\n")
+    argv = ["converge", "--f", str(f_csv), "--p", "2", "--grid", "dyadic:16:512"]
+    err = _assert_rejected(capsys, tmp_path / "c.csv", argv, code=1)
+    assert "computation failed" in err and "l2 norm" in err
+
+
 def test_gating_failure_exits_1(tmp_path, capsys):
     err = _assert_rejected(capsys, tmp_path / "d.csv", ["decay", "--eps", "0.5"], code=1)
     assert "computation failed" in err

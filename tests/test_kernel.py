@@ -146,6 +146,15 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_norm(LatticeSequence.delta(0), math.nan)
 
+    def test_infinite_l2_norm_of_finite_values_raises(self):
+        s = LatticeSequence(0, np.array([1e300, 2e300, 1e300]))
+        with pytest.raises(OverflowError, match="l2 norm of a sequence on 3 sites exceeds binary64 range"):
+            lp_norm(s, 2.0)
+        assert lp_norm(LatticeSequence(0, np.array([1e150, 1.0])), 2.0) == 1e150
+        # An infinite value has an infinite norm; a NaN gives NaN, as at every other p.
+        assert lp_norm(LatticeSequence(0, np.array([1e300, math.inf])), 2.0) == math.inf
+        assert math.isnan(lp_norm(LatticeSequence(0, np.array([1e300, math.nan])), 2.0))
+
     def test_matches_per_element_fsum(self):
         rng = np.random.default_rng(20251)
         for size in (1, 7, 1000):
@@ -223,4 +232,10 @@ class TestSequencePlumbing:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_sequence_csv(path)
+
+    def test_csv_rejects_a_repeated_index(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("n,value\n-1,0.5\n0,1.0\n0,2.0\n")
+        with pytest.raises(ValueError, match=r"dup\.csv, line 4: index 0 appears twice"):
             read_sequence_csv(path)

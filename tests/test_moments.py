@@ -243,8 +243,15 @@ class TestSturmChain:
             return sign_changes(chain, a, e)
 
         monkeypatch.setattr(moments, "_sign_changes", recording)
-        moments._sturm_roots(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
+        sturm_path(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
         assert len(seen) > 2 and len(seen) == len(set(seen))
+
+
+def sturm_path(p, tol):
+    """``poly_real_roots`` with the verified cells refused, so its Sturm isolation and bisection run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "_cell_roots", lambda q, bound, level: None)
+        return poly_real_roots(p, tol)
 
 
 def roots_outcome(find, p, tol):
@@ -296,26 +303,50 @@ EDGE_POLYS = [
 
 
 class TestVerifiedCells:
-    """``poly_real_roots`` against ``_sturm_roots``, the Sturm isolation and bisection it falls back to."""
+    """``poly_real_roots`` against its Sturm isolation and bisection, the path it falls back to."""
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_moment_polynomials_match_the_sturm_path(self, tol):
         for p in moment_polynomials(ROOTS_K_MAX):
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol)
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol)
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_edge_cases_match_the_sturm_path(self, tol):
         for p in EDGE_POLYS:
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol), p
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol), p
 
-    def test_seeded_polynomials_match_the_sturm_path(self):
-        taken = 0
+    def test_seeded_polynomials_match_the_sturm_path(self, monkeypatch):
+        verified = []
+        cell_roots = moments._cell_roots
+
+        def recording(q, bound, level):
+            roots = cell_roots(q, bound, level)
+            verified.append(roots is not None)
+            return roots
+
+        monkeypatch.setattr(moments, "_cell_roots", recording)
         for i, p in enumerate(RANDOM_POLYS):
             tol = TOLS[i % len(TOLS)]
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(moments._sturm_roots, p, tol), (p, tol)
-            taken += moments._cell_roots(p, tol) is not None
+            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol), (p, tol)
         # Both paths run: the cells are verified for some polynomials and refused for others.
+        taken = sum(verified)  # one call per polynomial of degree >= 1, as sturm_path refuses the cells unrecorded
         assert 30 < taken < len(RANDOM_POLYS) - 30
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((0,), [0.0]),
+            ((0, 0, 5), [0.0]),
+            ((7,), []),
+            ((0, 0, 3, 4), [-0.7499999999999574, 0.0]),
+            ((3, 0), (RootIsolationError, "isolated 0 real roots in [-3.0, 0], expected 1")),
+        ],
+    )
+    def test_zero_roots_and_constants(self, coeffs, expected):
+        # Both paths share the stripping of zero roots, so its outputs are pinned.
+        p = IntPolynomial(coeffs)
+        want = [r.hex() for r in expected] if isinstance(expected, list) else expected
+        assert roots_outcome(poly_real_roots, p, 1e-12) == roots_outcome(sturm_path, p, 1e-12) == want
 
     def test_moment_polynomials_never_reach_the_sturm_path(self, monkeypatch):
         signs = []

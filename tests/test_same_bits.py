@@ -1,9 +1,9 @@
-"""``evolve``, the homogeneous ``large_time_profile`` and ``LatticeSequence.moment`` match, bit for bit, references
-that form G(t)·f and the moment sums apart.
+"""``evolve``, the homogeneous ``large_time_profile``, ``LatticeSequence.moment`` and ``lp_norm`` at general p
+match, bit for bit, references that form G(t)·f, the moment sums and the norms apart.
 
-Each reference sums ||f||_1 for itself, takes the rounding bound from the two sequences, and sums every l1
-norm over a ``tolist()`` list, so the library's one ``_evolve`` core, its norm-based ``rounding_bound`` and
-its ``memoryview`` norms are all checked against forms that share none of them.
+Each reference sums ||f||_1 for itself, takes the rounding bound from the two sequences, and sums every norm
+over a ``tolist()`` list, so the library's one ``_evolve`` core, its norm-based ``rounding_bound`` and its
+``exact_sum`` norms are all checked against forms that share none of them.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from latticeheat.analysis import _gate, dyadic_grid, large_time_profile
-from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
+from latticeheat.kernel import LatticeSequence, add_sequences, forward_difference, heat_kernel, lp_norm
 from latticeheat.solver import _gamma, evolve
 
 
@@ -21,13 +21,18 @@ def l1(s: LatticeSequence) -> float:
     return math.fsum(np.abs(s.values).tolist())
 
 
+def generator_norm(values: np.ndarray, p: float) -> float:
+    """The l^p norm at p other than 1, 2 and inf as a generator of ``abs(v) ** p`` over a list, summed by fsum."""
+    return math.fsum(abs(v) ** p for v in values.tolist()) ** (1 / p)
+
+
 def norm(s: LatticeSequence, p: float) -> float:
-    """``lp_norm`` as summed over a list at p = 1 and 2."""
+    """``lp_norm`` as summed over a list at every finite p."""
     if p == 1.0:
         return l1(s)
     if p == 2.0:
         return math.sqrt(math.fsum((s.values * s.values).tolist()))
-    return lp_norm(s, p)
+    return lp_norm(s, p) if p == math.inf else generator_norm(s.values, p)
 
 
 def two_sequence_rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
@@ -101,3 +106,44 @@ def test_homogeneous_profile_keeps_its_bits(p, eps):
         expected = _gate(reference_profile_points(f, p, grid, eps), report.label)
         assert [(t.hex(), v.hex()) for t, v in report.pairs] == [(t.hex(), v.hex()) for t, v in expected.pairs]
         assert report.dropped == expected.dropped
+
+
+def general_p_data():
+    """Seeded kernel rows, their differences and signed arrays scaled by 1e-100, 1 and 1e100, with lengths
+    of 1,023, 1,024 and 5,000 around exact_sum's cutoff among them."""
+    rng = np.random.default_rng(20266)
+    for t in (1e-2, 1.0, 1e2, 1e4):
+        seq = heat_kernel(t, 1e-12).to_sequence()
+        yield seq.values
+        yield forward_difference(seq).values
+    row = heat_kernel(1e5, 1e-12).to_sequence().values  # 6,465 points
+    for size in (1023, 1024, 5000):
+        start = int(rng.integers(0, len(row) - size))
+        yield row[start : start + size]
+        yield np.diff(row[start : start + size + 1])
+        for scale in (1e-100, 1.0, 1e100):
+            yield rng.choice([-1.0, 1.0], size) * rng.uniform(0.0, 1.0, size) * scale
+
+
+def norm_outcome(find, values, p):
+    """The norm's hex string, or OverflowError where a power or the sum overflows."""
+    try:
+        return find(values, p).hex()
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.25])
+def test_general_p_norm_keeps_its_bits(p):
+    outcomes = []
+    for values in general_p_data():
+        want = norm_outcome(generator_norm, values, p)
+        assert norm_outcome(lambda x, q: lp_norm(LatticeSequence(0, x), q), values, p) == want, (p, len(values))
+        outcomes.append(want)
+    assert (OverflowError in outcomes) == (p == 7.25)  # (1e100)^7.25 overflows
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.25])
+def test_general_p_norm_raises_where_a_power_overflows(p):
+    with pytest.raises(OverflowError):
+        lp_norm(LatticeSequence(0, np.array([1.0, 1e300, 1.0])), p)

@@ -27,6 +27,8 @@ INPUTS = {
     "tiny.json": '{"kind": "separable", "spatial": "tiny_phi.csv", "gamma": 2.0, "amplitude": %r}' % 2.0**1000,
     "unit_phi.csv": "n,value\n0,1.0\n1,0.5\n2,0.25\n",
     "unit.json": '{"kind": "separable", "spatial": "unit_phi.csv", "gamma": 2.0, "amplitude": %r}' % 2.0**-70,
+    "big.csv": "n,value\n0,1e300\n1,2e300\n2,1e300\n",  # finite values whose squares overflow
+    "dup.csv": "n,value\n0,1.0\n0,2.0\n",  # index 0 twice
 }
 
 
@@ -68,6 +70,9 @@ def corpus() -> list[list[str]]:
     wide = ["--grid", "dyadic:1024:65536"]
     runs += [["decay", "--p", p, *wide] for p in ("1", "2")] + [["diffdecay", "--order", "2", "--p", "1", *wide]]
     runs += [["converge", *f, "--p", p, "--grid", "dyadic:1024:32768"] for p in ("1", "2")] + [["evolve", "--t", "1e5", *f]]
+    runs += [["decay", "--p", "3", *wide], ["converge", *f, "--p", "3", "--grid", "dyadic:1024:32768"]]
+    # Inputs the CLI refuses: an l2 norm past binary64, and an index given twice.
+    runs += [["converge", "--f", "inputs/big.csv", "--p", "2", *grid], ["evolve", "--t", "1", "--f", "inputs/dup.csv"]]
     return runs
 
 
