@@ -2,9 +2,9 @@
 
 CSV-first outputs with deterministic float formatting (shortest
 round-trip repr), optional SVG plots, and sidecar JSON metadata next to
-report files.  All computation happens before any file is written, and the
-files of a run whose writing fails are removed, so a failing run never
-leaves partial output.
+report files.  All computation happens before any file is opened; each file
+is then written as it is formatted, and the files of a run whose writing
+fails are removed, so a failing run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analysis, moments, solver
-from .kernel import csv_text, heat_kernel, read_sequence_csv, sequence_csv_text
+from .kernel import csv_lines, heat_kernel, read_sequence_csv
 from .solver import ForcingSpec
 
 __all__ = ["run", "main"]
@@ -73,7 +74,7 @@ def _with_suffix(path: Path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple[Path, str]]:
+def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple[Path, Iterable[str]]]:
     meta = {
         "label": report.label,
         "slope": report.slope,
@@ -84,12 +85,12 @@ def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list
     }
     meta.update(report.extras)
     outputs = [
-        (out, csv_text(["t", "value"], report.pairs)),
-        (_with_suffix(out, ".json"), _json_text(meta)),
+        (out, csv_lines(["t", "value"], report.pairs)),
+        (_with_suffix(out, ".json"), [_json_text(meta)]),
     ]
     if plot:
         xs, ys = zip(*report.pairs)
-        outputs.append((_with_suffix(out, ".svg"), _svg_text(xs, ys, report.label, True)))
+        outputs.append((_with_suffix(out, ".svg"), [_svg_text(xs, ys, report.label, True)]))
     return outputs
 
 
@@ -153,20 +154,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple[Path, str]]:
+def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple[Path, Iterable[str]]]:
     meta = {"t": snap.t, "quad_error": snap.quad_error, "trunc_error": snap.trunc_error}
-    return [(out, sequence_csv_text(snap.u)), (_with_suffix(out, ".json"), _json_text(meta))]
+    lines = csv_lines(["n", "value"], zip(snap.u.indices(), memoryview(snap.u.values)))
+    return [(out, lines), (_with_suffix(out, ".json"), [_json_text(meta)])]
 
 
-def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
-    """Run the subcommand and render its outputs as (path, text) pairs."""
+def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
+    """Compute the subcommand's outputs before any file opens: (path, lines) pairs, formatted as ``run`` writes them."""
     cmd = args.subcommand
     if cmd == "kernel":
-        seq = heat_kernel(args.t, args.eps).to_sequence()
-        outputs = [(args.out, sequence_csv_text(seq))]
+        row = heat_kernel(args.t, args.eps)
+        text = list(map(str, memoryview(row.values)))  # the row is symmetric: each |n| formatted once
+        ns = range(-row.window, row.window + 1)
+        outputs = [(args.out, csv_lines(["n", "value"], ((n, text[abs(n)]) for n in ns)))]
         if args.plot:
-            svg = _svg_text(seq.indices(), seq.values, f"G(t={args.t})", False)
-            outputs.append((_with_suffix(args.out, ".svg"), svg))
+            svg = _svg_text(ns, row.to_sequence().values, f"G(t={args.t})", False)
+            outputs.append((_with_suffix(args.out, ".svg"), [svg]))
         return outputs
 
     if cmd == "evolve":
@@ -182,7 +186,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
 
     if cmd == "moments":
         rows = moments.moment_table(args.t, args.kmax)
-        return [(args.out, csv_text(["k", "even_moment", "poly_value", "odd_moment"], rows))]
+        return [(args.out, csv_lines(["k", "even_moment", "poly_value", "odd_moment"], rows))]
 
     if cmd == "poly":
         polys = moments.moment_polynomials(args.kmax)
@@ -193,10 +197,10 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
                 if k >= 2
                 for i, root in enumerate(moments.poly_real_roots(poly, 1e-12))
             ]
-            return [(args.out, csv_text(["k", "root_index", "root"], rows))]
+            return [(args.out, csv_lines(["k", "root_index", "root"], rows))]
         rows = [[k, poly.degree, *poly.coeffs] for k, poly in enumerate(polys)]
         header = ["k", "degree"] + [f"c{i}" for i in range(args.kmax + 1)]
-        return [(args.out, csv_text(header, rows))]
+        return [(args.out, csv_lines(header, rows))]
 
     if cmd == "decay":
         report = analysis.kernel_decay(args.p, args.quantity, args.grid, eps=args.eps)
@@ -212,8 +216,8 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, str]]:
         rows = analysis.fourier_symbol_rows(args.t, args.grid_size, args.eps)
         worst = max(abs(transform - symbol) for _, transform, symbol in rows)
         return [
-            (args.out, csv_text(["theta", "transform", "symbol"], rows)),
-            (_with_suffix(args.out, ".json"), _json_text({"t": args.t, "max_abs_error": worst})),
+            (args.out, csv_lines(["theta", "transform", "symbol"], rows)),
+            (_with_suffix(args.out, ".json"), [_json_text({"t": args.t, "max_abs_error": worst})]),
         ]
 
     if cmd == "diffdecay":
@@ -239,15 +243,15 @@ def run(argv: list[str]) -> int:
         return 1
     written = []
     try:
-        for path, text in outputs:
+        for path, lines in outputs:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 written.append(path)
-                fh.write(text)
-    except OSError as exc:
+                fh.writelines(lines)
+    except (MemoryError, OSError) as exc:
         for path in written:
             with contextlib.suppress(OSError):
                 path.unlink()
-        print(f"lattice-heat: cannot write output: {exc}", file=sys.stderr)
+        print(f"lattice-heat: cannot write output: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

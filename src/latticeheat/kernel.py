@@ -9,7 +9,6 @@ outside the carried range.
 from __future__ import annotations
 
 import csv
-import io
 import math
 
 import numpy as np
@@ -25,9 +24,8 @@ __all__ = [
     "lp_norm",
     "pointwise_bound_report",
     "add_sequences",
-    "csv_text",
+    "csv_lines",
     "read_sequence_csv",
-    "sequence_csv_text",
 ]
 
 
@@ -71,10 +69,14 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if p == 2.0:
         with np.errstate(over="ignore"):  # a square past binary64 is refused below
             total = exact_sum(s.values * s.values)
-        if total == math.inf and np.isfinite(s.values).all():
-            raise OverflowError(f"the l2 norm of a sequence on {len(s.values)} sites exceeds binary64 range")
-        return math.sqrt(total)
-    return exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
+        if not (total == math.inf and np.isfinite(s.values).all()):
+            return math.sqrt(total)
+    else:
+        try:
+            return exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
+        except OverflowError:  # a power, or fsum's running sum, past binary64
+            pass
+    raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range")
 
 
 def _l1(values: np.ndarray) -> float:
@@ -129,18 +131,11 @@ def pointwise_bound_report(t: float, c_budget: float) -> list[tuple[int, str, fl
     return report
 
 
-def csv_text(header: list[str], rows) -> str:
-    """CSV text with LF endings and every float as its shortest round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)  # csv writes a float, NumPy's float64 included, as its repr
-    return buf.getvalue()
-
-
-def sequence_csv_text(s: LatticeSequence) -> str:
-    """Sequence CSV: header ``n,value``, one row per carried index."""
-    return csv_text(["n", "value"], zip(s.indices(), s.values.tolist()))
+def csv_lines(header: list[str], rows):
+    """CSV lines, LF-ended and unquoted (cells are ints, names and floats); ``str`` of a float or float64 is its repr."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 def read_sequence_csv(path) -> LatticeSequence:

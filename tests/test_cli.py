@@ -11,17 +11,23 @@ import pytest
 
 from latticeheat import bessel, cli, kernel, solver
 from latticeheat.cli import run
-from latticeheat.kernel import LatticeSequence, read_sequence_csv, sequence_csv_text
+from latticeheat.kernel import LatticeSequence, csv_lines, read_sequence_csv
 
 B0_AT_2 = 0.30850832255367104
 
 
-def test_kernel_subcommand(tmp_path):
+@pytest.mark.parametrize("t", [1.0, 1e3])
+def test_kernel_subcommand(tmp_path, t):
+    # The file is written from the half row; it must match the unfolded row, cell for cell.
     out = tmp_path / "k.csv"
-    assert run(["kernel", "--t", "1", "--eps", "1e-12", "--out", str(out)]) == 0
-    seq = read_sequence_csv(out)
-    assert seq.value(0) == pytest.approx(B0_AT_2, abs=1e-12)
-    assert seq.value(1) == seq.value(-1)
+    assert run(["kernel", "--t", repr(t), "--eps", "1e-12", "--out", str(out)]) == 0
+    seq = kernel.heat_kernel(t, 1e-12).to_sequence()
+    assert out.read_text() == "".join(csv_lines(["n", "value"], zip(seq.indices(), seq.values.tolist())))
+    back = read_sequence_csv(out)
+    assert back.offset == seq.offset and back.values.tobytes() == seq.values.tobytes()
+    assert back.value(1) == back.value(-1)
+    if t == 1.0:
+        assert back.value(0) == pytest.approx(B0_AT_2, abs=1e-12)
 
 
 def test_kernel_round_trip_through_evolve(tmp_path):
@@ -82,9 +88,9 @@ def test_fourier_subcommand(tmp_path):
     assert meta["max_abs_error"] <= 1e-10
 
 
-def test_duhamel_subcommand(tmp_path):
+def test_duhamel_subcommand(tmp_path, write_sequence_csv):
     spatial = tmp_path / "spatial.csv"
-    spatial.write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(spatial, LatticeSequence.delta(0))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     out = tmp_path / "ug.csv"
@@ -93,9 +99,9 @@ def test_duhamel_subcommand(tmp_path):
     assert u.mass() == pytest.approx(10.0 / 11.0, abs=1e-8)
 
 
-def test_converge_subcommand(tmp_path):
+def test_converge_subcommand(tmp_path, write_sequence_csv):
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(3)))
+    write_sequence_csv(f_csv, LatticeSequence.delta(3))
     out = tmp_path / "c.csv"
     assert run(["converge", "--f", str(f_csv), "--p", "1", "--grid", "dyadic:16:1024", "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "c.csv.json").read_text())
@@ -118,7 +124,7 @@ def test_plot_writes_svg(tmp_path):
     assert "polyline" in svg
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys, write_sequence_csv):
     out = tmp_path / "x.csv"
     assert run(["kernel", "--t", "-1", "--out", str(out)]) == 2
     assert not out.exists()
@@ -126,7 +132,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["converge", "--p", "1", "--out", str(out)]) == 2
     assert not out.exists()
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
     assert run(["converge", "--f", str(f_csv), "--g", str(f_csv), "--out", str(out)]) == 2
     assert not out.exists()
     g_json = tmp_path / "g.json"
@@ -148,9 +154,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "g.json"]
 
 
-def test_none_forcing_json(tmp_path):
+def test_none_forcing_json(tmp_path, write_sequence_csv):
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 2: -0.5})))
+    write_sequence_csv(f_csv, LatticeSequence.from_pairs({0: 1.0, 2: -0.5}))
     g_json = tmp_path / "none.json"
     g_json.write_text(json.dumps({"kind": "none"}))
     assert run(["evolve", "--t", "2", "--f", str(f_csv), "--g", str(g_json), "--out", str(tmp_path / "a.csv")]) == 0
@@ -161,9 +167,9 @@ def test_none_forcing_json(tmp_path):
     assert (tmp_path / "u.csv").read_text() == "n,value\n0,0.0\n"
 
 
-def test_computation_failure_exits_1(tmp_path):
+def test_computation_failure_exits_1(tmp_path, write_sequence_csv):
     spatial = tmp_path / "spatial.csv"
-    spatial.write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(spatial, LatticeSequence.delta(0))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     out = tmp_path / "ug.csv"
@@ -195,10 +201,10 @@ def test_non_finite_csv_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["spatial", "gamma", "amplitude"])
-def test_forcing_json_missing_key_exits_2(tmp_path, capsys, key):
+def test_forcing_json_missing_key_exits_2(tmp_path, capsys, key, write_sequence_csv):
     spec = {"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}
     del spec[key]
-    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(spec))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
@@ -213,13 +219,14 @@ def test_repeated_csv_index_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_infinite_l2_norm_exits_1(tmp_path, capsys):
-    # Finite data whose squares overflow: the l2 norms of u(t) are infinite, and no inf may leave with exit 0.
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_infinite_l2_norm_exits_1(tmp_path, capsys, p):
+    # Finite data whose squares (cubes) overflow: the norms of u(t) are infinite, and no inf may leave with exit 0.
     f_csv = tmp_path / "big.csv"
     f_csv.write_text("n,value\n0,1e300\n1,2e300\n2,1e300\n")
-    argv = ["converge", "--f", str(f_csv), "--p", "2", "--grid", "dyadic:16:512"]
+    argv = ["converge", "--f", str(f_csv), "--p", p, "--grid", "dyadic:16:512"]
     err = _assert_rejected(capsys, tmp_path / "c.csv", argv, code=1)
-    assert "computation failed" in err and "l2 norm" in err
+    assert "computation failed" in err and f"l{p} norm" in err
 
 
 def test_gating_failure_exits_1(tmp_path, capsys):
@@ -228,8 +235,8 @@ def test_gating_failure_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_infinite_forcing_integral_exits_2(tmp_path, capsys):
-    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 1: 1.0})))
+def test_infinite_forcing_integral_exits_2(tmp_path, capsys, write_sequence_csv):
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.from_pairs({0: 1.0, 1: 1.0}))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 0.5, "amplitude": 1e308}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "100", "--g", str(g_path)])
@@ -238,15 +245,15 @@ def test_infinite_forcing_integral_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", ["1", "100"])
-def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t):
-    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t, write_sequence_csv):
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1e308}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", t, "--g", str(g_path)])
     assert "16th time derivative is not finite" in err
 
 
-def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch):
+def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch, write_sequence_csv):
     frame = []
 
     def widening(t, eps, min_half_width=None):
@@ -256,7 +263,7 @@ def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch):
         return row
 
     monkeypatch.setattr(solver, "heat_kernel", widening)
-    (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "2", "--g", str(g_path)], code=1)
@@ -336,16 +343,30 @@ def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
     _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)
 
 
-def test_unwritable_output_exits_1(tmp_path, capsys):
+def test_unwritable_output_exits_1(tmp_path, capsys, write_sequence_csv):
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
     err = _assert_rejected(capsys, tmp_path / "nodir" / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)], code=1)
     assert "cannot write output" in err
 
 
-def test_failed_sidecar_write_removes_written_files(tmp_path, capsys):
+@pytest.mark.parametrize("error", [OSError("disk full"), MemoryError()])
+def test_write_failing_mid_stream_removes_the_file(tmp_path, capsys, monkeypatch, error):
+    # The file is open and its first line written when formatting the next one fails.
+    def lines():
+        yield "n,value\n"
+        raise error
+
+    out = tmp_path / "k.csv"
+    monkeypatch.setattr(cli, "_execute", lambda args: [(args.out, lines())])
+    err = _assert_rejected(capsys, out, ["kernel", "--t", "1"], code=1)
+    assert f"cannot write output: {str(error) or type(error).__name__}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sidecar_write_removes_written_files(tmp_path, capsys, write_sequence_csv):
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(f_csv, LatticeSequence.delta(0))
     (tmp_path / "u.csv.json").mkdir()  # the sidecar path cannot be opened for writing
     out = tmp_path / "u.csv"
     assert run(["evolve", "--t", "1", "--f", str(f_csv), "--out", str(out)]) == 1
@@ -400,29 +421,29 @@ def test_import_builds_no_parser():
 
 @pytest.mark.parametrize("subcommand", ["decay", "diffdecay", "converge"])
 @pytest.mark.parametrize("p", ["nan", "NaN"])
-def test_nan_p_exits_2(tmp_path, capsys, subcommand, p):
+def test_nan_p_exits_2(tmp_path, capsys, subcommand, p, write_sequence_csv):
     # NaN fails every comparison: a p < 1 test lets it through, every norm is NaN and the error gate exits 1.
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({0: 1.0, 2: -0.5})))
+    write_sequence_csv(f_csv, LatticeSequence.from_pairs({0: 1.0, 2: -0.5}))
     data = ["--f", str(f_csv)] if subcommand == "converge" else []
     err = _assert_rejected(capsys, tmp_path / "d.csv", [subcommand, "--p", p, *data])
     assert "usage: lattice-heat" in err and f"p must be >= 1 or 'inf', got '{p}'" in err
 
 
 @pytest.mark.parametrize("eps", ["7", "nan", "0"])
-def test_evolve_checks_eps_at_t_0(tmp_path, capsys, eps):
+def test_evolve_checks_eps_at_t_0(tmp_path, capsys, eps, write_sequence_csv):
     # t = 0 used to return f before eps was looked at, so these exited 0 while every t > 0 exits 2.
     f_csv = tmp_path / "f.csv"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5})))
+    write_sequence_csv(f_csv, LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}))
     err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "0", "--f", str(f_csv), "--eps", eps])
     assert f"eps must lie in (0, 1), got {float(eps)!r}" in err
 
 
-def test_evolve_with_forcing_at_t_0_is_f(tmp_path):
+def test_evolve_with_forcing_at_t_0_is_f(tmp_path, write_sequence_csv):
     # u(0) = f: the forced part is not evaluated, as duhamel refuses t = 0.
     f_csv, g_json, none_json = tmp_path / "f.csv", tmp_path / "g.json", tmp_path / "none.json"
-    f_csv.write_text(sequence_csv_text(LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5})))
-    (tmp_path / "phi.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    write_sequence_csv(f_csv, LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}))
+    write_sequence_csv(tmp_path / "phi.csv", LatticeSequence.delta(0))
     g_json.write_text(json.dumps({"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}))
     none_json.write_text(json.dumps({"kind": "none"}))
     for name, g in (("g.csv", g_json), ("none.csv", none_json)):

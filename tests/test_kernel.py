@@ -12,14 +12,13 @@ from latticeheat.kernel import (
     KernelSlice,
     LatticeSequence,
     add_sequences,
-    csv_text,
+    csv_lines,
     discrete_laplacian,
     forward_difference,
     heat_kernel,
     lp_norm,
     pointwise_bound_report,
     read_sequence_csv,
-    sequence_csv_text,
 )
 
 B0_AT_2 = 0.30850832255367104
@@ -146,10 +145,11 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_norm(LatticeSequence.delta(0), math.nan)
 
-    def test_infinite_l2_norm_of_finite_values_raises(self):
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_infinite_l2_norm_of_finite_values_raises(self, p):
         s = LatticeSequence(0, np.array([1e300, 2e300, 1e300]))
-        with pytest.raises(OverflowError, match="l2 norm of a sequence on 3 sites exceeds binary64 range"):
-            lp_norm(s, 2.0)
+        with pytest.raises(OverflowError, match=f"l{p:g} norm of a sequence on 3 sites exceeds binary64 range"):
+            lp_norm(s, p)
         assert lp_norm(LatticeSequence(0, np.array([1e150, 1.0])), 2.0) == 1e150
         # An infinite value has an infinite norm; a NaN gives NaN, as at every other p.
         assert lp_norm(LatticeSequence(0, np.array([1e300, math.inf])), 2.0) == math.inf
@@ -210,11 +210,11 @@ class TestSequencePlumbing:
         assert c.value(0) == 2.0
         assert c.value(5) == -1.0
 
-    def test_csv_round_trip_exact(self, tmp_path):
+    def test_csv_round_trip_exact(self, tmp_path, write_sequence_csv):
         k = heat_kernel(1.0, 1e-12)
         seq = k.to_sequence()
         path = tmp_path / "k.csv"
-        path.write_text(sequence_csv_text(seq))
+        write_sequence_csv(path, seq)
         back = read_sequence_csv(path)
         assert back.offset == seq.offset
         assert np.array_equal(back.values, seq.values)
@@ -224,7 +224,7 @@ class TestSequencePlumbing:
         floats = np.random.default_rng(20262).integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
         floats[:6] = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324)
         rows = [(i, float(x), x) for i, x in enumerate(floats)]
-        assert csv_text(["i", "float", "float64"], rows) == "i,float,float64\n" + "".join(
+        assert "".join(csv_lines(["i", "float", "float64"], rows)) == "i,float,float64\n" + "".join(
             f"{i},{float(x)!r},{float(x)!r}\n" for i, x in enumerate(floats)
         )
 

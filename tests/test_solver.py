@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import solver as solver_module
-from latticeheat.kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm, sequence_csv_text
+from latticeheat.kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm
 from latticeheat.solver import (
     _C8,
     _NODES,
@@ -351,8 +351,8 @@ class TestSolve:
         expected = 1.0 + 10.0 / 11.0
         assert abs(snap.u.mass() - expected) <= snap.quad_error + snap.trunc_error + 1e-12
 
-    def test_forcing_spec_json_round_trip(self, tmp_path):
-        (tmp_path / "spatial.csv").write_text(sequence_csv_text(LatticeSequence.delta(0)))
+    def test_forcing_spec_json_round_trip(self, tmp_path, write_sequence_csv):
+        write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
         spec_path = tmp_path / "g.json"
         spec_path.write_text(
             json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0})

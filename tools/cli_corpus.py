@@ -73,6 +73,8 @@ def corpus() -> list[list[str]]:
     runs += [["decay", "--p", "3", *wide], ["converge", *f, "--p", "3", "--grid", "dyadic:1024:32768"]]
     # Inputs the CLI refuses: an l2 norm past binary64, and an index given twice.
     runs += [["converge", "--f", "inputs/big.csv", "--p", "2", *grid], ["evolve", "--t", "1", "--f", "inputs/dup.csv"]]
+    # Long files (646,477 rows at t = 1e9), and a p = 3 norm whose powers overflow.
+    runs += [["kernel", "--t", "1e9"], ["evolve", "--t", "1e7", *f], ["converge", "--f", "inputs/big.csv", "--p", "3", *grid]]
     return runs
 
 
