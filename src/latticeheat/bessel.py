@@ -139,7 +139,10 @@ class LatticeSequence:
         return range(self.offset, self.hi + 1)
 
     def mass(self) -> float:
-        return exact_sum(self.values)
+        try:
+            return exact_sum(self.values)
+        except OverflowError:  # fsum's running sum past binary64
+            raise OverflowError(f"the mass of a sequence on {len(self.values)} sites exceeds binary64 range") from None
 
     def moment(self, order: int) -> float:
         return exact_sum(power_weighted(self.values, self.offset, order))

@@ -2,7 +2,8 @@
 
 CSV-first outputs with deterministic float formatting (shortest
 round-trip repr), optional SVG plots, and sidecar JSON metadata next to
-report files.  All computation happens before any file is opened; each file
+solution and report files.  One function, ``_outputs``, makes every file a
+run writes.  All computation happens before any file is opened; each file
 is then written as it is formatted, and the files of a run whose writing
 fails are removed, so a failing run never leaves partial output.
 """
@@ -45,10 +46,6 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _svg_text(xs, ys, title: str, loglog: bool) -> str:
     width, height, pad = 640, 480, 50
     if loglog:
@@ -70,27 +67,14 @@ def _svg_text(xs, ys, title: str, loglog: bool) -> str:
     )
 
 
-def _with_suffix(path: Path, suffix: str) -> Path:
-    return path.with_name(path.name + suffix)
-
-
-def _report_outputs(report: analysis.DecayReport, out: Path, plot: bool) -> list[tuple[Path, Iterable[str]]]:
-    meta = {
-        "label": report.label,
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "max_residual": report.max_residual,
-        "t_range": list(report.t_range),
-        "dropped": [list(p) for p in report.dropped],
-    }
-    meta.update(report.extras)
-    outputs = [
-        (out, csv_lines(["t", "value"], report.pairs)),
-        (_with_suffix(out, ".json"), [_json_text(meta)]),
-    ]
-    if plot:
-        xs, ys = zip(*report.pairs)
-        outputs.append((_with_suffix(out, ".svg"), [_svg_text(xs, ys, report.label, True)]))
+def _outputs(out: Path, header: list[str], rows, meta: dict | None = None, svg: tuple | None = None):
+    """Every file a run writes, as the (path, lines) pairs ``run`` writes: the CSV of ``rows`` at ``out``, the
+    sidecar ``meta`` at ``<out>.json`` and the plot ``svg`` = (xs, ys, title, loglog) at ``<out>.svg``."""
+    outputs: list[tuple[Path, Iterable[str]]] = [(out, csv_lines(header, rows))]
+    if meta is not None:
+        outputs.append((out.with_name(out.name + ".json"), [json.dumps(meta, sort_keys=True, indent=2) + "\n"]))
+    if svg is not None:
+        outputs.append((out.with_name(out.name + ".svg"), [_svg_text(*svg)]))
     return outputs
 
 
@@ -154,39 +138,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _snapshot_outputs(snap: solver.SolutionSnapshot, out: Path) -> list[tuple[Path, Iterable[str]]]:
-    meta = {"t": snap.t, "quad_error": snap.quad_error, "trunc_error": snap.trunc_error}
-    lines = csv_lines(["n", "value"], zip(snap.u.indices(), memoryview(snap.u.values)))
-    return [(out, lines), (_with_suffix(out, ".json"), [_json_text(meta)])]
-
-
 def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
     """Compute the subcommand's outputs before any file opens: (path, lines) pairs, formatted as ``run`` writes them."""
-    cmd = args.subcommand
+    cmd, out = args.subcommand, args.out
     if cmd == "kernel":
         row = heat_kernel(args.t, args.eps)
         text = list(map(str, memoryview(row.values)))  # the row is symmetric: each |n| formatted once
         ns = range(-row.window, row.window + 1)
-        outputs = [(args.out, csv_lines(["n", "value"], ((n, text[abs(n)]) for n in ns)))]
-        if args.plot:
-            svg = _svg_text(ns, row.to_sequence().values, f"G(t={args.t})", False)
-            outputs.append((_with_suffix(args.out, ".svg"), [svg]))
-        return outputs
+        svg = (ns, row.to_sequence().values, f"G(t={args.t})", False) if args.plot else None
+        return _outputs(out, ["n", "value"], ((n, text[abs(n)]) for n in ns), svg=svg)
 
-    if cmd == "evolve":
-        f = read_sequence_csv(args.f)
+    if cmd in ("evolve", "duhamel"):
+        f = read_sequence_csv(args.f) if cmd == "evolve" else None  # f is read before g
         g = ForcingSpec.from_json(args.g) if args.g else None
-        snap = solver.solve(f, g, args.t, eps=args.eps)
-        return _snapshot_outputs(snap, args.out)
-
-    if cmd == "duhamel":
-        g = ForcingSpec.from_json(args.g)
-        snap = solver.duhamel(g, args.t, eps=args.eps)
-        return _snapshot_outputs(snap, args.out)
+        snap = solver.duhamel(g, args.t, eps=args.eps) if f is None else solver.solve(f, g, args.t, eps=args.eps)
+        meta = {"t": snap.t, "quad_error": snap.quad_error, "trunc_error": snap.trunc_error}
+        return _outputs(out, ["n", "value"], zip(snap.u.indices(), memoryview(snap.u.values)), meta)
 
     if cmd == "moments":
-        rows = moments.moment_table(args.t, args.kmax)
-        return [(args.out, csv_lines(["k", "even_moment", "poly_value", "odd_moment"], rows))]
+        return _outputs(out, ["k", "even_moment", "poly_value", "odd_moment"], moments.moment_table(args.t, args.kmax))
 
     if cmd == "poly":
         polys = moments.moment_polynomials(args.kmax)
@@ -197,34 +167,36 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
                 if k >= 2
                 for i, root in enumerate(moments.poly_real_roots(poly, 1e-12))
             ]
-            return [(args.out, csv_lines(["k", "root_index", "root"], rows))]
+            return _outputs(out, ["k", "root_index", "root"], rows)
         rows = [[k, poly.degree, *poly.coeffs] for k, poly in enumerate(polys)]
-        header = ["k", "degree"] + [f"c{i}" for i in range(args.kmax + 1)]
-        return [(args.out, csv_lines(header, rows))]
-
-    if cmd == "decay":
-        report = analysis.kernel_decay(args.p, args.quantity, args.grid, eps=args.eps)
-        return _report_outputs(report, args.out, args.plot)
-
-    if cmd == "converge":
-        f = read_sequence_csv(args.f) if args.f else None
-        g = ForcingSpec.from_json(args.g) if args.g else None
-        report = analysis.large_time_profile(f, g, args.p, args.grid, eps=args.eps)
-        return _report_outputs(report, args.out, args.plot)
+        return _outputs(out, ["k", "degree"] + [f"c{i}" for i in range(args.kmax + 1)], rows)
 
     if cmd == "fourier":
         rows = analysis.fourier_symbol_rows(args.t, args.grid_size, args.eps)
         worst = max(abs(transform - symbol) for _, transform, symbol in rows)
-        return [
-            (args.out, csv_lines(["theta", "transform", "symbol"], rows)),
-            (_with_suffix(args.out, ".json"), [_json_text({"t": args.t, "max_abs_error": worst})]),
-        ]
+        return _outputs(out, ["theta", "transform", "symbol"], rows, {"t": args.t, "max_abs_error": worst})
 
-    if cmd == "diffdecay":
+    if cmd == "decay":
+        report = analysis.kernel_decay(args.p, args.quantity, args.grid, eps=args.eps)
+    elif cmd == "converge":
+        f = read_sequence_csv(args.f) if args.f else None
+        g = ForcingSpec.from_json(args.g) if args.g else None
+        report = analysis.large_time_profile(f, g, args.p, args.grid, eps=args.eps)
+    elif cmd == "diffdecay":
         report = analysis.higher_difference_decay(args.order, args.p, args.grid, eps=args.eps)
-        return _report_outputs(report, args.out, args.plot)
-
-    raise AssertionError(f"unhandled subcommand {cmd!r}")
+    else:
+        raise AssertionError(f"unhandled subcommand {cmd!r}")
+    meta = {
+        "label": report.label,
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "max_residual": report.max_residual,
+        "t_range": report.t_range,
+        "dropped": report.dropped,
+        **report.extras,
+    }
+    svg = (*zip(*report.pairs), report.label, True) if args.plot else None
+    return _outputs(out, ["t", "value"], report.pairs, meta, svg)
 
 
 def run(argv: list[str]) -> int:

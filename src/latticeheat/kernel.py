@@ -64,8 +64,6 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == math.inf:
         return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
-    if p == 1.0:
-        return _l1(s.values)
     if p == 2.0:
         with np.errstate(over="ignore"):  # a square past binary64 is refused below
             total = exact_sum(s.values * s.values)
@@ -73,7 +71,7 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
             return math.sqrt(total)
     else:
         try:
-            return exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
+            return _l1(s.values) if p == 1.0 else exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
         except OverflowError:  # a power, or fsum's running sum, past binary64
             pass
     raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range")
@@ -159,4 +157,7 @@ def read_sequence_csv(path) -> LatticeSequence:
             if n in pairs:
                 raise ValueError(f"{path}, line {reader.line_num}: index {n} appears twice")
             pairs[n] = v
-    return LatticeSequence.from_pairs(pairs)
+    try:
+        return LatticeSequence.from_pairs(pairs)
+    except ValueError as exc:  # an index span no array can hold; one that only runs out of memory raises MemoryError
+        raise ValueError(f"{path}: index span {min(pairs)}..{max(pairs)} cannot be allocated: {exc}") from None

@@ -52,6 +52,13 @@ class KernelFrameError(ArithmeticError):
     """A node's kernel row is wider than the frame fixed from G(t, .)."""
 
 
+def _json_number(value) -> float:
+    """A JSON number (int or float, not bool) as a float; ``float`` alone would take "2" and true."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     """Separable forcing g(t, n) = amplitude * (1 + t)^(-gamma) * spatial(n).
@@ -89,10 +96,10 @@ class ForcingSpec:
         missing = [key for key in ("spatial", "gamma", "amplitude") if key not in spec]
         if missing:
             raise ValueError(f"{path}: separable forcing needs key(s) {', '.join(missing)}")
-        for key, convert in (("spatial", path.parent.joinpath), ("gamma", float), ("amplitude", float)):
+        for key, convert in (("spatial", path.parent.joinpath), ("gamma", _json_number), ("amplitude", _json_number)):
             try:  # an absolute spatial path replaces the parent
                 spec[key] = convert(spec[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{path}: key {key} has invalid value {spec[key]!r}") from None
         return ForcingSpec(read_sequence_csv(spec["spatial"]), spec["gamma"], spec["amplitude"])
 
@@ -188,7 +195,11 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
             best = max(best, (s0 + h if s0 + h < end else end, m))
         (s1, m), r = best, t - best[0] - 6.0 * u * t  # r is below every kernel time in the panel
         ends.append(s1)
-        quad.append(_C8 * (s1 - s0) ** 17 * m)
+        try:
+            quad.append(_C8 * (s1 - s0) ** 17 * m)
+        except OverflowError:  # h^17 past binary64
+            panel = f"[{s0!r}, {s1!r}] at t={t!r}"
+            raise OverflowError(f"the quadrature bound of the panel {panel} exceeds binary64 range") from None
         rate = min(norms[1], math.pi * norms[0] / (2.0 * r)) if r > 0.0 else norms[1]  # ||G(r) * Delta phi||_1
         move = 4.0 * u * s1 * g.gamma * y * norms[0] + (5.0 * u * s1 + u * (t - s0)) * rate
         moves.append((s1 - s0) * (1.0 + s0) ** -g.gamma * move)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -377,13 +378,79 @@ def test_failed_sidecar_write_removes_written_files(tmp_path, capsys, write_sequ
 
 @pytest.mark.parametrize(
     "text, fragment",
-    [("[]", "must be a JSON object"), ('{"kind": "separable", "spatial": 5, "gamma": 2, "amplitude": 1}', "key spatial")],
+    [
+        ("[]", "must be a JSON object"),
+        ('{"kind": "separable", "spatial": 5, "gamma": 2, "amplitude": 1}', "key spatial"),
+        # float() takes a numeric string and a boolean, but neither is a JSON number.
+        ('{"kind": "separable", "spatial": "phi.csv", "gamma": "2", "amplitude": 1}', "gamma has invalid value '2'"),
+        ('{"kind": "separable", "spatial": "phi.csv", "gamma": 2, "amplitude": true}', "amplitude has invalid value True"),
+        # A JSON integer that no float holds.
+        pytest.param('{"kind": "separable", "spatial": "phi.csv", "gamma": 2, "amplitude": 1%s}' % ("0" * 400),
+                     "key amplitude", id="integer-past-binary64"),
+    ],
 )
 def test_malformed_forcing_json_exits_2(tmp_path, capsys, text, fragment):
     g_path = tmp_path / "g.json"
     g_path.write_text(text)
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
     assert "g.json" in err and fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, pattern",
+    [
+        (["evolve", "--t", "1", "--f", "huge.csv"], "the l1 norm of a sequence on 3 sites"),
+        (["converge", "--f", "huge.csv", "--p", "inf", "--grid", "dyadic:16:512"], "the mass of a sequence on 3 sites"),
+        (["duhamel", "--t", "1", "--g", "huge.json"], "the l1 norm of a sequence on 3 sites"),
+        (["duhamel", "--t", "1e20", "--g", "g.json"], r"the quadrature bound of the panel \[\S+, \S+\] at t=1e\+20"),
+    ],
+)
+def test_overflowing_l1_norm_mass_or_panel_bound_exits_1(tmp_path, capsys, monkeypatch, argv, pattern):
+    # These used to fail as "intermediate overflow in fsum" and "(34, 'Numerical result out of range')".
+    monkeypatch.chdir(tmp_path)
+    Path("huge.csv").write_text("n,value\n0,1e308\n1,1e308\n2,1e308\n")
+    Path("phi.csv").write_text("n,value\n-1,0.5\n0,1.0\n2,-0.25\n")
+    for name, spatial in (("huge.json", "huge.csv"), ("g.json", "phi.csv")):
+        Path(name).write_text(json.dumps({"kind": "separable", "spatial": spatial, "gamma": 2.0, "amplitude": 1.0}))
+    err = _assert_rejected(capsys, tmp_path / "u.csv", argv, code=1)
+    assert re.search(f"computation failed: {pattern} exceeds binary64 range", err)
+
+
+def test_unallocatable_csv_index_span_exits_2_naming_the_file(tmp_path, capsys):
+    f_csv = tmp_path / "wide.csv"
+    f_csv.write_text("n,value\n0,1.0\n100000000000000000000,1.0\n")
+    err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)])
+    assert "wide.csv: index span 0..100000000000000000000 cannot be allocated" in err
+
+
+_FILE_RUNS = [
+    (["kernel", "--t", "1"], True),
+    (["evolve", "--t", "1", "--f", "f.csv"], False),
+    (["duhamel", "--t", "1", "--g", "g.json"], False),
+    (["moments", "--t", "1", "--kmax", "3"], False),
+    (["poly", "--kmax", "3"], False),
+    (["decay", "--grid", "dyadic:16:512"], True),
+    (["converge", "--f", "f.csv", "--grid", "dyadic:16:512"], True),
+    (["fourier", "--t", "1"], False),
+    (["diffdecay", "--grid", "dyadic:16:512"], True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _ in _FILE_RUNS] + [a + ["--plot"] for a, plots in _FILE_RUNS if plots], ids=" ".join
+)
+def test_files_each_subcommand_writes(tmp_path, monkeypatch, argv, write_sequence_csv):
+    # kernel, moments and poly write only the CSV, the other six a sidecar too, and --plot adds the SVG.
+    monkeypatch.chdir(tmp_path)
+    write_sequence_csv(tmp_path / "f.csv", LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}))
+    write_sequence_csv(tmp_path / "phi.csv", LatticeSequence.delta(0))
+    spec = {"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}
+    (tmp_path / "g.json").write_text(json.dumps(spec))
+    outputs = tmp_path / "out"
+    outputs.mkdir()
+    assert run(argv + ["--out", str(outputs / "r.csv")]) == 0
+    expected = {"r.csv"} | ({"r.csv.json"} if argv[0] not in ("kernel", "moments", "poly") else set())
+    assert {p.name for p in outputs.iterdir()} == expected | ({"r.csv.svg"} if "--plot" in argv else set())
 
 
 def test_parser_reuse_keeps_outputs_byte_identical(tmp_path, capsys):

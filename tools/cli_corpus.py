@@ -29,6 +29,10 @@ INPUTS = {
     "unit.json": '{"kind": "separable", "spatial": "unit_phi.csv", "gamma": 2.0, "amplitude": %r}' % 2.0**-70,
     "big.csv": "n,value\n0,1e300\n1,2e300\n2,1e300\n",  # finite values whose squares overflow
     "dup.csv": "n,value\n0,1.0\n0,2.0\n",  # index 0 twice
+    "huge.csv": "n,value\n0,1e308\n1,1e308\n2,1e308\n",  # finite values whose sum overflows
+    "huge.json": '{"kind": "separable", "spatial": "huge.csv", "gamma": 2.0, "amplitude": 1.0}',
+    "wide.csv": "n,value\n0,1.0\n100000000000000000000,1.0\n",  # an index span no array can hold
+    "str.json": '{"kind": "separable", "spatial": "phi.csv", "gamma": "2", "amplitude": true}',  # not JSON numbers
 }
 
 
@@ -75,6 +79,11 @@ def corpus() -> list[list[str]]:
     runs += [["converge", "--f", "inputs/big.csv", "--p", "2", *grid], ["evolve", "--t", "1", "--f", "inputs/dup.csv"]]
     # Long files (646,477 rows at t = 1e9), and a p = 3 norm whose powers overflow.
     runs += [["kernel", "--t", "1e9"], ["evolve", "--t", "1e7", *f], ["converge", "--f", "inputs/big.csv", "--p", "3", *grid]]
+    # An l1 norm, a mass and a Duhamel panel bound past binary64, an index span too wide, strings for numbers.
+    huge = ["--f", "inputs/huge.csv"]
+    runs += [["evolve", "--t", "1", *huge]] + [["converge", *huge, "--p", p, *grid] for p in ("1", "inf")]
+    runs += [["duhamel", "--t", "1", "--g", "inputs/huge.json"], ["duhamel", "--t", "1e20", *g]]
+    runs += [["evolve", "--t", "1", "--f", "inputs/wide.csv"], ["duhamel", "--t", "1", "--g", "inputs/str.json"]]
     return runs
 
 
