@@ -59,6 +59,9 @@ _SEED_SHARE = 2.0**-40
 # It extracts _SUM_BLOCK values per pass, so its one temporary is at most 32 KiB.
 _EXACT_SUM_MIN = 1024
 _SUM_BLOCK = 4096
+# The longest table of libm powers that ``power_weighted`` keeps for one order (see there).
+_POWER_TABLE_CAP = 2**13
+_power_tables: dict[int, np.ndarray] = {}
 
 
 class NonConvergenceError(ArithmeticError):
@@ -71,8 +74,28 @@ def libm_pow(x: np.ndarray, y: float) -> np.ndarray:
 
 
 def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
-    """values[i] * n^order for n = first + i, each n^order as ``float(n) ** order`` takes it, each product one rounding."""
-    return libm_pow(np.arange(float(first), first + len(values)), float(order)) * values
+    """values[i] * n^order for n = first + i, each n^order as ``float(n) ** order`` takes it, each product one rounding.
+
+    For each integer order 0 <= order < 1024 (the orders at which 2.0 ** order is finite) the
+    process keeps one read-only table of float(n) ** order for n = 0 .. L - 1, with L at most
+    ``_POWER_TABLE_CAP`` = 2^13.  A window with 0 <= first and first + len(values) <= 2^13 takes
+    a slice of its order's table, and a longer one grows the table by the libm powers of the
+    new n alone.  Every weight is the same ``pow`` on the same n, so the products keep their
+    bits.  A table holds only finite powers (an overflow raises before it is stored), so all
+    the tables together retain at most 5.7 MiB, and those of the 65 even orders of
+    ``moments.moment_table`` at most 2.8 MiB.  Any other window or order (a window that starts
+    below 0, as a ``LatticeSequence`` across the origin does, one that ends past the cap, a
+    float order) takes its powers directly and stores nothing.
+    """
+    end = first + len(values)
+    if not (0 <= first and end <= _POWER_TABLE_CAP and isinstance(order, int) and 0 <= order < 1024):
+        return libm_pow(np.arange(float(first), end), float(order)) * values
+    table = _power_tables.get(order, np.empty(0))
+    if len(table) < end:
+        table = np.concatenate([table, libm_pow(np.arange(float(len(table)), end), float(order))])
+        table.setflags(write=False)
+        _power_tables[order] = table
+    return table[first:end] * values
 
 
 def exact_sum(values: np.ndarray) -> float:

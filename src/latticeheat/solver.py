@@ -85,7 +85,10 @@ class ForcingSpec:
     def from_json(path) -> "ForcingSpec | None":
         """Load ``{"kind":"separable","spatial":"<csv>","gamma":...,"amplitude":...}``; ``{"kind":"none"}`` is None."""
         path = Path(path)
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            spec = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON or UTF-8, or an integer past Python's digit limit
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(spec, dict):
             raise ValueError(f"{path}: forcing spec must be a JSON object, got {type(spec).__name__}")
         kind = spec.get("kind")

@@ -387,11 +387,16 @@ def test_failed_sidecar_write_removes_written_files(tmp_path, capsys, write_sequ
         # A JSON integer that no float holds.
         pytest.param('{"kind": "separable", "spatial": "phi.csv", "gamma": 2, "amplitude": 1%s}' % ("0" * 400),
                      "key amplitude", id="integer-past-binary64"),
+        # Errors of the decoder itself, which name the file too.
+        ("{", "g.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        pytest.param(b'\xff\xfe{"kind": "none"}', "g.json: 'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+        pytest.param('{"kind": "separable", "spatial": "phi.csv", "gamma": 2, "amplitude": 1%s}' % ("0" * 4300),
+                     "g.json: Exceeds the limit (4300 digits) for integer string conversion", id="integer-past-digit-limit"),
     ],
 )
 def test_malformed_forcing_json_exits_2(tmp_path, capsys, text, fragment):
     g_path = tmp_path / "g.json"
-    g_path.write_text(text)
+    g_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "1", "--g", str(g_path)])
     assert "g.json" in err and fragment in err
 

@@ -4,15 +4,19 @@ The reference below builds the table one order at a time, each order walking
 its own fresh chain of rows and summing each moment over a per-term list.
 ``moment_table`` shares one chain across the orders and forms the terms in
 NumPy, so every cell, and every error with its message, must be the same.
+The weights come from ``bessel.power_weighted``'s table of libm powers, so the
+moments must keep those bits whatever the table already holds.
 """
 
 import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from latticeheat import kernel, moments
+from latticeheat import bessel, kernel, moments
+from latticeheat.bessel import LatticeSequence
 from latticeheat.moments import kernel_moment, moment_polynomials, moment_table, poly_eval
 
 
@@ -122,3 +126,69 @@ def test_a_chain_that_certifies_nothing_fails_as_before(monkeypatch):
     assert table_outcome(0.5, 4) == (ref_cells, ref_error)
     # The table builds the 60 rows it checks; the fresh walk also built a 61st that it never checked.
     assert len(floors) == 60 and floors == ref_floors[:60]
+
+
+# ``bessel.power_weighted`` keeps one table of libm powers per order; each test below starts
+# from an empty one, since the module's tables outlive a test.
+@pytest.fixture
+def tables(monkeypatch):
+    fresh = {}
+    monkeypatch.setattr(bessel, "_power_tables", fresh)
+    return fresh
+
+
+@pytest.mark.parametrize("state", ["cold", "grown", "already-longer"])
+def test_kernel_moment_keeps_the_bits_in_every_state_of_the_power_table(tables, state):
+    short, long = moments.heat_kernel(10.0, 1e-16), moments.heat_kernel(1e5, 1e-16)
+    rows = {"cold": [long], "grown": [short, long], "already-longer": [long, short]}[state]
+    for order in range(0, 25, 2):
+        tables.clear()
+        longest = 0
+        for row in rows:
+            assert kernel_moment(row, order).hex() == listed_moment(row, order).hex(), (state, row.window, order)
+            longest = max(longest, row.window + 1)
+            assert len(tables[order]) == longest
+
+
+@pytest.mark.parametrize("t, stored", [(1e5, True), (1e6, False)])  # windows 3,751-6,338 and 11,863-20,047
+def test_moment_table_keeps_its_bits_cold_and_warm(tables, monkeypatch, t, stored):
+    with monkeypatch.context() as m:
+        m.setattr(bessel, "_POWER_TABLE_CAP", 0)  # every window past the cap: the direct powers
+        direct = outcome(moment_table(t, 34))
+    assert not tables
+    cold = outcome(moment_table(t, 34))
+    assert bool(tables) == stored and outcome(moment_table(t, 34)) == cold == direct
+
+
+def test_lattice_moment_across_the_origin_keeps_its_bits(tables):
+    rng = random.Random(7)
+    for offset in (-40, -1, 0, 3):
+        seq = LatticeSequence(offset, [rng.uniform(-1.0, 1.0) for _ in range(80)])
+        for order in (1, 2):
+            listed = math.fsum(float(n) ** order * v for n, v in zip(seq.indices(), seq.values.tolist()))
+            assert seq.moment(order).hex() == listed.hex(), (offset, order)
+        assert (order in tables) == (offset >= 0)
+
+
+@pytest.mark.parametrize("first, length, order", [
+    (0, bessel._POWER_TABLE_CAP + 1, 2),  # one past the cap
+    (bessel._POWER_TABLE_CAP, 1, 4),
+    (-3, 10, 2),
+    (0, 2, 1024),  # 2.0 ** 1024 overflows, so no table at this order
+    (0, 10, 2.0),
+])
+def test_windows_outside_the_table_keep_their_bits_and_store_nothing(tables, first, length, order):
+    values = np.random.default_rng(3).uniform(0.5, 1.0, length)
+    listed = [float(n) ** order * v for n, v in zip(range(first, first + length), values.tolist())]
+    assert bessel.power_weighted(values, first, order).tolist() == listed
+    assert not tables
+
+
+def test_stored_power_tables_are_read_only(tables):
+    bessel.power_weighted(np.ones(bessel._POWER_TABLE_CAP), 0, 6)
+    bessel.power_weighted(np.ones(5), 2, 3)
+    assert sorted(tables) == [3, 6] and len(tables[6]) == bessel._POWER_TABLE_CAP
+    for table in tables.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0

@@ -33,6 +33,8 @@ INPUTS = {
     "huge.json": '{"kind": "separable", "spatial": "huge.csv", "gamma": 2.0, "amplitude": 1.0}',
     "wide.csv": "n,value\n0,1.0\n100000000000000000000,1.0\n",  # an index span no array can hold
     "str.json": '{"kind": "separable", "spatial": "phi.csv", "gamma": "2", "amplitude": true}',  # not JSON numbers
+    "brace.json": "{",  # not JSON
+    "utf16.json": b'\xff\xfe{"kind": "none"}',  # a UTF-16 byte-order mark: not UTF-8
 }
 
 
@@ -84,6 +86,7 @@ def corpus() -> list[list[str]]:
     runs += [["evolve", "--t", "1", *huge]] + [["converge", *huge, "--p", p, *grid] for p in ("1", "inf")]
     runs += [["duhamel", "--t", "1", "--g", "inputs/huge.json"], ["duhamel", "--t", "1e20", *g]]
     runs += [["evolve", "--t", "1", "--f", "inputs/wide.csv"], ["duhamel", "--t", "1", "--g", "inputs/str.json"]]
+    runs += [["duhamel", "--t", "1", "--g", f"inputs/{name}.json"] for name in ("brace", "utf16")]
     return runs
 
 
@@ -93,7 +96,8 @@ def main(out_dir: str, src_dir: str = str(Path(__file__).resolve().parent.parent
     (out / "inputs").mkdir()
     (out / "runs").mkdir()
     for name, text in INPUTS.items():
-        (out / "inputs" / name).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (out / "inputs" / name).write_bytes(data if data.endswith(b"\n") else data + b"\n")
     env = dict(os.environ, PYTHONPATH=str(Path(src_dir).resolve()))
     code = "from latticeheat.cli import main; main()"
     with open(out / "manifest.jsonl", "w", encoding="utf-8") as manifest:
