@@ -81,8 +81,8 @@ def fit_loglog(pairs, label: str, dropped=(), extras=None) -> DecayReport:
         raise ValueError("need at least two points to fit a slope")
     if any(t2 <= t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
         raise ValueError("pairs must be sorted by strictly increasing t")
-    if any(v <= 0.0 for _, v in pairs):
-        raise ValueError("all values must be positive for a log-log fit")
+    if not all(0.0 < x < math.inf for pair in pairs for x in pair):  # a NaN fails too
+        raise ValueError("all times and values must be positive and finite for a log-log fit")
     log_t = np.log([t for t, _ in pairs])
     log_v = np.log([v for _, v in pairs])
     slope, intercept = np.polyfit(log_t, log_v, 1)
@@ -176,7 +176,7 @@ def large_time_profile(
     """
     if (f is None) == (g is None):
         raise ValueError("give exactly one of f or g; a zero forcing counts as no g")
-    weight = lambda t: t ** (0.5 * (1.0 - (0.0 if p == math.inf else 1.0 / p)))
+    weight = lambda t: t ** (0.5 * (1.0 - 1.0 / p))
     if f is not None:
         m = f.mass()
         if abs(m) <= 1e-14:

@@ -293,14 +293,15 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     _validate_tau(tau)
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-
-    if tau == 0.0:
-        n = min_half_width or 0
-        values = np.zeros(n + 1)
-        values[0] = 1.0
-        return KernelSlice(window=n, values=values, tail_mass=0.0)
+    if 16.0 / eps == math.inf:  # the window bound takes log(16 / eps)
+        raise ValueError(f"eps must be at least about 8.9e-308, got {eps!r}")
 
     floor = min_half_width or 0
+    if tau == 0.0:
+        values = np.zeros(floor + 1)
+        values[0] = 1.0
+        return KernelSlice(window=floor, values=values, tail_mass=0.0)
+
     last, m = _start_index(tau, eps, floor)
     if m > MAX_RECURRENCE_STEPS:
         raise ArithmeticError(f"the row at tau={tau!r} needs {m} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
@@ -360,7 +361,7 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
     # with (1, 0) at the top; the seed error decays geometrically downward.
     try:
         y = np.zeros(m + 1)
-    except (MemoryError, ValueError):  # ValueError: m + 1 exceeds the largest array dimension
+    except MemoryError:  # m <= MAX_RECURRENCE_STEPS, far below the largest array dimension
         raise ArithmeticError(f"the row at tau={tau!r} needs {m + 1} recurrence values, more than can be allocated") from None
     # Steps are stored and summed through a memoryview, which moves Python
     # floats in and out of the row without making a NumPy scalar for each.

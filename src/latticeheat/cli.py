@@ -27,8 +27,6 @@ __all__ = ["run", "main"]
 
 
 def _parse_p(text: str) -> float:
-    if text == "inf":
-        return math.inf
     value = float(text)
     if not value >= 1.0:  # also refuses "nan"
         raise argparse.ArgumentTypeError(f"p must be >= 1 or 'inf', got {text!r}")
@@ -186,15 +184,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
         report = analysis.higher_difference_decay(args.order, args.p, args.grid, eps=args.eps)
     else:
         raise AssertionError(f"unhandled subcommand {cmd!r}")
-    meta = {
-        "label": report.label,
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "max_residual": report.max_residual,
-        "t_range": report.t_range,
-        "dropped": report.dropped,
-        **report.extras,
-    }
+    meta = {key: value for key, value in vars(report).items() if key not in ("pairs", "extras")} | report.extras
     svg = (*zip(*report.pairs), report.label, True) if args.plot else None
     return _outputs(out, ["t", "value"], report.pairs, meta, svg)
 

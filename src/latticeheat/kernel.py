@@ -59,22 +59,23 @@ def _laplacian(values: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
-    """l^p norm over the carried window; p = math.inf selects the sup norm."""
+    """l^p norm over the carried window; p = math.inf selects the sup norm.
+
+    NaN in gives NaN, inf in gives inf, and any other norm past binary64 raises OverflowError.
+    """
     if not p >= 1.0:  # a NaN p is refused too
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == math.inf:
         return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
-    if p == 2.0:
-        with np.errstate(over="ignore"):  # a square past binary64 is refused below
-            total = exact_sum(s.values * s.values)
-        if not (total == math.inf and np.isfinite(s.values).all()):
-            return math.sqrt(total)
-    else:
-        try:
-            return _l1(s.values) if p == 1.0 else exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
-        except OverflowError:  # a power, or fsum's running sum, past binary64
-            pass
-    raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range")
+    try:
+        if p == 2.0:
+            with np.errstate(over="raise"):
+                return math.sqrt(exact_sum(s.values * s.values))
+        return _l1(s.values) if p == 1.0 else exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
+    except (OverflowError, FloatingPointError):  # a power, a square, or fsum's running sum, past binary64
+        if not np.isfinite(s.values).all():  # NaN if one is NaN, else inf
+            return float(np.max(np.abs(s.values)))
+        raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range") from None
 
 
 def _l1(values: np.ndarray) -> float:

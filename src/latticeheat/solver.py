@@ -42,6 +42,7 @@ _GL_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853
 _NODES = np.array([-x for x in _GL_X[::-1]] + list(_GL_X))
 _WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
 _C8 = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
+_UNBOUNDED = "the bound on the forcing's 16th time derivative is not finite"
 
 
 class QuadratureBudgetError(ArithmeticError):
@@ -177,10 +178,15 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
     5u s1 + u (t - s0), which moves a panel's sum by its term in moves.
     """
     norms, err, v = [], 0.0, g.spatial.values  # ||Delta^j phi||_1 rounded up; a step rounds twice
-    for _ in range(17):
-        l1 = _l1(v)
-        norms.append(math.nextafter(l1 + err, math.inf))
-        err, v = 4.0 * err + 4.0 * _gamma(3) * l1, _laplacian(v)
+    try:
+        with np.errstate(over="raise"):  # as in lp_norm: a Laplacian, or fsum's running sum, past binary64
+            for j in range(17):
+                v = _laplacian(v) if j else v
+                l1 = _l1(v)
+                norms.append(math.nextafter(l1 + err, math.inf))
+                err = 4.0 * err + 4.0 * _gamma(3) * l1
+    except (OverflowError, FloatingPointError):
+        raise ValueError(_UNBOUNDED) from None
     poch = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) for i in range(17)]
     scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 192))  # |A|, past rounding in each bound
     ends, quad, moves, u = [0.0], [], [], 2.0**-53
@@ -193,7 +199,7 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
         for end, bounds in ((t, norms), (c, [min(n, norms[0] * min(j * d, 4.0) ** j) for j, n in enumerate(norms)])):
             m = scale * (1.0 + s0) ** -g.gamma * sum(p * bounds[16 - i] * y**i for i, p in enumerate(poch))
             if not math.isfinite(m):
-                raise ValueError("the bound on the forcing's 16th time derivative is not finite")
+                raise ValueError(_UNBOUNDED)
             h = (tol / t / _C8 / m) ** 0.0625 if m else math.inf
             best = max(best, (s0 + h if s0 + h < end else end, m))
         (s1, m), r = best, t - best[0] - 6.0 * u * t  # r is below every kernel time in the panel

@@ -33,13 +33,20 @@ class TestFitter:
         assert report.intercept == pytest.approx(math.log(3.7), abs=1e-12)
         assert report.max_residual <= 1e-12
 
-    def test_rejects_unsorted_or_nonpositive(self):
+    def test_rejects_unsorted_or_nonpositive(self, capfd):
         with pytest.raises(ValueError):
             fit_loglog([(2.0, 1.0), (1.0, 1.0)], "bad")
         with pytest.raises(ValueError):
             fit_loglog([(1.0, 1.0), (2.0, -1.0)], "bad")
         with pytest.raises(ValueError):
             fit_loglog([(1.0, 1.0)], "bad")
+        # These reached np.polyfit: LAPACK printed to stdout and raised LinAlgError, or the slope came back NaN.
+        for pairs in ([(0.0, 1.0), (1.0, 0.5)], [(math.nan, 1.0), (1.0, 0.5)], [(1.0, math.inf), (2.0, 0.5)]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_loglog(pairs, "bad")
+        with pytest.raises(ValueError, match="positive and finite"):
+            kernel_decay(2.0, "G", [0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+        assert capfd.readouterr() == ("", "")
 
     def test_dyadic_grid(self):
         assert dyadic_grid(16.0, 1024.0) == [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]

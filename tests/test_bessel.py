@@ -158,6 +158,15 @@ class TestRow:
             tail = 2.0 * math.fsum(scaled_bessel_series(tau, n) for n in outside)
             assert 0.0 < tail <= eps and tail <= row.tail_mass
 
+    def test_eps_below_the_window_floor_is_refused(self):
+        # log(16 / eps) is infinite below about 8.9e-308, and taking its ceiling raised a bare OverflowError.
+        for eps in (8e-308, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match=f"eps must be at least about 8.9e-308, got {eps!r}"):
+                scaled_bessel_row(2.0, eps)
+        # Just above the floor the row is still computed, with the window and certificate it had before the floor.
+        row = scaled_bessel_row(2.0, 1e-307)
+        assert (row.window, row.tail_mass.hex()) == (169, "0x1.8020c49ba5e36p-52")
+
     def test_floor_past_underflow_keeps_a_positive_certificate(self):
         # b_n(1) underflows near n = 150; a wider forced window used to come back at m with tail_mass 0.0.
         row = scaled_bessel_row(1.0, 1e-12, min_half_width=200)

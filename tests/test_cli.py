@@ -245,13 +245,22 @@ def test_infinite_forcing_integral_exits_2(tmp_path, capsys, write_sequence_csv)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t", ["1", "100"])
-def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t, write_sequence_csv):
-    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
+@pytest.mark.parametrize(
+    "t, value, amplitude",
+    [
+        pytest.param("1", 1.0, 1e308, id="1"),
+        pytest.param("100", 1.0, 1e308, id="100"),
+        # ||Delta^j phi||_1 past binary64: 1e300 failed as "intermediate overflow in fsum", 1e308 warned from NumPy first.
+        pytest.param("1", 1e300, 1.0, id="laplacians-1e300"),
+        pytest.param("1", 1e308, 1.0, id="laplacians-1e308"),
+    ],
+)
+def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t, value, amplitude, write_sequence_csv):
+    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.from_pairs({0: value}))
     g_path = tmp_path / "g.json"
-    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1e308}))
+    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": amplitude}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", t, "--g", str(g_path)])
-    assert "16th time derivative is not finite" in err
+    assert "invalid arguments: the bound on the forcing's 16th time derivative is not finite" in err
 
 
 def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch, write_sequence_csv):
@@ -408,12 +417,15 @@ def test_malformed_forcing_json_exits_2(tmp_path, capsys, text, fragment):
         (["converge", "--f", "huge.csv", "--p", "inf", "--grid", "dyadic:16:512"], "the mass of a sequence on 3 sites"),
         (["duhamel", "--t", "1", "--g", "huge.json"], "the l1 norm of a sequence on 3 sites"),
         (["duhamel", "--t", "1e20", "--g", "g.json"], r"the quadrature bound of the panel \[\S+, \S+\] at t=1e\+20"),
+        # u(t) of this dipole has finite squares whose sum overflows.
+        (["converge", "--f", "dip.csv", "--p", "2", "--grid", "dyadic:16:64"], r"the l2 norm of a sequence on \d+ sites"),
     ],
 )
 def test_overflowing_l1_norm_mass_or_panel_bound_exits_1(tmp_path, capsys, monkeypatch, argv, pattern):
     # These used to fail as "intermediate overflow in fsum" and "(34, 'Numerical result out of range')".
     monkeypatch.chdir(tmp_path)
     Path("huge.csv").write_text("n,value\n0,1e308\n1,1e308\n2,1e308\n")
+    Path("dip.csv").write_text("n,value\n0,1.3e156\n1,-1.2999999999999902e+156\n")
     Path("phi.csv").write_text("n,value\n-1,0.5\n0,1.0\n2,-0.25\n")
     for name, spatial in (("huge.json", "huge.csv"), ("g.json", "phi.csv")):
         Path(name).write_text(json.dumps({"kind": "separable", "spatial": spatial, "gamma": 2.0, "amplitude": 1.0}))
@@ -509,6 +521,15 @@ def test_evolve_checks_eps_at_t_0(tmp_path, capsys, eps, write_sequence_csv):
     write_sequence_csv(f_csv, LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}))
     err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "0", "--f", str(f_csv), "--eps", eps])
     assert f"eps must lie in (0, 1), got {float(eps)!r}" in err
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--t", "1", "--eps", "8e-308"], ["evolve", "--t", "1", "--f", "f.csv", "--eps", "1e-320"]])
+def test_eps_below_the_window_floor_exits_2(tmp_path, capsys, monkeypatch, argv, write_sequence_csv):
+    # log(16 / eps) is infinite there: these failed as "cannot convert float infinity to integer" with exit 1.
+    monkeypatch.chdir(tmp_path)
+    write_sequence_csv(tmp_path / "f.csv", LatticeSequence.delta(0))
+    err = _assert_rejected(capsys, tmp_path / "u.csv", argv)
+    assert f"invalid arguments: eps must be at least about 8.9e-308, got {float(argv[-1])!r}" in err
 
 
 def test_evolve_with_forcing_at_t_0_is_f(tmp_path, write_sequence_csv):

@@ -145,15 +145,19 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_norm(LatticeSequence.delta(0), math.nan)
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_infinite_l2_norm_of_finite_values_raises(self, p):
-        s = LatticeSequence(0, np.array([1e300, 2e300, 1e300]))
-        with pytest.raises(OverflowError, match=f"l{p:g} norm of a sequence on 3 sites exceeds binary64 range"):
-            lp_norm(s, p)
+        # Finite values whose norm is past binary64, as the running sum, a square or a cube overflows;
+        # the squares of [1.2e154, 1.2e154] are finite, and only their sum overflows.
+        overflowing = [[1e308, 1e308]] + ([[1e300, 2e300, 1e300], [1.2e154, 1.2e154]] if p > 1.0 else [])
+        for values in overflowing:
+            with pytest.raises(OverflowError, match=f"l{p:g} norm of a sequence on {len(values)} sites exceeds binary64"):
+                lp_norm(LatticeSequence(0, np.array(values)), p)
         assert lp_norm(LatticeSequence(0, np.array([1e150, 1.0])), 2.0) == 1e150
-        # An infinite value has an infinite norm; a NaN gives NaN, as at every other p.
-        assert lp_norm(LatticeSequence(0, np.array([1e300, math.inf])), 2.0) == math.inf
-        assert math.isnan(lp_norm(LatticeSequence(0, np.array([1e300, math.nan])), 2.0))
+        # An infinite value has an infinite norm and a NaN gives NaN, whatever the finite values do.
+        for values in ([1e300, math.inf], [1e308, 1e308, math.inf]):
+            assert lp_norm(LatticeSequence(0, np.array(values)), p) == math.inf
+        assert math.isnan(lp_norm(LatticeSequence(0, np.array([1e300, math.nan])), p))
 
     def test_matches_per_element_fsum(self):
         rng = np.random.default_rng(20251)

@@ -35,6 +35,11 @@ INPUTS = {
     "str.json": '{"kind": "separable", "spatial": "phi.csv", "gamma": "2", "amplitude": true}',  # not JSON numbers
     "brace.json": "{",  # not JSON
     "utf16.json": b'\xff\xfe{"kind": "none"}',  # a UTF-16 byte-order mark: not UTF-8
+    "dip.csv": "n,value\n0,1.3e156\n1,-1.2999999999999902e+156\n",  # finite squares whose sum overflows
+    "one300.csv": "n,value\n0,1e300\n",
+    "one300.json": '{"kind": "separable", "spatial": "one300.csv", "gamma": 2.0, "amplitude": 1.0}',
+    "one308.csv": "n,value\n0,1e308\n",
+    "one308.json": '{"kind": "separable", "spatial": "one308.csv", "gamma": 2.0, "amplitude": 1.0}',
 }
 
 
@@ -87,6 +92,10 @@ def corpus() -> list[list[str]]:
     runs += [["duhamel", "--t", "1", "--g", "inputs/huge.json"], ["duhamel", "--t", "1e20", *g]]
     runs += [["evolve", "--t", "1", "--f", "inputs/wide.csv"], ["duhamel", "--t", "1", "--g", "inputs/str.json"]]
     runs += [["duhamel", "--t", "1", "--g", f"inputs/{name}.json"] for name in ("brace", "utf16")]
+    # An l2 norm whose finite squares sum past binary64, forcings whose Laplacians overflow, eps at the window's floor.
+    runs += [["converge", "--f", "inputs/dip.csv", "--p", "2", "--grid", "dyadic:16:64"]]
+    runs += [["duhamel", "--t", "1", "--g", f"inputs/{name}.json"] for name in ("one300", "one308")]
+    runs += [["kernel", "--t", "1", "--eps", e] for e in ("8e-308", "1e-307")]
     return runs
 
 
