@@ -73,6 +73,12 @@ def libm_pow(x: np.ndarray, y: float) -> np.ndarray:
     return np.fromiter(map(pow, memoryview(x), repeat(y)), float, len(x))
 
 
+def check_order(order: int) -> None:
+    """Refuse a moment order that is not a nonnegative integer; a Python or NumPy int or an integral float passes as it is."""
+    if not (order >= 0 and order % 1 == 0):  # NaN fails both, and inf % 1 is NaN
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+
+
 def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
     """values[i] * n^order for n = first + i, each n^order as ``float(n) ** order`` takes it, each product one rounding.
 
@@ -162,13 +168,17 @@ class LatticeSequence:
         return range(self.offset, self.hi + 1)
 
     def mass(self) -> float:
-        try:
-            return exact_sum(self.values)
-        except OverflowError:  # fsum's running sum past binary64
-            raise OverflowError(f"the mass of a sequence on {len(self.values)} sites exceeds binary64 range") from None
+        return self.moment(0)
 
     def moment(self, order: int) -> float:
-        return exact_sum(power_weighted(self.values, self.offset, order))
+        """sum_n n^order f(n) over the window; a weight, product or sum of finite values past binary64 raises OverflowError."""
+        check_order(order)
+        try:
+            with np.errstate(over="raise"):
+                return exact_sum(power_weighted(self.values, self.offset, order) if order else self.values)
+        except (OverflowError, FloatingPointError):  # a weight, a product, or fsum's running sum, past binary64
+            name = f"order-{int(order)} moment" if order else "mass"
+            raise OverflowError(f"the {name} of a sequence on {len(self.values)} sites exceeds binary64 range") from None
 
     def scaled(self, alpha: float) -> "LatticeSequence":
         return LatticeSequence(self.offset, alpha * self.values)

@@ -22,7 +22,6 @@ __all__ = [
     "forward_difference",
     "discrete_laplacian",
     "lp_norm",
-    "pointwise_bound_report",
     "add_sequences",
     "csv_lines",
     "read_sequence_csv",
@@ -91,43 +90,6 @@ def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, be
     out[a.offset - lo : a.offset - lo + len(a.values)] += alpha * a.values
     out[b.offset - lo : b.offset - lo + len(b.values)] += beta * b.values
     return LatticeSequence(lo, out)
-
-
-def pointwise_bound_report(t: float, c_budget: float) -> list[tuple[int, str, float, float]]:
-    """Ratios quantity/bound for the pointwise kernel estimates at time t.
-
-    Quantities are |G|, |grad G|, |laplacian G| with the large-time bounds
-    switching at R = n^2 / t.  The far-field kernel bound is checked in the
-    form C t / n^3 established in the proof; the stated C / n^3 form is
-    reported separately under ``kernel_statement`` rather than silently
-    merged, since the two differ by a factor of t.
-    """
-    if t < 1.0:
-        raise ValueError("pointwise bounds are asymptotic; require t >= 1")
-    if c_budget <= 0.0:
-        raise ValueError("c_budget must be positive")
-
-    kernel = heat_kernel(t, 1e-12)
-    seq = kernel.to_sequence()
-    grad = forward_difference(seq)
-    lap = discrete_laplacian(seq)
-
-    report: list[tuple[int, str, float, float]] = []
-    for n in range(1, kernel.window + 1):
-        big_r = n * n / t
-        g = abs(kernel.value(n))
-        dg = abs(grad.value(n))
-        lg = abs(lap.value(n))
-        if big_r <= 1.0:
-            report.append((n, "kernel", c_budget / math.sqrt(t), g * math.sqrt(t) / c_budget))
-            report.append((n, "grad", c_budget * n / t**1.5, dg * t**1.5 / (c_budget * n)))
-            report.append((n, "laplacian", c_budget / t**1.5, lg * t**1.5 / c_budget))
-        else:
-            report.append((n, "kernel", c_budget * t / n**3, g * n**3 / (c_budget * t)))
-            report.append((n, "kernel_statement", c_budget / n**3, g * n**3 / c_budget))
-            report.append((n, "grad", c_budget * t / n**4, dg * n**4 / (c_budget * t)))
-            report.append((n, "laplacian", c_budget / n**3, lg * n**3 / c_budget))
-    return report
 
 
 def csv_lines(header: list[str], rows):

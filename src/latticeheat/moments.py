@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import exact_sum, power_weighted
+from .bessel import check_order, exact_sum, power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -240,8 +240,7 @@ def _guard_power(window: int, order: int) -> None:
 
 def kernel_moment(slice: KernelSlice, order: int) -> float:
     """sum_{|n| <= N} n^order G(t, n) over the carried window, compensated."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     # (-n)^order = +-n^order exactly and doubling is exact, so these are the full sum's bits.
     if order % 2:
         return 0.0

@@ -29,7 +29,6 @@ __all__ = [
     "evolve",
     "duhamel",
     "solve",
-    "conserved_quantities",
     "QuadratureBudgetError",
     "KernelFrameError",
 ]
@@ -271,7 +270,3 @@ def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-1
     u = add_sequences(hom.u, forced.u)
     return SolutionSnapshot(t, u, hom.quad_error + forced.quad_error, hom.trunc_error + forced.trunc_error)
 
-
-def conserved_quantities(s: SolutionSnapshot) -> tuple[float, float, float]:
-    """(mass, first moment, second moment) of the snapshot window."""
-    return (s.u.mass(), s.u.moment(1), s.u.moment(2))

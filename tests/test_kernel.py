@@ -1,4 +1,4 @@
-"""Tests for the kernel slice, lattice sequences, and pointwise bounds."""
+"""Tests for the kernel slice and lattice sequences."""
 
 import math
 
@@ -17,7 +17,6 @@ from latticeheat.kernel import (
     forward_difference,
     heat_kernel,
     lp_norm,
-    pointwise_bound_report,
     read_sequence_csv,
 )
 
@@ -180,22 +179,6 @@ class TestSemigroup:
             diff = add_sequences(conv, kts.to_sequence(), 1.0, -1.0)
             budget = 10.0 * (kt.tail_mass + ks.tail_mass + kts.tail_mass)
             assert lp_norm(diff, 1.0) <= budget
-
-
-class TestPointwiseBounds:
-    def test_ratios_stay_bounded(self):
-        for t in (10.0, 100.0, 1000.0):
-            report = pointwise_bound_report(t, c_budget=5.0)
-            for n, name, bound, ratio in report:
-                if name == "kernel_statement":
-                    continue  # stated form differs from the proven t/n^3 form
-                assert ratio <= 1.0, (t, n, name, ratio)
-
-    def test_rejects_small_time(self):
-        with pytest.raises(ValueError):
-            pointwise_bound_report(0.5, 1.0)
-        with pytest.raises(ValueError):
-            pointwise_bound_report(10.0, 0.0)
 
 
 class TestSequencePlumbing:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latticeheat import moments
-from latticeheat.kernel import KernelSlice
+from latticeheat.kernel import KernelSlice, LatticeSequence
 from latticeheat.moments import (
     ROOTS_K_MAX,
     IntPolynomial,
@@ -417,6 +417,28 @@ class TestKernelMoments:
         assert math.isfinite(weighted_tail_bound(kernel, 104))
         with pytest.raises(OverflowError, match=r"n\^106 exceeds binary64 range on window 824"):
             weighted_tail_bound(kernel, 106)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "offset, values, order, name",
+        [(0, [1e308] * 3, 1, "order-1 moment"), (5, [1e307], 2, "order-2 moment"),
+         (-5, [1e307] * 11, 2, "order-2 moment"), (0, [1e308] * 3, 0, "mass")],
+    )
+    def test_sequence_moment_of_finite_values_past_binary64_raises(self, offset, values, order, name):
+        # A product, as at n^2 1e307, or fsum's running sum overflows; either way the error names the sum.
+        s = LatticeSequence(offset, np.array(values))
+        with pytest.raises(OverflowError, match=f"^the {name} of a sequence on {len(values)} sites exceeds binary64 range$"):
+            s.moment(order)
+        # An infinite value with no overflow gives what it gave before.
+        assert LatticeSequence(offset, np.array([1.0, math.inf])).moment(order) == math.inf
+
+    @pytest.mark.parametrize("order", [-1, 0.5, 1.5, 2.5, math.nan, math.inf])
+    def test_one_order_rule_for_both_moment_sums(self, order):
+        message = f"^order must be a nonnegative integer, got {order!r}$"
+        with pytest.raises(ValueError, match=message):
+            LatticeSequence(-3, np.ones(7)).moment(order)
+        with pytest.raises(ValueError, match=message):
+            kernel_moment(heat_kernel_for_moment(1.0, 2, 1e-10), order)
 
     def test_continuum_ratio(self):
         polys = moment_polynomials(4)
