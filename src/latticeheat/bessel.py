@@ -74,9 +74,13 @@ def libm_pow(x: np.ndarray, y: float) -> np.ndarray:
 
 
 def check_order(order: int) -> None:
-    """Refuse a moment order that is not a nonnegative integer; a Python or NumPy int or an integral float passes as it is."""
+    """Refuse a moment order that is not a nonnegative integer or that no float holds; other ints and floats pass as they are."""
     if not (order >= 0 and order % 1 == 0):  # NaN fails both, and inf % 1 is NaN
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    try:
+        float(order)
+    except OverflowError:  # an int past binary64, whose digits the message leaves out
+        raise ValueError("order must be a nonnegative integer within binary64 range") from None
 
 
 def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
@@ -87,20 +91,23 @@ def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
     ``_POWER_TABLE_CAP`` = 2^13.  A window with 0 <= first and first + len(values) <= 2^13 takes
     a slice of its order's table, and a longer one grows the table by the libm powers of the
     new n alone.  Every weight is the same ``pow`` on the same n, so the products keep their
-    bits.  A table holds only finite powers (an overflow raises before it is stored), so all
-    the tables together retain at most 5.7 MiB, and those of the 65 even orders of
-    ``moments.moment_table`` at most 2.8 MiB.  Any other window or order (a window that starts
-    below 0, as a ``LatticeSequence`` across the origin does, one that ends past the cap, a
-    float order) takes its powers directly and stores nothing.
+    bits.  A table holds only finite powers, so all the tables together retain at most 5.7 MiB,
+    and those of the 65 even orders of ``moments.moment_table`` at most 2.8 MiB.  Any other window
+    or order (a window that starts below 0, as a ``LatticeSequence`` across the origin does, one
+    that ends past the cap, a float order) takes its powers directly and stores nothing.  A weight
+    past binary64 raises OverflowError, naming the order and the window's last n, on either path.
     """
     end = first + len(values)
-    if not (0 <= first and end <= _POWER_TABLE_CAP and isinstance(order, int) and 0 <= order < 1024):
-        return libm_pow(np.arange(float(first), end), float(order)) * values
-    table = _power_tables.get(order, np.empty(0))
-    if len(table) < end:
-        table = np.concatenate([table, libm_pow(np.arange(float(len(table)), end), float(order))])
-        table.setflags(write=False)
-        _power_tables[order] = table
+    try:
+        if not (0 <= first and end <= _POWER_TABLE_CAP and isinstance(order, int) and 0 <= order < 1024):
+            return libm_pow(np.arange(float(first), end), float(order)) * values
+        table = _power_tables.get(order, np.empty(0))
+        if len(table) < end:
+            table = np.concatenate([table, libm_pow(np.arange(float(len(table)), end), float(order))])
+            table.setflags(write=False)
+            _power_tables[order] = table
+    except OverflowError:  # a libm pow past binary64
+        raise OverflowError(f"n^{order} exceeds binary64 range on window {end - 1}") from None
     return table[first:end] * values
 
 

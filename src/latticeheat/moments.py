@@ -232,19 +232,12 @@ def _sturm_roots(q: IntPolynomial, bound: int, level: int) -> list[float]:
     return sorted(roots)
 
 
-def _guard_power(window: int, order: int) -> None:
-    """Raise OverflowError where window^order could leave binary64."""
-    if window > 1 and order * math.log(window) > 700.0:
-        raise OverflowError(f"n^{order} exceeds binary64 range on window {window}")
-
-
 def kernel_moment(slice: KernelSlice, order: int) -> float:
     """sum_{|n| <= N} n^order G(t, n) over the carried window, compensated."""
     check_order(order)
     # (-n)^order = +-n^order exactly and doubling is exact, so these are the full sum's bits.
     if order % 2:
         return 0.0
-    _guard_power(slice.window, order)
     terms = power_weighted(slice.values, 0, order)
     terms[1:] *= 2.0
     return exact_sum(terms)
@@ -255,21 +248,19 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
 
     Uses the geometric ratio at the window edge, inflated by the polynomial
     growth factor (1 + 1/N)^order per step; infinite if the inflated ratio
-    is not below 1.  Raises OverflowError where N^order could leave binary64.
+    is not below 1.  Raises OverflowError where ``power_weighted``'s N^order leaves binary64.
     """
+    check_order(order)
     n = slice.window
     if n < 2:
         return math.inf
-    v_edge = slice.value(n)
-    v_prev = slice.value(n - 1)
+    v_prev, v_edge = slice.value(n - 1), slice.value(n)
     if v_edge == 0.0:
         return 0.0
-    _guard_power(n, order)  # which also keeps (1 + 1/N)^order in range
-    ratio = v_edge / v_prev
-    grow = ratio * (1.0 + 1.0 / n) ** order
-    if grow >= 1.0:
-        return math.inf
-    return 2.0 * float(n) ** order * v_edge * grow / (1.0 - grow)
+    # N^order (2 G(t, N)), formed first since it bounds (1 + 1/N)^order; it rounds as (2 N^order) G(t, N) does.
+    edge = float(power_weighted(2.0 * slice.values[n:], n, order)[0])
+    grow = v_edge / v_prev * (1.0 + 1.0 / n) ** order
+    return math.inf if grow >= 1.0 else edge * grow / (1.0 - grow)
 
 
 def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> KernelSlice:
@@ -277,6 +268,7 @@ def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> Ke
     the row at eps 1e-16, then each next window floored at max(N + 8, int(1.3 N)), at most 60 rows.
     ``rows`` holds the rows built so far, takes each new one and is scanned from the first.
     """
+    check_order(order)
     for i in range(60):
         if i == len(rows):
             floor = max(rows[-1].window + 8, int(rows[-1].window * 1.3)) if rows else None

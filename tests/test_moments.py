@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from latticeheat.moments import (
     heat_kernel_for_moment,
     kernel_moment,
     moment_polynomials,
+    moment_table,
     poly_eval,
     poly_real_roots,
     weighted_tail_bound,
@@ -405,7 +407,7 @@ class TestKernelMoments:
             kernel_moment(kernel, 10**6)
 
     def test_odd_order_returns_before_the_overflow_guard(self):
-        # Window 20,047 is the slice of `moments --t 1e6 --kmax 35`, where n^71 would overflow.
+        # Window 20,047 is the slice of `moments --t 1e6 --kmax 35`; the odd order 71 returns 0.0 without a weight.
         kernel = KernelSlice(window=20_047, values=np.full(20_048, 1e-5), tail_mass=0.0)
         assert kernel_moment(kernel, 71) == 0.0
         with pytest.raises(OverflowError):
@@ -417,6 +419,21 @@ class TestKernelMoments:
         assert math.isfinite(weighted_tail_bound(kernel, 104))
         with pytest.raises(OverflowError, match=r"n\^106 exceeds binary64 range on window 824"):
             weighted_tail_bound(kernel, 106)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_inside_binary64_are_summed_however_near_its_edge(self):
+        # Window 262 is the slice of `moments --t 100 --kmax 63`: 262^126 is about 1.5e304, and 262^128 overflows.
+        kernel = KernelSlice(window=262, values=np.geomspace(0.5, 1e-300, 263), tail_mass=0.0)
+        assert math.isfinite(kernel_moment(kernel, 126))
+        assert math.isfinite(weighted_tail_bound(kernel, 126))
+        for call in (kernel_moment, weighted_tail_bound):
+            with pytest.raises(OverflowError, match=r"^n\^128 exceeds binary64 range on window 262$"):
+                call(kernel, 128)
+
+    def test_moment_table_reaches_the_last_order_whose_weights_are_finite(self):
+        k, even, expected, odd = moment_table(100.0, 63)[-1]
+        assert k == 63 and odd == 0.0
+        assert abs(even - expected) <= 1e-12 * expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -432,13 +449,20 @@ class TestKernelMoments:
         # An infinite value with no overflow gives what it gave before.
         assert LatticeSequence(offset, np.array([1.0, math.inf])).moment(order) == math.inf
 
-    @pytest.mark.parametrize("order", [-1, 0.5, 1.5, 2.5, math.nan, math.inf])
-    def test_one_order_rule_for_both_moment_sums(self, order):
-        message = f"^order must be a nonnegative integer, got {order!r}$"
-        with pytest.raises(ValueError, match=message):
-            LatticeSequence(-3, np.ones(7)).moment(order)
-        with pytest.raises(ValueError, match=message):
-            kernel_moment(heat_kernel_for_moment(1.0, 2, 1e-10), order)
+    @pytest.mark.parametrize("order, message", [
+        *(pytest.param(order, f"order must be a nonnegative integer, got {order!r}", id=repr(order))
+          for order in (-1, 0.5, 1.5, 2.5, math.nan, math.inf)),
+        pytest.param(10**400, "order must be a nonnegative integer within binary64 range", id="10**400"),  # no float holds it
+    ])
+    def test_one_order_rule_for_every_moment_function(self, monkeypatch, order, message):
+        row = heat_kernel_for_moment(1.0, 2, 1e-10)
+        monkeypatch.setattr(moments, "heat_kernel", None)  # a refused order builds no row
+        calls = [lambda: LatticeSequence(-3, np.ones(7)).moment(order), lambda: kernel_moment(row, order),
+                 lambda: weighted_tail_bound(row, order), lambda: heat_kernel_for_moment(1.0, order, 1e-10)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert len(message) < 100
 
     def test_continuum_ratio(self):
         polys = moment_polynomials(4)

@@ -96,6 +96,8 @@ def corpus() -> list[list[str]]:
     runs += [["converge", "--f", "inputs/dip.csv", "--p", "2", "--grid", "dyadic:16:64"]]
     runs += [["duhamel", "--t", "1", "--g", f"inputs/{name}.json"] for name in ("one300", "one308")]
     runs += [["kernel", "--t", "1", "--eps", e] for e in ("8e-308", "1e-307")]
+    # The last order whose weights stay inside binary64 on window 262 (262^126 is about 1.5e304), and the next.
+    runs += [["moments", "--t", "100", "--kmax", k] for k in ("63", "64")]
     return runs
 
 
