@@ -6,8 +6,18 @@ The homogeneous part is one windowed convolution with the kernel slice.
 The Duhamel part is a composite 8-point Gauss-Legendre rule on a mesh fixed
 before any kernel row, from a bound on the integrand's 16th derivative that
 the heat equation and the kernel's decay give; the error budget is split
-evenly between quadrature and kernel truncation.  Each certificate that
-covers a convolution adds its a-priori rounding bound.
+evenly between quadrature and kernel truncation.  For separable forcing the
+rule's sum is A (K * phi) with K = sum_i c_i G(t - s_i), and K is formed
+from its symbol sum_i c_i exp(-4 (t - s_i) sin^2(theta / 2)): one symbol
+sum over the nodes, one inverse FFT and one convolution with phi per call,
+with no kernel row per node.  Its certificate adds four terms to the mass
+of K outside the frame: the aliasing of the transform, the symbol's
+rounding (NumPy's exp and sin taken within one ulp), the FFT's rounding
+and the convolution's.  The FFT term is heuristic: it applies Higham's
+Thm 24.2, proved for a complex radix-2 transform, to pocketfft's real
+radix-4 irfft, with a twiddle accuracy of 11 u that is a margin over the
+2.2 u measured, not a derived constant.  Each certificate that covers a
+convolution adds its a-priori rounding bound.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ __all__ = [
     "duhamel",
     "solve",
     "QuadratureBudgetError",
-    "KernelFrameError",
 ]
 
 _MAX_INTEGRAND_EVALS = 40000
@@ -42,14 +51,19 @@ _NODES = np.array([-x for x in _GL_X[::-1]] + list(_GL_X))
 _WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
 _C8 = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
 _UNBOUNDED = "the bound on the forcing's 16th time derivative is not finite"
+# NumPy's exp and sin are taken to be within _LIBM_ULPS ulps (measured: 0.65 and 0.51), and the twiddle
+# factors of NumPy's pocketfft within _TWIDDLE of the roots of unity (Higham's mu).  _TWIDDLE is a margin of
+# five over the 2.2 u that the roots ``rfft`` returns for M up to 2^16 measure, not a derived constant, and
+# Higham's theorem covers a complex radix-2 transform, not the real radix-4 ``irfft``: the FFT term is
+# heuristic until a bound for the real transform exists.  tests/test_certificates.py checks the measurements.
+_LIBM_ULPS = 1
+_TWIDDLE = 11.0 * 2.0**-53
+# The most entries an outer product of nodes and frequencies holds in ``duhamel``.
+_BLOCK = 2**16
 
 
 class QuadratureBudgetError(ArithmeticError):
     """The quadrature cannot meet the requested tolerance within its node budget."""
-
-
-class KernelFrameError(ArithmeticError):
-    """A node's kernel row is wider than the frame fixed from G(t, .)."""
 
 
 def _json_number(value) -> float:
@@ -219,7 +233,12 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
 
 
 def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:
-    """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution; zero for g None."""
+    """Forced part int_0^t (W_{t-s} g(s, .)) ds of the mild solution; zero for g None.
+
+    The rule's sum is A (K * phi), K = sum_i c_i G(r_i) with c_i = w_i (1 + s_i)^-gamma and r_i = t - s_i.
+    K on the frame |n| <= width is one inverse FFT of its symbol sum_i c_i exp(-4 r_i sin^2(theta / 2)),
+    sampled at theta_k = 2 pi k / M; then one convolution with phi, and one scaling by A.
+    """
     if not (0.0 < t < math.inf and eps > 0.0):
         raise ValueError(f"t must be positive and finite and eps positive, got t={t!r}, eps={eps!r}")
     if g is None or g.amplitude == 0.0:
@@ -232,31 +251,90 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     nodes, weights, quad_error, shift = _mesh(g, t, 0.5 * eps * (1.0 - 2.0**-30))
     kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
     width = heat_kernel(t, kernel_eps).window + 2
-    # Truncation, then rounding (Higham, 3.1) in each node's convolution (rows of at most 2 width + 1 points and
-    # unit mass), temporal factor, weight, two products and the sums over a panel's 8 nodes and over the panels.
-    # The rule underestimates int_0^t |a| = g_l1 / ||phi||_1, as every even derivative of a is positive.
-    k = min(2 * width + 1, len(g.spatial.values)) + math.ceil(g.gamma) + 17 + len(nodes) // 8
-    # Underflow, which no relative term covers: a result below 2^-1022 is off by up to one ulp(0.0), charged twice
-    # (2^-1073) to absorb the rounding of the weights' sum and of this count.  Node i adds c_i (row * phi) with c_i =
-    # w_i A (1 + s_i)^-gamma, and sum |c_i| <= |A| t = a_t.  Its (2 width + 1) len(phi) row products are scaled by |c_i|,
-    # each frame entry's scaling product underflows once, and the power, A and w_i put (|A| w_i + w_i + 1) ulp(0.0)
-    # into c_i, which scales a convolution of l1 norm at most ||phi||_1.
-    phi, a_t, n = g.spatial.values, abs(g.amplitude) * t, len(nodes)
-    ulps = (2 * width + 1) * len(phi) * a_t + (len(phi) + 2 * width) * n + (a_t + t + n) * _l1(phi)
-    trunc_error = math.nextafter((kernel_eps + _gamma(k)) * g_l1 + shift + math.ldexp(ulps, -1073), math.inf)
+    phi, n, amp = g.spatial.values, len(nodes), abs(g.amplitude)
+    # K is formed from the profile (1 + s)^-gamma alone, whose rule sums to at most t; A scales the result once.
+    c = np.array([w * g.temporal(s) for s, w in zip(nodes.tolist(), weights.tolist())]) / g.amplitude
+    r = t - nodes  # the kernel times, whose rounding ``shift`` covers
+    # M = 2^j >= 2 width + 2, doubled until the aliased mass is below u: the transform returns
+    # sum_j K(n + jM), and for |n| <= width the terms j != 0 lie beyond L = M - width, where G(r) for r <= t
+    # holds at most 2 exp(-L^2 / (2 (2t + L/3))) (Bernstein, as in ``bessel._start_index``).
+    size = 1 << (2 * width + 1).bit_length()
+    while True:
+        reach = size - width
+        alias = 2.0 * math.exp(-reach * reach / (4.0 * t + reach / 1.5) * (1.0 - 2.0**-40))  # rounded up
+        if alias <= 2.0**-53:
+            break
+        size *= 2
+    # Each symbol term c_i exp(x), x = -4 r_i sin^2(theta_k / 2), is off by at most rate |c_i| exp(x / 2), with
+    # rate = gamma_(ceil(log2 n) + 7 + 6 _LIBM_ULPS): exp and sin within _LIBM_ULPS, the argument within
+    # eta = (5 + 4 _LIBM_ULPS) u (|x| e^x eta <= e^(x/2) eta), the product, and the pairwise sum over the nodes.
+    # So by Minkowski the symbol's error, in l2 over the M points and over sqrt(M), is at most
+    # rate * sum_i |c_i| ||exp(-2 r_i sin^2)||, and the symbol itself at most sum_i |c_i| ||exp(-4 r_i sin^2)||
+    # (``_symbol_l2``).  Inverting, the FFT adds at most log2(M) eta' / (1 - log2(M) eta') of the exact
+    # inverse's l2 norm (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2, with
+    # eta' = mu + gamma_4 (sqrt(2) + mu) and mu = _TWIDDLE), and l1 on the frame is at most sqrt(2 width + 1)
+    # l2.  Underflow, which no relative term covers, in units of 2^-1073 per theta_k: exp, the argument and
+    # the product of each term, and every operation of the FFT, generously.
+    a = math.nextafter(_l1(c), math.inf)  # sum |c_i|
+    spread, height = (_l1(c * _symbol_l2(r, size, lam)) * (1.0 + 2.0**-40) for lam in (4.0, 8.0))
+    symbol = _gamma((n - 1).bit_length() + 7 + 6 * _LIBM_ULPS) * spread + math.ldexp(4.0 * a + n, -1073)
+    levels = size.bit_length() - 1
+    eta = _TWIDDLE + _gamma(4) * (math.sqrt(2.0) + _TWIDDLE)
+    fft = levels * eta / (1.0 - levels * eta) * (height + symbol) + math.ldexp(4.0 * size, -1073)
+    frame = alias * a + math.sqrt(2 * width + 1) * (symbol + fft)
+    # Then, all times |A|: the mass of K outside the frame (at most that of G(t), as G(t) = G(t - r) * G(r)
+    # for r <= t, and b_n is symmetric and decreasing in |n|); the relative rounding of c_i (w_i, 1 + s_i, pow,
+    # the products with A and w_i, and the division by A; gamma's count absorbs the rounding of this formula);
+    # the convolution with phi; and the scaling by A, of a sequence of l1 norm at most ``scaled``.  Then the
+    # nodes' shift, and underflow: the power, A and w_i put (|A| w_i + w_i + 1) ulp(0.0) into A c_i, the
+    # division one more, scaled by |A|, and the scaling one per output.
+    phi_l1 = math.nextafter(_l1(phi), math.inf)
+    conv = rounding_bound(2 * width + 1, a + frame, len(phi), phi_l1)
+    scaled = (a + frame) * phi_l1 + conv
+    core = (kernel_eps + _gamma(math.ceil(g.gamma) + 10)) * a * phi_l1 + frame * phi_l1 + conv + 2.0**-53 * scaled
+    ulps = (amp + 1.0) * (t + n) * phi_l1 + 2 * width + len(phi)
+    trunc_error = math.nextafter(amp * core + shift + math.ldexp(ulps, -1073), math.inf)
     if trunc_error > eps:
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
-    acc, panel = np.zeros((2, len(phi) + 2 * width))
-    for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
-        ks = heat_kernel(t - s, kernel_eps)
-        if ks.window > width:
-            raise KernelFrameError(f"kernel window {ks.window} at s={s!r} exceeds the frame half-width {width}")
-        j = width - ks.window  # where this node's convolution starts in the frame
-        v = ks.values  # convolve(ks.to_sequence(), g.spatial) on the bare arrays
-        panel[j : len(acc) - j] += (w * g.temporal(s)) * np.convolve(np.concatenate((v[:0:-1], v)), phi)
-        if i % 8 == 7:  # a panel's sum joins the frame
-            acc, panel = acc + panel, np.zeros_like(acc)
-    return SolutionSnapshot(t, LatticeSequence(g.spatial.offset - width, acc), quad_error, trunc_error)
+    values = np.fft.irfft(_symbol(c, r, size), size)  # sum_j K(n + jM) at n mod M
+    u = g.amplitude * np.convolve(np.concatenate((values[size - width :], values[: width + 1])), phi)
+    return SolutionSnapshot(t, LatticeSequence(g.spatial.offset - width, u), quad_error, trunc_error)
+
+
+def _symbol_l2(r: np.ndarray, size: int, lam: float) -> np.ndarray:
+    """Upper bounds on sqrt((1/M) sum_{k mod M} exp(-lam r sin^2(pi k / M))), M = size, one per r.
+
+    For |k| <= M/8, sin^2(pi k / M) >= 0.9496 (pi k / M)^2, as sin(x) / x decreases, and by Poisson
+    summation sum_{k in Z} exp(-alpha k^2) <= sqrt(pi / alpha) (1 + 2 / expm1(pi^2 / alpha)); each other k,
+    fewer than M of them, gives at most exp(-0.1464 lam r), as sin^2(pi / 8) > 0.1464.  The roundings of
+    this formula are the caller's.
+    """
+    r = np.maximum(r, 1e-280)  # below it the bound is 1 anyway, and nothing overflows
+    lc = lam * 0.9496
+    gauss = (1.0 + 2.0 / np.expm1(np.minimum(700.0, size * size / (lc * r)))) / np.sqrt(lc * math.pi * r)
+    return np.sqrt(np.minimum(1.0, gauss + np.exp(-0.1464 * lam * r)))
+
+
+def _symbol(c: np.ndarray, r: np.ndarray, size: int) -> np.ndarray:
+    """sum_i c_i exp(-4 r_i sin^2(pi k / size)) for k = 0 .. size / 2, the symbol of sum_i c_i G(r_i).
+
+    It is formed in blocks of frequencies whose outer product with the nodes holds at most _BLOCK
+    entries, and each block's terms are summed over the nodes in a pairwise tree of depth ceil(log2 n).
+    """
+    half = np.sin(np.pi * (np.arange(size // 2 + 1) / size))
+    x = -4.0 * r
+    symbol = np.empty(len(half))
+    step = max(1, _BLOCK // len(c))
+    for k in range(0, len(half), step):
+        terms = np.multiply.outer(x, np.square(half[k : k + step]))
+        np.exp(terms, out=terms)
+        terms *= c[:, None]
+        while len(terms) > 1:  # the upper half of the rows onto the lower
+            rows = (len(terms) + 1) // 2
+            terms[: len(terms) - rows] += terms[rows:]
+            terms = terms[:rows]
+        symbol[k : k + step] = terms[0]
+    return symbol
 
 
 def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnapshot:

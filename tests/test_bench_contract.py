@@ -67,10 +67,10 @@ def test_one_traced_round_passes_the_checks(bench, name, tmp_path):
         counts = (metrics["bessel.scaled_bessel_row.values"]["value"], metrics["kernel.heat_kernel.calls"]["value"])
         assert counts == (74_261, 151)
     if name == "forced_duhamel":
-        # Seed 1 pins the round's node rows (the frame row of each call included) and integrand evaluations.
+        # Seed 1 pins the round's rows (one frame row per call, no node rows) and integrand evaluations.
         counts = tuple(metrics[key]["value"] for key in (
             "bessel.scaled_bessel_row.calls", "bessel.scaled_bessel_row.values", "solver.duhamel.integrand_evals"))
-        assert counts == (946, 16_273, 904)
+        assert counts == (42, 734, 904)
     if name == "cli_reports":
         # Seed 1 pins the round's rows; each ``moments`` call builds every row of its chain once.
         assert metrics["bessel.scaled_bessel_row.calls"]["value"] == 198

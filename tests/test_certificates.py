@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from latticeheat import solver
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
 from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel
@@ -36,11 +37,18 @@ def duhamel_reference(gamma: float, t: float) -> LatticeSequence:
     return LatticeSequence(PHI.offset - half, values)
 
 
-# t = 1000 at gamma 0.5, the largest rounding term, also checks the panels that the kernel's decay widens.
-@pytest.mark.parametrize("gamma, t", [(g, t) for g in (0.5, 2.0, 6.0) for t in (0.5, 10.0, 100.0)] + [(0.5, 1000.0)])
-def test_duhamel_certificate_covers_quad_vec(gamma, t):
+# t = 1000 at gamma 0.5, the largest rounding term, also checks the panels that the kernel's decay widens.  The
+# coarse cases take gamma from 0.1 to 10 and eps up to 0.5, where the mesh has few wide panels and the rule is far
+# from exact.
+@pytest.mark.parametrize(
+    "gamma, t, epsilons",
+    [pytest.param(g, t, (1e-3, 1e-5, 1e-7), id=f"{g}-{t}") for g in (0.5, 2.0, 6.0) for t in (0.5, 10.0, 100.0)]
+    + [pytest.param(0.5, 1000.0, (1e-3, 1e-5, 1e-7), id="0.5-1000.0")]
+    + [pytest.param(g, t, (1e-3, 0.05, 0.5), id=f"{g}-{t}-coarse") for g in (0.1, 1.0, 10.0) for t in (0.5, 1000.0)],
+)
+def test_duhamel_certificate_covers_quad_vec(gamma, t, epsilons):
     reference = duhamel_reference(gamma, t)
-    for eps in (1e-3, 1e-5, 1e-7):
+    for eps in epsilons:
         snap = duhamel(ForcingSpec(PHI, gamma, 1.0), t, eps)
         distance = lp_norm(add_sequences(snap.u, reference, 1.0, -1.0), 1.0)
         certificate = snap.quad_error + snap.trunc_error
@@ -65,3 +73,103 @@ def test_weighted_tail_bound_covers_the_ive_tail():
             assert tail <= bound
             ratios.append(tail / bound)
         print(f"weighted tail t={t:g}, orders 2..24: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))
+
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def ulps(values: np.ndarray, exact) -> float:
+    """The largest distance of values from the mpmath numbers exact, in ulps of the exact numbers."""
+    import mpmath
+
+    return max(float(abs(mpmath.mpf(float(v)) - e)) / math.ulp(float(e)) for v, e in zip(values.tolist(), exact))
+
+
+def symbol_call(monkeypatch, gamma: float, t: float, eps: float = 1e-10):
+    """duhamel's snapshot, and the arguments and result of its one symbol evaluation."""
+    calls, symbol = [], solver._symbol
+
+    def recording(c, r, size):
+        calls.append((c, r, size, symbol(c, r, size)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(solver, "_symbol", recording)
+    snap = duhamel(ForcingSpec(PHI, gamma, 1.0), t, eps)
+    (call,) = calls
+    return snap, call
+
+
+def test_numpy_exp_and_sin_stay_within_the_assumed_ulps(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    # The symbol's term assumes NumPy's sin on every grid pi k / M and its exp on every argument within
+    # _LIBM_ULPS ulps; a looser NumPy build fails here.  Each grid is evaluated whole, as duhamel does, and
+    # checked at every point up to M = 2^12, at 512 seeded points above.
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    with mpmath.workprec(80):
+        for j in range(5, 17):
+            size = 2**j
+            grid = np.sin(np.pi * (np.arange(size // 2 + 1) / size))
+            k = np.arange(1, len(grid)) if size <= 2**12 else rng.integers(1, len(grid), 512)
+            worst = max(worst, ulps(grid[k], [mpmath.sin(mpmath.mpf(x)) for x in (np.pi * (k / size)).tolist()]))
+        print(f"NumPy sin on the grids: {worst:.3f} ulp")
+        assert worst <= solver._LIBM_ULPS
+        worst = 0.0
+        for gamma, t in ((2.0, 0.5), (0.5, 2000.0)):
+            _, (c, r, size, _) = symbol_call(monkeypatch, gamma, t)
+            half = np.sin(np.pi * (np.arange(size // 2 + 1) / size))
+            x = np.multiply.outer(-4.0 * r, np.square(half))
+            values = np.exp(x)
+            pick = rng.integers(0, x.size, 1024)
+            exact = [mpmath.exp(mpmath.mpf(v)) for v in x.ravel()[pick].tolist()]
+            worst = max(worst, ulps(values.ravel()[pick], exact))
+        x = -rng.uniform(700.0, 746.0, 256)  # down to the subnormal results
+        worst = max(worst, ulps(np.exp(x), [mpmath.exp(mpmath.mpf(v)) for v in x.tolist()]))
+        print(f"NumPy exp on the symbol's arguments: {worst:.3f} ulp")
+        assert worst <= solver._LIBM_ULPS
+
+
+def test_pocketfft_twiddles_stay_within_mu():
+    # The transform of a unit impulse at n = 1 is exp(-2 pi i k / M) itself, which pocketfft forms from its
+    # twiddle factors; Higham's Thm 24.2 assumes each within mu = _TWIDDLE of the exact root of unity.
+    worst = 0.0
+    for j in range(5, 17):
+        size = 2**j
+        impulse = np.zeros(size)
+        impulse[1] = 1.0
+        roots = np.fft.rfft(impulse).astype(np.clongdouble)
+        angle = 2 * LONG_PI * np.arange(size // 2 + 1).astype(np.longdouble) / size
+        worst = max(worst, float(np.max(np.abs(roots - (np.cos(angle) - 1j * np.sin(angle))))))
+    print(f"pocketfft roots of unity: {worst / 2.0**-53:.2f} u against mu = {solver._TWIDDLE / 2.0**-53:g} u")
+    assert worst <= solver._TWIDDLE
+
+
+@pytest.mark.parametrize("gamma, t", [(2.0, 0.1), (0.5, 30.0), (0.5, 2000.0)])
+def test_symbol_and_transform_meet_their_terms(monkeypatch, gamma, t):
+    # Against long double: the symbol at each theta_k from the same c_i and r_i, and the inverse transform of the
+    # computed symbol as a cosine sum over a table of cos(2 pi j / M).  The symbol's l2 error (over sqrt(M)) is
+    # compared with its term of duhamel's certificate, and the transform's l1 error on the frame with its term.
+    snap, (c, r, size, symbol) = symbol_call(monkeypatch, gamma, t)
+    width = PHI.offset - snap.u.offset
+    ld = np.longdouble
+    half = np.sin(LONG_PI * np.arange(size // 2 + 1).astype(ld) / size)
+    exact = (c.astype(ld)[:, None] * np.exp(np.multiply.outer(-4 * r.astype(ld), half * half))).sum(axis=0)
+    mirror = lambda v: np.concatenate((v, v[-2:0:-1]))  # the M points of an even sequence from its half
+    error = float(np.sqrt(np.sum(mirror(symbol - exact) ** 2) / size))
+    spread = math.fsum(c * solver._symbol_l2(r, size, 4.0))
+    term = solver._gamma((len(c) - 1).bit_length() + 7 + 6 * solver._LIBM_ULPS) * spread
+    print(f"symbol gamma={gamma} t={t} M={size}: error/term = {error / term:.3g}")
+    assert error <= term
+
+    values = np.fft.irfft(symbol, size)
+    table = np.cos(2 * LONG_PI * np.arange(size).astype(ld) / size)
+    n = np.arange(width + 1)
+    weights = np.where((np.arange(size // 2 + 1) % (size // 2)) == 0, 1, 2).astype(ld) / size
+    inverse = (table[np.multiply.outer(n, np.arange(size // 2 + 1)) % size] * (weights * symbol)).sum(axis=1)
+    frame = np.concatenate((values[size - width :], values[: width + 1])) - np.concatenate((inverse[:0:-1], inverse))
+    error = float(np.sum(np.abs(frame)))
+    levels, mu = size.bit_length() - 1, solver._TWIDDLE
+    eta = mu + solver._gamma(4) * (math.sqrt(2.0) + mu)
+    term = math.sqrt(2 * width + 1) * levels * eta / (1.0 - levels * eta) * math.sqrt(np.sum(mirror(symbol) ** 2) / size)
+    print(f"inverse FFT gamma={gamma} t={t} M={size}: error/term = {error / term:.3g}")
+    assert error <= term

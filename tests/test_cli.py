@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from latticeheat import bessel, cli, kernel, solver
+from latticeheat import bessel, cli, kernel
 from latticeheat.cli import run
 from latticeheat.kernel import LatticeSequence, csv_lines, read_sequence_csv
 
@@ -261,23 +261,6 @@ def test_overflowing_derivative_bound_exits_2(tmp_path, capsys, t, value, amplit
     g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": amplitude}))
     err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", t, "--g", str(g_path)])
     assert "invalid arguments: the bound on the forcing's 16th time derivative is not finite" in err
-
-
-def test_kernel_frame_error_exits_1(tmp_path, capsys, monkeypatch, write_sequence_csv):
-    frame = []
-
-    def widening(t, eps, min_half_width=None):
-        # The first call fixes the frame half-width; every node row is wider.
-        row = kernel.heat_kernel(t, eps, frame[0] + 1 if frame else min_half_width)
-        frame.append(row.window + 2)
-        return row
-
-    monkeypatch.setattr(solver, "heat_kernel", widening)
-    write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.delta(0))
-    g_path = tmp_path / "g.json"
-    g_path.write_text(json.dumps({"kind": "separable", "spatial": "spatial.csv", "gamma": 2.0, "amplitude": 1.0}))
-    err = _assert_rejected(capsys, tmp_path / "ug.csv", ["duhamel", "--t", "2", "--g", str(g_path)], code=1)
-    assert "computation failed" in err and "exceeds the frame" in err
 
 
 def test_uncertified_kernel_window_exits_1(tmp_path, capsys, monkeypatch):

@@ -98,6 +98,8 @@ def corpus() -> list[list[str]]:
     runs += [["kernel", "--t", "1", "--eps", e] for e in ("8e-308", "1e-307")]
     # The last order whose weights stay inside binary64 on window 262 (262^126 is about 1.5e304), and the next.
     runs += [["moments", "--t", "100", "--kmax", k] for k in ("63", "64")]
+    # Forced solutions at large t: one Duhamel integral, and one per point of a long grid.
+    runs += [["duhamel", "--t", "1e4", *g], ["converge", *g, "--p", "2", "--grid", "dyadic:16:4096"]]
     return runs
 
 
