@@ -24,6 +24,7 @@ supported data (initial values, solutions, differences), lives here too.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -321,7 +322,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
 
     last, m = _start_index(tau, eps, floor)
     if m > MAX_RECURRENCE_STEPS:
-        raise ArithmeticError(f"the row at tau={tau!r} needs {m} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
+        raise ArithmeticError(f"the row at tau={tau!r} needs {reprlib.repr(m)} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
     b = _recurrence_row(tau, m)
     if b is None:
         b = np.zeros(m + 1)

@@ -180,10 +180,8 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
         f = read_sequence_csv(args.f) if args.f else None
         g = ForcingSpec.from_json(args.g) if args.g else None
         report = analysis.large_time_profile(f, g, args.p, args.grid, eps=args.eps)
-    elif cmd == "diffdecay":
+    else:  # diffdecay
         report = analysis.higher_difference_decay(args.order, args.p, args.grid, eps=args.eps)
-    else:
-        raise AssertionError(f"unhandled subcommand {cmd!r}")
     meta = {key: value for key, value in vars(report).items() if key not in ("pairs", "extras")} | report.extras
     svg = (*zip(*report.pairs), report.label, True) if args.plot else None
     return _outputs(out, ["t", "value"], report.pairs, meta, svg)

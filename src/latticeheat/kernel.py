@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 
 import numpy as np
 
@@ -61,20 +62,24 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     """l^p norm over the carried window; p = math.inf selects the sup norm.
 
     NaN in gives NaN, inf in gives inf, and any other norm past binary64 raises OverflowError.
+    Powers that sum below 2^-1022 are summed again for x / max|x| (Blue, ACM TOMS 4, 1978): x != 0 has a norm above 0.0.
     """
     if not p >= 1.0:  # a NaN p is refused too
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == math.inf:
         return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
     try:
-        if p == 2.0:
-            with np.errstate(over="raise"):
-                return math.sqrt(exact_sum(s.values * s.values))
-        return _l1(s.values) if p == 1.0 else exact_sum(libm_pow(np.abs(s.values), p)) ** (1.0 / p)
+        if p == 1.0:
+            return _l1(s.values)
+        with np.errstate(over="raise"):
+            total = exact_sum(s.values * s.values if p == 2.0 else libm_pow(np.abs(s.values), p))
     except (OverflowError, FloatingPointError):  # a power, a square, or fsum's running sum, past binary64
         if not np.isfinite(s.values).all():  # NaN if one is NaN, else inf
             return float(np.max(np.abs(s.values)))
         raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range") from None
+    if total < 2.0**-1022 and (top := float(np.max(np.abs(s.values), initial=0.0))) > 0.0:
+        return top * lp_norm(LatticeSequence(s.offset, s.values / top), p)  # rescaled, the largest power is 1.0
+    return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
 
 
 def _l1(values: np.ndarray) -> float:
@@ -106,7 +111,7 @@ def read_sequence_csv(path) -> LatticeSequence:
         reader = csv.reader(fh)
         header = next(reader, [])
         if [h.strip() for h in header] != ["n", "value"]:
-            raise ValueError(f"expected header 'n,value' in {path}, got {header!r}")
+            raise ValueError(f"expected header 'n,value' in {path}, got {reprlib.repr(header)}")
         for row in reader:
             if not row:
                 continue
@@ -115,12 +120,13 @@ def read_sequence_csv(path) -> LatticeSequence:
                 if not math.isfinite(v):
                     raise ValueError
             except (IndexError, ValueError):
-                message = f"expected an integer and a finite value, got {row!r}"
+                message = f"expected an integer and a finite value, got {reprlib.repr(row)}"
                 raise ValueError(f"{path}, line {reader.line_num}: {message}") from None
             if n in pairs:
-                raise ValueError(f"{path}, line {reader.line_num}: index {n} appears twice")
+                raise ValueError(f"{path}, line {reader.line_num}: index {reprlib.repr(n)} appears twice")
             pairs[n] = v
     try:
         return LatticeSequence.from_pairs(pairs)
     except ValueError as exc:  # an index span no array can hold; one that only runs out of memory raises MemoryError
-        raise ValueError(f"{path}: index span {min(pairs)}..{max(pairs)} cannot be allocated: {exc}") from None
+        span = f"{reprlib.repr(min(pairs))}..{reprlib.repr(max(pairs))}"
+        raise ValueError(f"{path}: index span {span} cannot be allocated: {exc}") from None

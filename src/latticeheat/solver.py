@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +110,7 @@ class ForcingSpec:
         if kind == "none":
             return None
         if kind != "separable":
-            raise ValueError(f"unsupported forcing kind in {path}: {kind!r}")
+            raise ValueError(f"unsupported forcing kind in {path}: {reprlib.repr(kind)}")
         missing = [key for key in ("spatial", "gamma", "amplitude") if key not in spec]
         if missing:
             raise ValueError(f"{path}: separable forcing needs key(s) {', '.join(missing)}")
@@ -117,16 +118,11 @@ class ForcingSpec:
             try:  # an absolute spatial path replaces the parent
                 spec[key] = convert(spec[key])
             except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{path}: key {key} has invalid value {spec[key]!r}") from None
+                raise ValueError(f"{path}: key {key} has invalid value {reprlib.repr(spec[key])}") from None
         return ForcingSpec(read_sequence_csv(spec["spatial"]), spec["gamma"], spec["amplitude"])
 
     def temporal(self, s: float) -> float:
         return self.amplitude * (1.0 + s) ** (-self.gamma)
-
-    def l1_time_integral(self, t: float) -> float:
-        """int_0^t ||g(s, .)||_1 ds in closed form."""
-        profile = math.log1p(t) if self.gamma == 1.0 else math.expm1((1.0 - self.gamma) * math.log1p(t)) / (1.0 - self.gamma)
-        return abs(self.amplitude) * lp_norm(self.spatial, 1.0) * profile
 
 
 @dataclass(frozen=True)
@@ -244,7 +240,9 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     if g is None or g.amplitude == 0.0:
         return SolutionSnapshot(t=t, u=LatticeSequence(0, np.array([0.0])), quad_error=0.0, trunc_error=0.0)
 
-    g_l1 = g.l1_time_integral(t)
+    l1 = lp_norm(g.spatial, 1.0)  # ||phi||_1, so int_0^t ||g(s, .)||_1 ds = |A| ||phi||_1 int_0^t (1 + s)^-gamma ds
+    profile = math.log1p(t) if g.gamma == 1.0 else math.expm1((1.0 - g.gamma) * math.log1p(t)) / (1.0 - g.gamma)
+    g_l1 = abs(g.amplitude) * l1 * profile
     if not math.isfinite(g_l1):
         raise ValueError(f"int_0^t ||g(s, .)||_1 ds is not finite at t={t!r}")
     # The margin absorbs rounding in the panel widths, so quad_error <= eps / 2.
@@ -288,7 +286,7 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     # the convolution with phi; and the scaling by A, of a sequence of l1 norm at most ``scaled``.  Then the
     # nodes' shift, and underflow: the power, A and w_i put (|A| w_i + w_i + 1) ulp(0.0) into A c_i, the
     # division one more, scaled by |A|, and the scaling one per output.
-    phi_l1 = math.nextafter(_l1(phi), math.inf)
+    phi_l1 = math.nextafter(l1, math.inf)
     conv = rounding_bound(2 * width + 1, a + frame, len(phi), phi_l1)
     scaled = (a + frame) * phi_l1 + conv
     core = (kernel_eps + _gamma(math.ceil(g.gamma) + 10)) * a * phi_l1 + frame * phi_l1 + conv + 2.0**-53 * scaled

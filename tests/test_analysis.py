@@ -72,6 +72,11 @@ class TestKernelDecay:
         report = kernel_decay(p, quantity, GRID)
         assert report.slope == pytest.approx(-(exponent(p) + extra), abs=0.03)
 
+    @pytest.mark.parametrize("p", [200.0, 1000.0])
+    def test_proven_exponent_where_powers_underflow(self, p):
+        # The p-th powers of the later rows sum below 2^-1022; this used to raise "norm underflowed to zero".
+        assert kernel_decay(p, "G", GRID).slope == pytest.approx(-exponent(p), abs=2e-3)
+
     def test_l1_norm_of_kernel_is_constant(self):
         report = kernel_decay(1.0, "G", GRID)
         assert abs(report.slope) <= 1e-10

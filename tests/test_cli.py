@@ -117,6 +117,19 @@ def test_diffdecay_subcommand(tmp_path):
     assert math.isfinite(meta["slope"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["decay"], ["diffdecay", "--order", "3"], ["converge", "--f", "f.csv"]],
+    ids=lambda argv: argv[0],
+)
+def test_norms_at_p_1000_exit_0(tmp_path, monkeypatch, argv):
+    # Their p-th powers underflow on every row, so each of these used to exit 1.
+    monkeypatch.chdir(tmp_path)
+    Path("f.csv").write_text("n,value\n-1,0.25\n0,1.0\n2,-0.5\n")
+    assert run(argv + ["--p", "1000", "--grid", "dyadic:16:1024", "--out", "r.csv"]) == 0
+    assert math.isfinite(json.loads(Path("r.csv.json").read_text())["slope"])
+
+
 def test_plot_writes_svg(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["decay", "--quantity", "G", "--p", "2", "--grid", "dyadic:16:512", "--plot", "--out", str(out)]) == 0
@@ -421,6 +434,41 @@ def test_unallocatable_csv_index_span_exits_2_naming_the_file(tmp_path, capsys):
     f_csv.write_text("n,value\n0,1.0\n100000000000000000000,1.0\n")
     err = _assert_rejected(capsys, tmp_path / "u.csv", ["evolve", "--t", "1", "--f", str(f_csv)])
     assert "wide.csv: index span 0..100000000000000000000 cannot be allocated" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # A 152-digit recurrence step count, from each subcommand that takes a row at t.
+        (["kernel", "--t", "1e300"], 1),
+        (["fourier", "--t", "1e300"], 1),
+        (["moments", "--t", "1e300"], 1),
+        # A 4,001-digit index (the index span), a 5,001-digit one (past int's digit limit: the row), one
+        # given twice, a 3,000-digit value, and a 3,000-character header.
+        (["evolve", "--t", "1", "--f", "span.csv"], 2),
+        (["evolve", "--t", "1", "--f", "digits.csv"], 2),
+        (["evolve", "--t", "1", "--f", "twice.csv"], 2),
+        (["evolve", "--t", "1", "--f", "value.csv"], 2),
+        (["evolve", "--t", "1", "--f", "header.csv"], 2),
+        # A 3,000-character forcing kind, and key values of 3,000 characters and of 1,000 items.
+        (["duhamel", "--t", "1", "--g", "kind.json"], 2),
+        (["duhamel", "--t", "1", "--g", "gamma.json"], 2),
+        (["duhamel", "--t", "1", "--g", "list.json"], 2),
+    ],
+)
+def test_refusals_quote_long_values_on_one_short_line(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    Path("span.csv").write_text(f"n,value\n0,1.0\n{'1' * 4001},1.0\n")
+    Path("digits.csv").write_text(f"n,value\n{'1' * 5001},1.0\n")
+    Path("twice.csv").write_text(f"n,value\n{'1' * 4000},1.0\n{'1' * 4000},2.0\n")
+    Path("value.csv").write_text(f"n,value\n0,{'1' * 3000}\n")
+    Path("header.csv").write_text(f"n,{'v' * 3000}\n0,1.0\n")
+    Path("phi.csv").write_text("n,value\n0,1.0\n")
+    spec = {"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}
+    for name, change in (("kind", {"kind": "x" * 3000}), ("gamma", {"gamma": "2" * 3000}), ("list", {"gamma": [2.0] * 1000})):
+        Path(f"{name}.json").write_text(json.dumps(spec | change))
+    err = _assert_rejected(capsys, tmp_path / "u.csv", argv, code=code)
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 201, err[:300]
 
 
 _FILE_RUNS = [

@@ -166,6 +166,28 @@ class TestLpNorm:
             assert lp_norm(s, 1.0) == math.fsum(abs(v) for v in s.values)
             assert lp_norm(s, 2.0) == math.sqrt(math.fsum(v * v for v in s.values))
 
+    @pytest.mark.parametrize(
+        "values, p",
+        [([1e-200], 2.0), ([3e-200, 4e-200], 2.0), ([1e-160], 2.0)]
+        + [(t, p) for t in (16.0, 1024.0) for p in (300.0, 1000.0, 1e300)],
+    )
+    def test_underflowed_powers_are_rescaled(self, values, p):
+        # Squares or p-th powers that sum below 2^-1022 used to give 0.0, 0.0 and 9.99994e-161 on the short
+        # sequences and 0.0 on the kernel rows; rescaled by max|x|, each is within 4 ulps of 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+
+        if isinstance(values, float):
+            values = heat_kernel(values, 1e-12).to_sequence().values
+        x = np.array(values)
+        top = float(np.max(np.abs(x)))
+        # Powers below e^-300 times the largest move the 50-digit sum by less than len(x) e^-300 of it.
+        kept = [v for v in x.tolist() if v != 0.0 and p * math.log(top / abs(v)) < 300.0]
+        with mpmath.workdps(50):
+            want = float(mpmath.fsum(abs(mpmath.mpf(v)) ** p for v in kept) ** (1 / mpmath.mpf(p)))
+        got = lp_norm(LatticeSequence(-2, x), p)
+        assert got != 0.0 and abs(got - want) <= 4 * math.ulp(want), (got, want)
+        assert lp_norm(LatticeSequence(-2, np.zeros(len(x))), p) == 0.0
+
 
 class TestSemigroup:
     def test_kernel_convolution_semigroup(self):

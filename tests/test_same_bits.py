@@ -125,6 +125,12 @@ def general_p_data():
             yield rng.choice([-1.0, 1.0], size) * rng.uniform(0.0, 1.0, size) * scale
 
 
+def scaled_norm(values: np.ndarray, p: float) -> float:
+    """``generator_norm`` of values / max|v|, times max|v|."""
+    top = max(abs(v) for v in values.tolist())
+    return top * math.fsum((abs(v) / top) ** p for v in values.tolist()) ** (1 / p)
+
+
 def norm_outcome(find, values, p):
     """The norm's hex string, or OverflowError where a power or the sum overflows."""
     try:
@@ -135,12 +141,15 @@ def norm_outcome(find, values, p):
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 7.25])
 def test_general_p_norm_keeps_its_bits(p):
-    outcomes = []
+    outcomes, rescaled = [], 0
     for values in general_p_data():
         want = norm_outcome(generator_norm, values, p)
+        if want is not OverflowError and math.fsum(abs(v) ** p for v in values.tolist()) < 2.0**-1022:
+            want, rescaled = norm_outcome(scaled_norm, values, p), rescaled + 1  # powers that sum below 2^-1022
         assert norm_outcome(lambda x, q: lp_norm(LatticeSequence(0, x), q), values, p) == want, (p, len(values))
         outcomes.append(want)
     assert (OverflowError in outcomes) == (p == 7.25)  # (1e100)^7.25 overflows
+    assert (rescaled > 0) == (p == 7.25)  # and (1e-100)^7.25 underflows
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 7.25])

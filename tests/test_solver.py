@@ -279,7 +279,9 @@ class TestDuhamel:
         g = ForcingSpec(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 2: -0.25}), 2.0, 1.0)
         eps = 1e-10
         nodes, weights, _, _ = solver_module._mesh(g, t, 0.5 * eps * (1.0 - 2.0**-30))
-        kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / g.l1_time_integral(t)))
+        profile = math.expm1((1.0 - g.gamma) * math.log1p(t)) / (1.0 - g.gamma)  # int_0^t (1 + s)^-gamma ds
+        g_l1 = abs(g.amplitude) * lp_norm(g.spatial, 1.0) * profile
+        kernel_eps = max(1e-16, min(1e-12, 0.5 * eps / max(g_l1, 1e-300)))
         width = heat_kernel(t, kernel_eps).window + 2
         acc, panel = np.zeros((2, len(g.spatial.values) + 2 * width))
         for i, (s, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
