@@ -37,6 +37,8 @@ __all__ = [
     "dyadic_grid",
 ]
 
+_MASS_FLOOR = 2.0**-53  # a mass within u ||f||_1 of zero, the data's own rounding, is no mass at any scale
+
 # Difference operators applied to G per quantity, and the factor that
 # carries the kernel's tail mass through them.
 _QUANTITY_OPERATORS = {
@@ -141,10 +143,9 @@ def l2_optimality(f: LatticeSequence, t_grid, eps: float = 1e-12) -> DecayReport
     t^{1/4} ||u_f||_2 / |sum f| (stays above a fixed c > 0) and
     ``ratio_upper`` is t^{1/4} ||u_f||_2 / ||f||_1 (stays bounded).
     """
-    mass = f.mass()
-    if abs(mass) <= 1e-14:
+    mass, f_l1 = f.mass(), lp_norm(f, 1.0)
+    if abs(mass) <= _MASS_FLOOR * f_l1:
         raise ValueError("l2 optimality requires nonzero total mass")
-    f_l1 = lp_norm(f, 1.0)
     t_grid = sorted(t_grid)
     points = []
     lower, upper = [], []
@@ -176,7 +177,7 @@ def large_time_profile(
     weight = lambda t: t ** (0.5 * (1.0 - 1.0 / p))
     if f is not None:
         m = f.mass()
-        if abs(m) <= 1e-14:
+        if abs(m) <= _MASS_FLOOR * lp_norm(f, 1.0):
             raise ValueError("homogeneous profile requires nonzero mass")
     elif g.gamma <= 1.0:
         raise ValueError("forced profile requires gamma > 1")

@@ -45,17 +45,11 @@ def forward_difference(s: LatticeSequence) -> LatticeSequence:
 
 def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
     """Second central difference f(n+1) - 2 f(n) + f(n-1); grows one step each side."""
-    return LatticeSequence(s.offset - 1, _laplacian(s.values))
-
-
-def _laplacian(values: np.ndarray) -> np.ndarray:
-    """``discrete_laplacian`` on bare values: two longer, starting one index lower."""
-    n = len(values)
-    out = np.zeros(n + 2)
-    out[0:n] += values
-    out[1 : n + 1] -= 2.0 * values
-    out[2 : n + 2] += values
-    return out
+    out = np.zeros(len(s.values) + 2)
+    out[:-2] += s.values
+    out[1:-1] -= 2.0 * s.values
+    out[2:] += s.values
+    return LatticeSequence(s.offset - 1, out)
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
@@ -70,7 +64,7 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
         return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
     try:
         if p == 1.0:
-            return _l1(s.values)
+            return exact_sum(np.abs(s.values))
         with np.errstate(over="raise"):
             total = exact_sum(s.values * s.values if p == 2.0 else libm_pow(np.abs(s.values), p))
     except (OverflowError, FloatingPointError):  # a power, a square, or fsum's running sum, past binary64
@@ -80,11 +74,6 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     if total < 2.0**-1022 and (top := float(np.max(np.abs(s.values), initial=0.0))) > 0.0:
         return top * lp_norm(LatticeSequence(s.offset, s.values / top), p)  # rescaled, the largest power is 1.0
     return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
-
-
-def _l1(values: np.ndarray) -> float:
-    """``lp_norm`` at p = 1 on bare values."""
-    return exact_sum(np.abs(values))
 
 
 def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, beta: float = 1.0) -> LatticeSequence:

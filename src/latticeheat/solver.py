@@ -6,7 +6,10 @@ The homogeneous part is one windowed convolution with the kernel slice.
 The Duhamel part is a composite 8-point Gauss-Legendre rule on a mesh fixed
 before any kernel row, from a bound on the integrand's 16th derivative that
 the heat equation and the kernel's decay give; the error budget is split
-evenly between quadrature and kernel truncation.  For separable forcing the
+evenly between quadrature and kernel truncation.  The bound takes the 17
+norms ||Delta^j phi||_1 from one product of a Toeplitz view of phi with the
+stencils (-1)^k C(2j, k), each rounded up by three terms: its sum's rounding,
+the stencil's (Higham, 3.1), and underflow.  For separable forcing the
 rule's sum is A (K * phi) with K = sum_i c_i G(t - s_i), and K is formed
 from its symbol sum_i c_i exp(-4 (t - s_i) sin^2(theta / 2)): one symbol
 sum over the nodes, one inverse FFT and one convolution with phi per call,
@@ -22,6 +25,7 @@ convolution adds its a-priori rounding bound.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import reprlib
@@ -30,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import LatticeSequence, _l1, _laplacian, add_sequences, heat_kernel, lp_norm, read_sequence_csv
+from .bessel import exact_sum
+from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
     "ForcingSpec",
@@ -158,6 +163,33 @@ def rounding_bound(la: int, a_l1: float, lb: int, b_l1: float) -> float:
     return math.nextafter(bound + la * lb * math.ulp(0.0), math.inf)
 
 
+# Column j holds (-1)^k C(2j, k), k = 0..2j, at row 32 - k; _ROUNDING[n] holds gamma_K 4^j, K = min(n, 2j + 1).
+_STENCILS = np.array([[(-1) ** k * math.comb(2 * j, k) for j in range(17)] for k in range(32, -1, -1)], dtype=float)
+_ROUNDING = np.array([[_gamma(min(n, 2 * j + 1)) * 4.0**j for j in range(17)] for n in range(34)])
+_PAD, _ODD_ULPS = np.zeros(32), np.ldexp(2.0 * np.arange(17) + 1.0, -1074)  # (2j + 1) 2^-1074
+
+
+def _laplacian_norms(phi: np.ndarray) -> list[float]:
+    """Upper bounds on ||Delta^j phi||_1, j = 0..16, from one product of a Toeplitz view of phi with _STENCILS.
+
+    Row i of the view times column j is a value of Delta^j phi, K = min(len phi, 2j + 1) nonzero products
+    with integers below 2^30 summed, off by gamma_K sum_k C(2j, k) |phi_(i-k)| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.1), so gamma_K 4^j ||phi||_1 over the rows.  A bound is the column's sum of |.|
+    over its r rows times 1 + 2 gamma_(r-1) >= 1 / (1 - gamma_(r-1)), plus that term (column 0 is exact, so its
+    sum bounds ||phi||_1), plus 2^-1074 per nonzero product for underflow, as in ``rounding_bound``; 1 + 2^-49
+    absorbs the formula's roundings.  A bound past binary64 raises ValueError.
+    """
+    rows, step = len(phi) + 32, _BLOCK // 128  # blocks whose copy and product stay in cache
+    view = np.ndarray((rows, 33), buffer=np.concatenate((_PAD, phi, _PAD)), strides=(8, 8))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is refused below
+        sums = sum(np.abs(np.ascontiguousarray(view[i : i + step]) @ _STENCILS).sum(axis=0) for i in range(0, rows, step))
+        up, ulps = (1.0 + 2.0 * _gamma(rows - 1)) * (1.0 + 2.0**-49), len(phi) * _ODD_ULPS
+        norms = np.nextafter((sums + float(sums[0]) * _ROUNDING[min(len(phi), 33)]) * up + ulps, math.inf)
+    if not np.isfinite(norms).all():
+        raise ValueError(_UNBOUNDED)
+    return norms.tolist()
+
+
 def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot:
     """Homogeneous evolution u_f(t, .) = G(t, .) * f with certified truncation."""
     kernel = heat_kernel(t, eps)  # which checks t and eps at t = 0 too
@@ -186,17 +218,10 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
     Rounded nodes stay in [s0, s1] within 4u s1 of the Gauss nodes, their kernel times within
     5u s1 + u (t - s0), which moves a panel's sum by its term in moves.
     """
-    norms, err, v = [], 0.0, g.spatial.values  # ||Delta^j phi||_1 rounded up; a step rounds twice
-    try:
-        with np.errstate(over="raise"):  # as in lp_norm: a Laplacian, or fsum's running sum, past binary64
-            for j in range(17):
-                v = _laplacian(v) if j else v
-                l1 = _l1(v)
-                norms.append(math.nextafter(l1 + err, math.inf))
-                err = 4.0 * err + 4.0 * _gamma(3) * l1
-    except (OverflowError, FloatingPointError):
-        raise ValueError(_UNBOUNDED) from None
-    poch = [math.comb(16, i) * math.prod(g.gamma + j for j in range(i)) for i in range(17)]
+    norms = _laplacian_norms(g.spatial.values)
+    rising = itertools.accumulate(range(16), lambda r, i: r * (g.gamma + i), initial=1)  # (gamma)_i, as math.prod
+    leibniz = [(math.comb(16, i) * r, norms[16 - i], 16 - i) for i, r in enumerate(rising)]  # C(16, i) (gamma)_i
+    at_t = [p * n for p, n, _ in leibniz]  # the first bound's terms, before y^i
     scale = abs(g.amplitude) * (1.0 + _gamma(math.ceil(g.gamma) + 192))  # |A|, past rounding in each bound
     ends, quad, moves, u = [0.0], [], [], 2.0**-53
     while ends[-1] < t:
@@ -204,9 +229,10 @@ def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray,
             raise QuadratureBudgetError(f"the mesh needs more than {_MAX_INTEGRAND_EVALS} nodes")
         s0, y, c = ends[-1], 1.0 / (1.0 + ends[-1]), 0.5 * (t + ends[-1])  # t - c is exact
         d = math.pi / (2.0 * (t - c)) if c < t else 4.0  # ||Delta^j phi||_1 <= 4^j ||phi||_1 caps j d
-        best = (s0, 0.0)
-        for end, bounds in ((t, norms), (c, [min(n, norms[0] * min(j * d, 4.0) ** j) for j, n in enumerate(norms)])):
-            m = scale * (1.0 + s0) ** -g.gamma * sum(p * bounds[16 - i] * y**i for i, p in enumerate(poch))
+        powers, weight, best = [y**i for i in range(17)], scale * (1.0 + s0) ** -g.gamma, (s0, 0.0)
+        decay = [p * min(n, norms[0] * min(j * d, 4.0) ** j) for p, n, j in leibniz]
+        for end, terms in ((t, at_t), (c, decay)):
+            m = weight * sum(map(float.__mul__, terms, powers))
             if not math.isfinite(m):
                 raise ValueError(_UNBOUNDED)
             h = (tol / t / _C8 / m) ** 0.0625 if m else math.inf
@@ -273,8 +299,8 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
     # eta' = mu + gamma_4 (sqrt(2) + mu) and mu = _TWIDDLE), and l1 on the frame is at most sqrt(2 width + 1)
     # l2.  Underflow, which no relative term covers, in units of 2^-1073 per theta_k: exp, the argument and
     # the product of each term, and every operation of the FFT, generously.
-    a = math.nextafter(_l1(c), math.inf)  # sum |c_i|
-    spread, height = (_l1(c * _symbol_l2(r, size, lam)) * (1.0 + 2.0**-40) for lam in (4.0, 8.0))
+    a = math.nextafter(exact_sum(np.abs(c)), math.inf)  # sum |c_i|
+    spread, height = (exact_sum(np.abs(c * _symbol_l2(r, size, lam))) * (1.0 + 2.0**-40) for lam in (4.0, 8.0))
     symbol = _gamma((n - 1).bit_length() + 7 + 6 * _LIBM_ULPS) * spread + math.ldexp(4.0 * a + n, -1073)
     levels = size.bit_length() - 1
     eta = _TWIDDLE + _gamma(4) * (math.sqrt(2.0) + _TWIDDLE)

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from latticeheat.analysis import (
@@ -146,6 +147,21 @@ class TestLargeTimeProfile:
         shallow = ForcingSpec.separable(LatticeSequence.delta(0), gamma=0.5, amplitude=1.0)
         with pytest.raises(ValueError):
             large_time_profile(None, shallow, 2.0, GRID)
+
+
+@pytest.mark.parametrize(
+    "report", [lambda f: l2_optimality(f, GRID), lambda f: large_time_profile(f, None, 2.0, GRID)], ids=["l2", "profile"]
+)
+def test_mass_floor_is_relative_to_the_l1_norm(report):
+    # Data near 1e-170 with a mass of 3e-170 pass the floor and give the unit-scale slope; data whose mass
+    # cancels to u ||f||_1 / 2 (exact, at 2^-565) are refused, as the same data at unit scale are.
+    tiny = LatticeSequence.from_pairs({-1: 2.5e-170, 0: 1e-170, 2: -5e-171})
+    unit = LatticeSequence.from_pairs({-1: 2.5, 0: 1.0, 2: -0.5})
+    assert report(tiny).slope == pytest.approx(report(unit).slope, abs=1e-6)
+    for scale in (1.0, 2.0**-565):
+        cancelled = LatticeSequence(0, scale * np.array([1.0, -(1.0 - 2.0**-53)]))
+        with pytest.raises(ValueError, match="nonzero"):
+            report(cancelled)
 
 
 class TestFourierSymbol:

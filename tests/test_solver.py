@@ -271,6 +271,53 @@ class TestDuhamel:
             decay_panels += decay and s1 < c * (1.0 - 1e-9)
         assert decay_panels >= 1  # some panel's width comes from the decay bound, not from its end
 
+    def test_norm_table_brackets_the_exact_norms(self):
+        # Each ||Delta^j phi||_1 exactly, from integer numerators, against the table: never below, and above by
+        # at most twice the rounding term _laplacian_norms states.  The shapes of bench/workloads.py's
+        # PROFILE_BASES, a point mass, long signed data, and values near the bottom and top of binary64.
+        rng = random.Random(20251)
+        cases = [[1.0], [1.0, 2.0, 2.0, 1.0], [2.0, -1.0, 3.0, 1.0, -2.0, 1.0], [0.1], [0.3, -0.7, 0.11, 0.9]]
+        cases += [[rng.uniform(-1.0, 1.0) for _ in range(2000)], [2.0**-1070, -3 * 2.0**-1070, 2.0**-1074]]
+        cases += [[1e200, -3e200, 2.5e200]]
+        gamma = lambda k: Fraction(k, 2**53 - k)  # Higham's gamma_k, exactly
+        for values in cases:
+            table = solver_module._laplacian_norms(np.array(values))
+            numerators, d = integer_numerators(values)
+            n, rows = len(values), len(values) + 32
+            l1 = Fraction(sum(map(abs, numerators)), d)
+            for j, bound in enumerate(table):
+                exact = Fraction(sum(map(abs, numerators)), d)
+                term = 2 * gamma(rows - 1) * exact + gamma(min(n, 2 * j + 1)) * 4**j * l1
+                term += Fraction(n * (2 * j + 1), 2**1074)  # underflow, one per nonzero product
+                assert exact <= Fraction(bound) <= exact + 2 * term, (values[:3], j)
+                padded = [0, 0] + numerators + [0, 0]
+                numerators = [a - 2 * b + c for a, b, c in zip(padded, padded[1:], padded[2:])]
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_node_counts_match_the_laplacian_chain(self, gamma, monkeypatch):
+        # The 16-step Laplacian chain the table replaced, each norm rounded up with its error carried along
+        # (a step of three operations multiplies the error by 4 and adds 4 gamma_3 of the new norm): a looser
+        # table would add nodes here.
+        def chain(values):
+            norms, err, v = [], 0.0, LatticeSequence(0, values)
+            for j in range(17):
+                v = discrete_laplacian(v) if j else v
+                l1 = lp_norm(v, 1.0)
+                norms.append(math.nextafter(l1 + err, math.inf))
+                err = 4.0 * err + 4.0 * solver_module._gamma(3) * l1
+            return norms
+
+        rng = np.random.default_rng(20252)
+        gauss = lambda n: np.exp(-0.5 * ((np.arange(n) - n / 2) / (n / 10)) ** 2)
+        profiles = [gauss(2000), gauss(60), rng.uniform(-1.0, 1.0, 500), np.array([1.0]), np.array([4, 8, 2, -4, 1]) / 8.0]
+        for values in profiles:
+            g = ForcingSpec(LatticeSequence(0, values / np.abs(values).sum()), gamma, 1.0)
+            for t in (1.0, 10.0, 1e3, 1e4):
+                nodes = solver_module._mesh(g, t, 0.5e-10)[0]
+                with monkeypatch.context() as m:
+                    m.setattr(solver_module, "_laplacian_norms", chain)
+                    assert len(nodes) == len(solver_module._mesh(g, t, 0.5e-10)[0]), (len(values), t)
+
     @pytest.mark.parametrize("t", [1e-3, 0.5, 30.0, 300.0])
     def test_matches_the_node_loop_through_convolve(self, t):
         # The straightforward loop: each node's kernel slice unfolded to a sequence and convolved with

@@ -42,6 +42,10 @@ INPUTS = {
     "one308.json": '{"kind": "separable", "spatial": "one308.csv", "gamma": 2.0, "amplitude": 1.0}',
     "e170.csv": "n,value\n-1,2.5e-170\n0,1e-170\n2,-5e-171\n",  # nonzero values whose squares underflow
     "digits.csv": "n,value\n" + "9" * 5000 + ",1.0\n",  # an index past Python's int digit limit
+    # A smooth bump on 2,000 sites, (1 - (n / 1000)^2)^4 correctly rounded: long enough that the forcing's
+    # Laplacian norms are formed in several blocks.
+    "bump.csv": "n,value\n" + "".join(f"{n},{(10**6 - n * n) ** 4 / 10**24!r}\n" for n in range(-1000, 1000)),
+    "bump.json": '{"kind": "separable", "spatial": "bump.csv", "gamma": 2.0, "amplitude": 0.0009765625}',  # l1 norm near 0.8
 }
 
 
@@ -102,11 +106,14 @@ def corpus() -> list[list[str]]:
     runs += [["moments", "--t", "100", "--kmax", k] for k in ("63", "64")]
     # Forced solutions at large t: one Duhamel integral, and one per point of a long grid.
     runs += [["duhamel", "--t", "1e4", *g], ["converge", *g, "--p", "2", "--grid", "dyadic:16:4096"]]
-    # Norms whose powers underflow: p = 1000 on kernel rows; data near 1e-170, whose mass converge refuses.
+    # Norms whose powers underflow: p = 1000 on kernel rows; data near 1e-170, whose mass is far above u ||f||_1.
     runs += [["decay", "--p", "1000", *grid], ["diffdecay", "--order", "2", "--p", "1000", *grid]]
     runs += [["converge", *f, "--p", "1000", *grid], ["converge", "--f", "inputs/e170.csv", "--p", "2", *grid]]
     # Refusals that quote a long number: a 152-digit step count, and a 5,000-digit index.
     runs += [["kernel", "--t", "1e300"], ["evolve", "--t", "1", "--f", "inputs/digits.csv"]]
+    # A long smooth forcing: one Duhamel integral, and one per grid point.
+    bump = ["--g", "inputs/bump.json"]
+    runs += [["duhamel", "--t", "100", *bump], ["converge", *bump, "--p", "2", "--grid", "dyadic:16:128"]]
     return runs
 
 
