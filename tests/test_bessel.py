@@ -208,15 +208,16 @@ class TestRow:
 
     def test_peak_memory_per_recurrence_value(self):
         # The recurrence array, normalised in place, and the returned window: no copy of the head.
-        tau, eps = 2e5, 1e-12
-        m = bessel._start_index(tau, eps, 0)[1]
-        tracemalloc.start()
-        try:
-            scaled_bessel_row(tau, eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * (m + 1)
+        # The row at tau = 2e4, eps = 1e-300 (m = 6,831) takes the checked loop and rescales twice.
+        for tau, eps in ((2e5, 1e-12), (2e4, 1e-300)):
+            m = bessel._start_index(tau, eps, 0)[1]
+            tracemalloc.start()
+            try:
+                scaled_bessel_row(tau, eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * (m + 1)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16])
     def test_start_index_grows_like_sqrt_tau_log(self, eps):
@@ -302,6 +303,102 @@ class TestRecurrenceBits:
         rows = [digest(*case) for case in cases]
         monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _per_step_recurrence_row(tau, m, []))
         assert rows == [digest(*case) for case in cases]
+
+
+def _checked_recurrence_row(tau: float, m: int, rescales: list[int]) -> np.ndarray | None:
+    """The recurrence with a threshold test at every step and 2n from the int n, kept as a reference for the bits."""
+    y = np.zeros(m + 1)
+    row = memoryview(y)
+    y_next = 0.0
+    y_cur = 1.0
+    row[m] = y_cur
+    for n in range(m, 0, -1):
+        y_prev = y_next + (2.0 * n / tau) * y_cur
+        if y_prev > bessel._RESCALE_THRESHOLD:
+            if y_prev == math.inf:
+                return None
+            y_prev *= bessel._RESCALE_FACTOR
+            y_cur *= bessel._RESCALE_FACTOR
+            y[n:] *= bessel._RESCALE_FACTOR
+            rescales.append(n)
+        row[n - 1] = y_prev
+        y_next, y_cur = y_cur, y_prev
+    y /= row[0] + 2.0 * bessel.exact_sum(y[1:])
+    return y
+
+
+class TestRecurrenceBranches:
+    def test_both_loops_keep_the_checked_loops_bits(self, monkeypatch):
+        # Rows with m(m + 1) < c tau skip the threshold test; every other row keeps it.  Either way the
+        # values, the window and tail_mass are those of the loop that tests every step.
+        c = bessel._UNCHECKED_GROWTH
+        rng = np.random.default_rng(26)
+        taus = (10.0 ** rng.uniform(-3.0, math.log10(2e7), 15)).tolist()
+        epss, floors = (1e-6, 1e-12, 1e-16, 1e-100, 1e-300), (0, 150, 300)
+        cases = [(tau, epss[i % 5], floors[i % 3]) for i, tau in enumerate(taus)]
+        # The rows that rescale in the CLI corpus, and one below 1e-58 that falls back to the series.
+        cases += [(1.0, 1e-100, 0), (3.0, 1e-100, 0), (2.0, 1e-307, 0), (1e-60, 1e-12, 0)]
+        direct = [(tau, bessel._start_index(tau, eps, floor)[1]) for tau, eps, floor in cases]
+        # Either side of m(m + 1) = c tau: the smallest floor whose row takes the checked loop and the one
+        # below it, and the last m of the unchecked loop and the first of the checked one.
+        for tau in (40.0, 5e3, 3e5):
+            lo, hi = 0, math.isqrt(int(c * tau)) + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                m = bessel._start_index(tau, 1e-12, mid)[1]
+                lo, hi = (lo, mid) if m * (m + 1) >= c * tau else (mid + 1, hi)
+            cases += [(tau, 1e-12, lo - 1), (tau, 1e-12, lo)]
+            edge = math.isqrt(int(c * tau))
+            while edge * (edge + 1) >= c * tau:
+                edge -= 1
+            direct += [(tau, edge), (tau, edge + 1)]
+
+        rescales = []
+        for tau, m in direct:
+            row, reference = bessel._recurrence_row(tau, m), _checked_recurrence_row(tau, m, rescales)
+            assert (row is None) == (reference is None)
+            if row is not None:
+                assert row.tobytes() == reference.tobytes()
+        unchecked = [m * (m + 1) < c * tau for tau, m in direct]
+        assert rescales and 5 < sum(unchecked) < len(unchecked) - 5  # both loops, and rows that rescale
+        sides = [bessel._start_index(tau, eps, floor)[1] for tau, eps, floor in cases[-6:]]
+        assert [m * (m + 1) < c * tau for (tau, _, _), m in zip(cases[-6:], sides)] == [True, False] * 3
+
+        def digest(tau, eps, floor):
+            row = scaled_bessel_row(tau, eps, floor)
+            return row.window, row.tail_mass, row.values.tobytes()
+
+        rows = [digest(*case) for case in cases]
+        monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _checked_recurrence_row(tau, m, []))
+        assert rows == [digest(*case) for case in cases]
+
+
+def _longdouble_row(tau: float, m: int) -> np.ndarray:
+    """b_0 .. b_m by the same backward recurrence, run and normalised in numpy longdouble."""
+    t = np.longdouble(tau)
+    y = np.zeros(m + 1, dtype=np.longdouble)
+    y_next, y_cur = np.longdouble(0.0), np.longdouble(1.0)
+    y[m] = y_cur
+    for n in range(m, 0, -1):
+        y_next, y_cur = y_cur, y_next + (2 * n / t) * y_cur
+        y[n - 1] = y_cur
+    return y / (y[0] + 2 * y[1:].sum())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="longdouble is no wider than binary64 here")
+class TestLongdoubleOracle:
+    @pytest.mark.parametrize(
+        "tau, eps", [(2e3, 1e-16), (2e4, 1e-16), (2e5, 1e-16), (2e5, 1e-12), (4e6, 1e-12), (1.6e7, 1e-12)]
+    )
+    def test_l1_error_is_within_tail_mass(self, tau, eps):
+        # The oracle starts 400 steps above the row's own start, so its seed error is far below the row's;
+        # the l1 distance over Z counts each n > 0 twice (b_{-n} = b_n) and adds the oracle's mass outside the window.
+        # At (2e5, 1e-16) the error is 0.94 of tail_mass; at 4e6 and 1.6e7 and eps 1e-16 it exceeds it.
+        row = scaled_bessel_row(tau, eps)
+        exact = _longdouble_row(tau, bessel._start_index(tau, eps, 0)[1] + 400)
+        gap = np.abs(exact[: row.window + 1] - row.values.astype(np.longdouble))
+        error = gap[0] + 2 * gap[1:].sum() + 2 * exact[row.window + 1 :].sum()
+        assert error <= row.tail_mass
 
 
 class TestScipyOracle:
