@@ -102,6 +102,8 @@ def fit_loglog(pairs, label: str, dropped=(), extras=None) -> DecayReport:
 
 
 def _gate(points, label: str, extras=None) -> DecayReport:
+    if len(points) < 2:  # a usage error: no gating can leave two points
+        raise ValueError(f"{label}: need at least two grid times, got {len(points)}")
     kept = [(t, v) for t, v, err in points if v > 0.0 and err < v / 100.0]
     dropped = [(t, v) for t, v, err in points if not (v > 0.0 and err < v / 100.0)]
     if len(kept) < 2:

@@ -43,8 +43,6 @@ __all__ = [
 # before the binary64 ceiling.
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_FACTOR = 1e-250
-# Rows with m(m + 1) < _UNCHECKED_GROWTH * tau stay below the threshold (proof in ``_recurrence_row``).
-_UNCHECKED_GROWTH = 570.0
 
 _SERIES_TAU_MAX = 30.0
 # Longest recurrence a row may run (at eps 1e-12, t = 1e12 needs 17.2 million steps and
@@ -387,22 +385,21 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
     # floats in and out of the row without making a NumPy scalar for each.
     # two_n = 2n is exact for n <= 2^25, so two_n / tau rounds as 2.0 * n / tau.
     row = memoryview(y)
-    y_next = 0.0
-    y_cur = 1.0
-    row[m] = y_cur
-    two_n = 2.0 * m
-    if m * (m + 1) < _UNCHECKED_GROWTH * tau:
-        # No step can reach the threshold: with M_n the largest value from n up (M_m = 1),
-        # y_{n-1} <= (1 + 2n/tau) M_n, so every value is at most prod_{n=1}^{m} (1 + 2n/tau)
-        # <= exp(m(m + 1)/tau).  A float step rounds three times, each to at most (1 + u) x +
-        # 2^-1075 (u = 2^-53), so as M_n >= 1 it stays below (1 + u)^4 (1 + 2n/tau) M_n.  The
-        # test's product (normal, as it exceeds m(m + 1) >= 2) is within (1 + u) too, so
-        # ln y < 570 (1 + u) + 4 m u < 571 for m <= 2^25, below ln(_RESCALE_THRESHOLD) = 575.6.
-        for n in range(m - 1, -1, -1):
-            y_next, y_cur = y_cur, y_next + two_n / tau * y_cur
-            row[n] = y_cur
-            two_n -= 2.0
-    else:  # tiny tau, eps near 1e-300 or a wide floor: the loop may rescale or overflow
+    row[m] = 1.0
+    y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
+    for n in range(m - 1, -1, -1):
+        y_next, y_cur = y_cur, y_next + two_n / tau * y_cur
+        row[n] = y_cur
+        two_n -= 2.0
+    # The values are nonnegative and their sum is correctly rounded, so it bounds each of them: unless
+    # it and a value pass the threshold, no step did, and the row is the one the rescaling loop makes.
+    try:
+        total = row[0] + 2.0 * exact_sum(y[1:])
+    except OverflowError:  # fsum's running sum past binary64
+        total = math.inf
+    if total > _RESCALE_THRESHOLD and y.max() > _RESCALE_THRESHOLD:
+        # Tiny tau, eps near 1e-300 or a wide floor: run again from the top, rescaling as it goes.
+        y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
         for n in range(m, 0, -1):
             y_prev = y_next + (two_n / tau) * y_cur
             if y_prev > _RESCALE_THRESHOLD:
@@ -414,8 +411,8 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
             row[n - 1] = y_prev
             y_next, y_cur = y_cur, y_prev
             two_n -= 2.0
-
-    y /= row[0] + 2.0 * exact_sum(y[1:])
+        total = row[0] + 2.0 * exact_sum(y[1:])
+    y /= total
     return y
 
 

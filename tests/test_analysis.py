@@ -113,6 +113,11 @@ class TestL2Optimality:
         with pytest.raises(ValueError):
             l2_optimality(f, GRID)
 
+    def test_rejects_a_one_point_grid(self):
+        # No slope is left to fit, whatever the gating keeps: a usage error, not a failed computation.
+        with pytest.raises(ValueError, match="need at least two grid times, got 1"):
+            l2_optimality(LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}), [16.0])
+
 
 class TestLargeTimeProfile:
     def test_fundamental_data_profile_vanishes(self):

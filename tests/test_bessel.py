@@ -329,18 +329,30 @@ def _checked_recurrence_row(tau: float, m: int, rescales: list[int]) -> np.ndarr
 
 class TestRecurrenceBranches:
     def test_both_loops_keep_the_checked_loops_bits(self, monkeypatch):
-        # Rows with m(m + 1) < c tau skip the threshold test; every other row keeps it.  Either way the
-        # values, the window and tail_mass are those of the loop that tests every step.
-        c = bessel._UNCHECKED_GROWTH
+        # Every row runs once without a threshold test.  Only where the normalising sum passes the threshold
+        # and a value does too is it run again with the test, so a row that rescales makes two exact_sum calls
+        # and every other row one.  Either way the values, the window and tail_mass are those of the loop that
+        # tests every step.
+        sums, exact_sum = [], bessel.exact_sum
+
+        def counting_sum(values):
+            sums.append(math.inf)  # stays inf where fsum's running sum overflows
+            sums[-1] = exact_sum(values)
+            return sums[-1]
+
+        monkeypatch.setattr(bessel, "exact_sum", counting_sum)
         rng = np.random.default_rng(26)
         taus = (10.0 ** rng.uniform(-3.0, math.log10(2e7), 15)).tolist()
         epss, floors = (1e-6, 1e-12, 1e-16, 1e-100, 1e-300), (0, 150, 300)
         cases = [(tau, epss[i % 5], floors[i % 3]) for i, tau in enumerate(taus)]
         # The rows that rescale in the CLI corpus, and one below 1e-58 that falls back to the series.
         cases += [(1.0, 1e-100, 0), (3.0, 1e-100, 0), (2.0, 1e-307, 0), (1e-60, 1e-12, 0)]
+        # A row whose sum passes the threshold while its values stay below it, and rows with 10 and 2 rescales.
+        cases += [(1e5, 1e-150, 0), (0.002, 1e-300, 0), (4.0, 1e-200, 0)]
         direct = [(tau, bessel._start_index(tau, eps, floor)[1]) for tau, eps, floor in cases]
-        # Either side of m(m + 1) = c tau: the smallest floor whose row takes the checked loop and the one
-        # below it, and the last m of the unchecked loop and the first of the checked one.
+        # The a-priori boundary m(m + 1) = 570 tau that chose the loop before rows learnt it from their sum:
+        # the smallest floor whose row crossed it and the one below, and the last m below it and the first above.
+        c = 570.0
         for tau in (40.0, 5e3, 3e5):
             lo, hi = 0, math.isqrt(int(c * tau)) + 1
             while lo < hi:
@@ -353,16 +365,22 @@ class TestRecurrenceBranches:
                 edge -= 1
             direct += [(tau, edge), (tau, edge + 1)]
 
-        rescales = []
+        calls, counts = [], {}
         for tau, m in direct:
-            row, reference = bessel._recurrence_row(tau, m), _checked_recurrence_row(tau, m, rescales)
+            del sums[:]
+            row = bessel._recurrence_row(tau, m)
+            calls.append(len(sums))
+            rescales = []
+            reference = _checked_recurrence_row(tau, m, rescales)
+            counts[tau] = len(rescales)
             assert (row is None) == (reference is None)
             if row is not None:
                 assert row.tobytes() == reference.tobytes()
-        unchecked = [m * (m + 1) < c * tau for tau, m in direct]
-        assert rescales and 5 < sum(unchecked) < len(unchecked) - 5  # both loops, and rows that rescale
-        sides = [bessel._start_index(tau, eps, floor)[1] for tau, eps, floor in cases[-6:]]
-        assert [m * (m + 1) < c * tau for (tau, _, _), m in zip(cases[-6:], sides)] == [True, False] * 3
+                assert calls[-1] == (2 if rescales else 1)
+            if tau == 1e5:  # at eps 1e-150 the sum alone passes the threshold
+                assert 2.0 * sums[0] > bessel._RESCALE_THRESHOLD and calls[-1] == 1
+        assert [counts[tau] for tau in (1e5, 0.002, 4.0)] == [0, 10, 2]
+        assert 5 < calls.count(1) < len(calls) - 5  # rows that rescale, and more that do not
 
         def digest(tau, eps, floor):
             row = scaled_bessel_row(tau, eps, floor)

@@ -248,6 +248,25 @@ def test_gating_failure_exits_1(tmp_path, capsys):
     assert "computation failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (["converge", "--f", "f.csv", "--grid", "dyadic:16:16"], 2, "invalid arguments: large-time[u_f"),
+        (["converge", "--g", "g.json", "--grid", "dyadic:16:16"], 2, "invalid arguments: large-time[u_g"),
+        (["diffdecay", "--grid", "dyadic:16:16"], 2, "invalid arguments: difference-decay"),
+        (["decay", "--eps", "0.5"], 1, "computation failed: kernel-decay"),
+    ],
+    ids=["converge-f", "converge-g", "diffdecay", "decay-gated"],
+)
+def test_one_point_grid_exits_2_and_gated_points_exit_1(tmp_path, capsys, monkeypatch, argv, code, fragment):
+    # A one-point grid leaves no slope whatever the gating does; at eps 0.5 the decay points are gated out.
+    monkeypatch.chdir(tmp_path)
+    Path("f.csv").write_text("n,value\n-1,0.25\n0,1.0\n2,-0.5\n")
+    Path("g.json").write_text(json.dumps({"kind": "separable", "spatial": "f.csv", "gamma": 2.0, "amplitude": 1.0}))
+    err = _assert_rejected(capsys, tmp_path / "r.csv", argv, code=code)
+    assert fragment in err and ("survived error gating" in err) == (code == 1)
+
+
 @pytest.mark.filterwarnings("error")
 def test_infinite_forcing_integral_exits_2(tmp_path, capsys, write_sequence_csv):
     write_sequence_csv(tmp_path / "spatial.csv", LatticeSequence.from_pairs({0: 1.0, 1: 1.0}))

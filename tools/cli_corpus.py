@@ -114,6 +114,11 @@ def corpus() -> list[list[str]]:
     # A long smooth forcing: one Duhamel integral, and one per grid point.
     bump = ["--g", "inputs/bump.json"]
     runs += [["duhamel", "--t", "100", *bump], ["converge", *bump, "--p", "2", "--grid", "dyadic:16:128"]]
+    # A row that rescales ten times, and one whose normalising sum alone passes the rescaling threshold.
+    runs += [["kernel", "--t", "0.001", "--eps", "1e-300"], ["kernel", "--t", "5e4", "--eps", "1e-150"]]
+    # One-point grids, which leave no slope to fit.
+    runs += [["converge", *f, "--grid", "dyadic:16:16"], ["converge", *g, "--grid", "dyadic:16:16"]]
+    runs += [["diffdecay", "--grid", "dyadic:16:16"]]
     return runs
 
 
