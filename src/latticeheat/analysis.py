@@ -23,7 +23,7 @@ from .kernel import (
     heat_kernel,
     lp_norm,
 )
-from .solver import ForcingSpec, _evolve, duhamel, evolve
+from .solver import ForcingSpec, _evolve, duhamel
 
 __all__ = [
     "DecayReport",
@@ -111,16 +111,22 @@ def _gate(points, label: str, extras=None) -> DecayReport:
     return fit_loglog(kept, label, dropped=dropped, extras=extras)
 
 
-def _difference_points(operators, tail_factor: float, p: float, t_grid, eps: float):
-    """(t, ||D G(t, .)||_p, certified error) with D the composed operators."""
+def _grid_points(t_grid, eps: float, point):
+    """(t, value, certified error) at each sorted grid time, with (value, error) = point(t, G(t, .), its tail mass)."""
     points = []
     for t in sorted(t_grid):
         kernel = heat_kernel(t, eps)
-        seq = kernel.to_sequence()
+        points.append((t, *point(t, kernel.to_sequence(), kernel.tail_mass)))
+    return points
+
+
+def _difference_points(operators, tail_factor: float, p: float, t_grid, eps: float):
+    """(t, ||D G(t, .)||_p, certified error) with D the composed operators."""
+    def point(t, seq, tail_mass):
         for op in operators:
             seq = op(seq)
-        points.append((t, lp_norm(seq, p), tail_factor * kernel.tail_mass))
-    return points
+        return lp_norm(seq, p), tail_factor * tail_mass
+    return _grid_points(t_grid, eps, point)
 
 
 def kernel_decay(p: float, quantity: str, t_grid, eps: float = 1e-12) -> DecayReport:
@@ -148,16 +154,12 @@ def l2_optimality(f: LatticeSequence, t_grid, eps: float = 1e-12) -> DecayReport
     mass, f_l1 = f.mass(), lp_norm(f, 1.0)
     if abs(mass) <= _MASS_FLOOR * f_l1:
         raise ValueError("l2 optimality requires nonzero total mass")
-    t_grid = sorted(t_grid)
-    points = []
-    lower, upper = [], []
-    for t in t_grid:
-        snap = evolve(f, t, eps)
-        value = lp_norm(snap.u, 2.0)
-        points.append((t, value, snap.trunc_error))
-        lower.append(value * t**0.25 / abs(mass))
-        upper.append(value * t**0.25 / f_l1)
-    extras = {"ratio_lower": tuple(lower), "ratio_upper": tuple(upper)}
+    def point(t, seq, tail_mass):
+        snap = _evolve(f, t, seq, tail_mass)
+        return lp_norm(snap.u, 2.0), snap.trunc_error
+    points = _grid_points(t_grid, eps, point)
+    scaled = [value * t**0.25 for t, value, _ in points]
+    extras = {"ratio_lower": tuple(s / abs(mass) for s in scaled), "ratio_upper": tuple(s / f_l1 for s in scaled)}
     return _gate(points, label="l2-optimality", extras=extras)
 
 
@@ -185,15 +187,12 @@ def large_time_profile(
         raise ValueError("forced profile requires gamma > 1")
     else:
         m = g.amplitude * g.spatial.mass() / (g.gamma - 1.0)
-    points = []
-    for t in sorted(t_grid):
-        kernel = heat_kernel(t, eps)
-        seq = kernel.to_sequence()
-        snap = _evolve(f, t, seq, kernel.tail_mass) if f is not None else duhamel(g, t, eps=max(1e-8, eps))
+    def point(t, seq, tail_mass):
+        snap = _evolve(f, t, seq, tail_mass) if f is not None else duhamel(g, t, eps=max(1e-8, eps))
         diff = add_sequences(snap.u, seq, 1.0, -m)
-        err = snap.quad_error + snap.trunc_error + kernel.tail_mass * abs(m)
-        points.append((t, weight(t) * lp_norm(diff, p), weight(t) * err))
-    report = _gate(points, label=f"large-time[{'u_f' if f is not None else 'u_g'}, p={p}]")
+        err = snap.quad_error + snap.trunc_error + tail_mass * abs(m)
+        return weight(t) * lp_norm(diff, p), weight(t) * err
+    report = _gate(_grid_points(t_grid, eps, point), label=f"large-time[{'u_f' if f is not None else 'u_g'}, p={p}]")
     values = [v for _, v in report.pairs]
     monotone = all(b <= a for a, b in zip(values[1:], values[2:]))
     report.extras["monotone_from_second"] = monotone
@@ -211,8 +210,8 @@ def fourier_symbol_rows(t: float, grid_size: int = 64, eps: float = 1e-12) -> li
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    if not (16 <= grid_size <= 2**16):
+        raise ValueError("grid_size must lie in 16..65536")
     kernel = heat_kernel(t, eps)
     n = np.arange(1, kernel.window + 1)
     rows = []

@@ -12,9 +12,9 @@ index proved from tau and eps alone, O(sqrt(tau log 1/eps) + log 1/eps)
 steps above the centre, not O(tau).  Two independent oracles (the
 defining power series and a confluent-hypergeometric expansion) are kept
 alongside for cross-validation; they never feed the recurrence.  Only
-where tau is so small that a single recurrence step overflows (tau below
-about 1e-58) is the row taken from the power series instead, which is
-exact to rounding there.
+where a step of the rescaling pass overflows (2n/tau above about 1.8e58,
+and then only as the rescaled values fall) is the row taken from the
+power series instead, which is exact to rounding there.
 
 A row is a ``KernelSlice``: G(t, n) = b_n(2t), so the kernel slice at t is
 the row at tau = 2t.  ``LatticeSequence``, the carrier of all finitely
@@ -304,9 +304,10 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     a-posteriori certificate gives tail_mass <= eps (eps plus the
     normalisation's rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
-    tails carry polynomial weights).  Raises ArithmeticError if no window up
-    to the proved one meets it, if the recurrence needs more than
-    ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
+    tails carry polynomial weights); a floor is a least window, so a fractional
+    one counts as its ceiling, and NaN raises ValueError.  Raises ArithmeticError
+    if no window up to the proved one meets it, if the recurrence needs more
+    than ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
     """
     _validate_tau(tau)
     if not (0.0 < eps < 1.0):
@@ -314,7 +315,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     if 16.0 / eps == math.inf:  # the window bound takes log(16 / eps)
         raise ValueError(f"eps must be at least about 8.9e-308, got {eps!r}")
 
-    floor = min_half_width or 0
+    floor = math.ceil(min_half_width or 0)
     if tau == 0.0:
         values = np.zeros(floor + 1)
         values[0] = 1.0

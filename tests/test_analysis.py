@@ -11,6 +11,7 @@ from latticeheat.analysis import (
     dyadic_grid,
     fit_loglog,
     fourier_symbol_check,
+    fourier_symbol_rows,
     higher_difference_decay,
     kernel_decay,
     l2_optimality,
@@ -180,6 +181,13 @@ class TestFourierSymbol:
             fourier_symbol_check(1.0, 8)
         with pytest.raises(ValueError):
             fourier_symbol_check(0.0, 64)
+
+    def test_grid_cap(self):
+        # A grid past 2^16 points is refused before any row is built; 10^11 used to fill memory.
+        for size in (2**16 + 1, 10**11):
+            with pytest.raises(ValueError, match=r"grid_size must lie in 16\.\.65536"):
+                fourier_symbol_rows(1.0, size)
+        assert len(fourier_symbol_rows(1.0, 2**16)) == 2**16
 
 
 class TestHigherDifferences:

@@ -135,7 +135,8 @@ class TestRow:
 
     @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-100, 1e-60])
     def test_tiny_tau_row_is_finite(self, tau):
-        # One recurrence step 2n/tau overflows here; the row comes from the series.
+        # At 1e-300, 1e-200 and 1e-100 a step of the rescaling loop overflows and the row comes from the
+        # series; at 1e-60 no step does, and the row is the recurrence's, rescaled on the way down.
         row = scaled_bessel_row(tau, 1e-12)
         assert all(math.isfinite(v) for v in row.values)
         assert 1.0 - row.tail_mass <= row.mass() <= 1.0
@@ -148,6 +149,15 @@ class TestRow:
         row = scaled_bessel_row(tau, 1e-12)
         assert row.tail_mass > 0.0
         assert 1.0 - row.tail_mass <= row.mass() <= 1.0
+
+    def test_series_fallback_row_is_the_series_row(self):
+        # At tau = 1e-70 (eps 1e-12, m = 23) a step of the rescaling loop overflows, so the recurrence gives up
+        # and every value is the series oracle's own.
+        tau = 1e-70
+        m = bessel._start_index(tau, 1e-12, 0)[1]
+        assert m == 23 and bessel._recurrence_row(tau, m) is None
+        row = scaled_bessel_row(tau, 1e-12)
+        assert row.values.tolist() == [scaled_bessel_series(tau, n) for n in range(row.window + 1)]
 
     def test_tiny_eps_gets_a_true_certificate(self):
         # A window search that ran out of candidates used to return its last
@@ -233,6 +243,15 @@ class TestRow:
         assert row.window >= 40
         assert row.value(40) >= 0.0
 
+    @pytest.mark.parametrize("floor, ceiling", [(2.5, 3), (3.0, 3), (20.5, 21)])
+    def test_fractional_floor_counts_as_its_ceiling(self, floor, ceiling):
+        # A floor is a least window; 2.5 used to reach the window search as a float index and raise TypeError.
+        row = scaled_bessel_row(2.0, 1e-12, min_half_width=floor)
+        want = scaled_bessel_row(2.0, 1e-12, min_half_width=ceiling)
+        assert (row.window, row.tail_mass.hex()) == (want.window, want.tail_mass.hex())
+        assert row.values.tobytes() == want.values.tobytes()
+        assert row.window >= ceiling
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             scaled_bessel_row(-1.0, 1e-12)
@@ -244,6 +263,8 @@ class TestRow:
             scaled_bessel_row(1.0, 0.0)
         with pytest.raises(ValueError):
             scaled_bessel_row(1.0, 1.5)
+        with pytest.raises(ValueError):
+            scaled_bessel_row(2.0, 1e-12, min_half_width=math.nan)
 
     @settings(max_examples=40, deadline=None)
     @given(tau=st.floats(min_value=1e-3, max_value=200.0, allow_nan=False))
@@ -345,7 +366,7 @@ class TestRecurrenceBranches:
         taus = (10.0 ** rng.uniform(-3.0, math.log10(2e7), 15)).tolist()
         epss, floors = (1e-6, 1e-12, 1e-16, 1e-100, 1e-300), (0, 150, 300)
         cases = [(tau, epss[i % 5], floors[i % 3]) for i, tau in enumerate(taus)]
-        # The rows that rescale in the CLI corpus, and one below 1e-58 that falls back to the series.
+        # The rows that rescale in the CLI corpus, and tau = 1e-60, a recurrence row that rescales as it goes down.
         cases += [(1.0, 1e-100, 0), (3.0, 1e-100, 0), (2.0, 1e-307, 0), (1e-60, 1e-12, 0)]
         # A row whose sum passes the threshold while its values stay below it, and rows with 10 and 2 rescales.
         cases += [(1e5, 1e-150, 0), (0.002, 1e-300, 0), (4.0, 1e-200, 0)]

@@ -363,7 +363,15 @@ def test_overflowing_kernel_time_exits_2_naming_t(tmp_path, capsys):
     assert "invalid arguments: t must" in err and "tau" not in err
 
 
-@pytest.mark.parametrize("argv", [["--t", "0"], ["--t", "1", "--grid-size", "-3"], ["--t", "1", "--grid-size", "15"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "0"],
+        ["--t", "1", "--grid-size", "-3"],
+        ["--t", "1", "--grid-size", "15"],
+        ["--t", "1", "--grid-size", "100000000000"],  # used to build rows until memory ran out
+    ],
+)
 def test_fourier_out_of_range_exits_2(tmp_path, capsys, argv):
     _assert_rejected(capsys, tmp_path / "f.csv", ["fourier"] + argv)
 

@@ -1,5 +1,5 @@
-"""``evolve``, the homogeneous ``large_time_profile``, ``LatticeSequence.moment`` and ``lp_norm`` at general p
-match, bit for bit, references that form G(t)·f, the moment sums and the norms apart.
+"""``evolve``, ``l2_optimality``, the homogeneous ``large_time_profile``, ``LatticeSequence.moment`` and ``lp_norm``
+at general p match, bit for bit, references that form G(t)·f, the moment sums and the norms apart.
 
 Each reference sums ||f||_1 for itself, takes the rounding bound from the two sequences, and sums every norm
 over a ``tolist()`` list, so the library's one ``_evolve`` core, its norm-based ``rounding_bound`` and its
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from latticeheat.analysis import _gate, dyadic_grid, large_time_profile
+from latticeheat.analysis import _gate, dyadic_grid, l2_optimality, large_time_profile
 from latticeheat.kernel import LatticeSequence, add_sequences, forward_difference, heat_kernel, lp_norm
 from latticeheat.solver import _gamma, evolve
 
@@ -106,6 +106,32 @@ def test_homogeneous_profile_keeps_its_bits(p, eps):
         expected = _gate(reference_profile_points(f, p, grid, eps), report.label)
         assert [(t.hex(), v.hex()) for t, v in report.pairs] == [(t.hex(), v.hex()) for t, v in expected.pairs]
         assert report.dropped == expected.dropped
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+def test_l2_optimality_keeps_its_bits(eps):
+    # The report's only same-bits gate: no CLI subcommand reaches it.  The reference takes every point from
+    # ``evolve`` and each ratio from its own loop.  The third profile, of mass 0.001 and no first moment, drops
+    # its last three points at eps 1e-6.
+    grid = dyadic_grid(16.0, 1024.0)
+    profiles = [LatticeSequence.from_pairs({-2: 0.5, 0: 1.0, 3: -0.25}), LatticeSequence(-5, np.linspace(0.1, 1.0, 11))]
+    profiles.append(LatticeSequence.from_pairs({-1: -0.5, 0: 1.001, 1: -0.5}))
+    for f in profiles:
+        report = l2_optimality(f, grid, eps)
+        mass, f_l1 = f.mass(), lp_norm(f, 1.0)
+        points, lower, upper = [], [], []
+        for t in grid:
+            snap = evolve(f, t, eps)
+            value = lp_norm(snap.u, 2.0)
+            points.append((t, value, snap.trunc_error))
+            lower.append(value * t**0.25 / abs(mass))
+            upper.append(value * t**0.25 / f_l1)
+        expected = _gate(points, report.label)
+        assert [(t.hex(), v.hex()) for t, v in report.pairs] == [(t.hex(), v.hex()) for t, v in expected.pairs]
+        assert [(t.hex(), v.hex()) for t, v in report.dropped] == [(t.hex(), v.hex()) for t, v in expected.dropped]
+        assert [r.hex() for r in report.extras["ratio_lower"]] == [r.hex() for r in lower]
+        assert [r.hex() for r in report.extras["ratio_upper"]] == [r.hex() for r in upper]
+    assert len(report.dropped) == (3 if eps == 1e-6 else 0)
 
 
 def general_p_data():

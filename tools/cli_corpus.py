@@ -119,6 +119,8 @@ def corpus() -> list[list[str]]:
     # One-point grids, which leave no slope to fit.
     runs += [["converge", *f, "--grid", "dyadic:16:16"], ["converge", *g, "--grid", "dyadic:16:16"]]
     runs += [["diffdecay", "--grid", "dyadic:16:16"]]
+    # A Fourier grid past the cap, refused at once, and the cap itself.
+    runs += [["fourier", "--t", "1", "--grid-size", n] for n in ("100000000000", "65536")]
     return runs
 
 
