@@ -84,6 +84,14 @@ def check_order(order: int) -> None:
         raise ValueError("order must be a nonnegative integer within binary64 range") from None
 
 
+def check_eps(eps: float, parts: int = 1) -> None:
+    """Refuse an eps whose share eps / parts no row takes; the message quotes eps itself."""
+    if not (0.0 < eps / parts < 1.0):
+        raise ValueError(f"eps must lie in (0, {parts}), got {eps!r}")
+    if 16.0 / (eps / parts) == math.inf:  # the window bound takes log(16 / eps)
+        raise ValueError(f"eps must be at least about {8.9e-308 * parts:.2g}, got {eps!r}")
+
+
 def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
     """values[i] * n^order for n = first + i, each n^order as ``float(n) ** order`` takes it, each product one rounding.
 
@@ -158,8 +166,8 @@ class LatticeSequence:
     offset: int
     values: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+    def __post_init__(self) -> None:  # a read-only copy: the caller's array stays the caller's
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.setflags(write=False)
 
     @property
@@ -224,8 +232,7 @@ class KernelSlice:
     values: np.ndarray = field(repr=False)
     tail_mass: float
 
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+    __post_init__ = LatticeSequence.__post_init__  # a read-only copy of the values, as there
 
     # The benchmark's tracer (bench/tracing.py) counts a row's work as
     # ``half_width + 1``; this alias keeps it working until it reads ``window``.
@@ -304,18 +311,16 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     a-posteriori certificate gives tail_mass <= eps (eps plus the
     normalisation's rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
-    tails carry polynomial weights); a floor is a least window, so a fractional
-    one counts as its ceiling, and NaN raises ValueError.  Raises ArithmeticError
-    if no window up to the proved one meets it, if the recurrence needs more
-    than ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
+    tails carry polynomial weights); a floor is a least window, so a fractional one counts as
+    its ceiling and a negative one as 0, and NaN or inf raises ValueError.  Raises ArithmeticError
+    if no window up to the proved one meets it, if the recurrence needs more than
+    ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
     """
     _validate_tau(tau)
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    if 16.0 / eps == math.inf:  # the window bound takes log(16 / eps)
-        raise ValueError(f"eps must be at least about 8.9e-308, got {eps!r}")
-
-    floor = math.ceil(min_half_width or 0)
+    check_eps(eps)
+    if not -math.inf < (floor := min_half_width or 0) < math.inf:  # NaN fails too
+        raise ValueError(f"min_half_width must be finite, got {floor!r}")
+    floor = max(0, math.ceil(floor))
     if tau == 0.0:
         values = np.zeros(floor + 1)
         values[0] = 1.0
@@ -371,7 +376,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
             lo = mid + 1
         else:
             hi, tail_mass = mid, bound
-    return KernelSlice(window=lo, values=np.array(b[: lo + 1]), tail_mass=tail_mass)
+    return KernelSlice(window=lo, values=b[: lo + 1], tail_mass=tail_mass)
 
 
 def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
@@ -392,13 +397,8 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
         y_next, y_cur = y_cur, y_next + two_n / tau * y_cur
         row[n] = y_cur
         two_n -= 2.0
-    # The values are nonnegative and their sum is correctly rounded, so it bounds each of them: unless
-    # it and a value pass the threshold, no step did, and the row is the one the rescaling loop makes.
-    try:
-        total = row[0] + 2.0 * exact_sum(y[1:])
-    except OverflowError:  # fsum's running sum past binary64
-        total = math.inf
-    if total > _RESCALE_THRESHOLD and y.max() > _RESCALE_THRESHOLD:
+    # Each step adds a nonnegative term two places up and rounding is monotone, so no value tops row[0] or row[1].
+    if max(row[0], row[1]) > _RESCALE_THRESHOLD:
         # Tiny tau, eps near 1e-300 or a wide floor: run again from the top, rescaling as it goes.
         y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
         for n in range(m, 0, -1):
@@ -412,8 +412,7 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
             row[n - 1] = y_prev
             y_next, y_cur = y_cur, y_prev
             two_n -= 2.0
-        total = row[0] + 2.0 * exact_sum(y[1:])
-    y /= total
+    y /= row[0] + 2.0 * exact_sum(y[1:])
     return y
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import exact_sum
+from .bessel import check_eps, exact_sum
 from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
@@ -365,6 +365,7 @@ def solve(f: LatticeSequence, g: ForcingSpec | None, t: float, eps: float = 1e-1
     """Full mild solution u = u_f + u_g; certified error fields add.  At t = 0 it is u_f = f."""
     if g is None:
         return evolve(f, t, eps)
+    check_eps(eps, parts=2)  # each part gets eps / 2, and a refusal quotes the eps given
     hom = evolve(f, t, eps / 2.0)
     if t == 0.0:
         return hom

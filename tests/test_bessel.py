@@ -265,6 +265,24 @@ class TestRow:
             scaled_bessel_row(1.0, 1.5)
         with pytest.raises(ValueError):
             scaled_bessel_row(2.0, 1e-12, min_half_width=math.nan)
+        for floor in (math.inf, -math.inf):  # math.ceil raised OverflowError, which the CLI reads as a failed computation
+            with pytest.raises(ValueError, match=f"min_half_width must be finite, got {floor!r}"):
+                scaled_bessel_row(2.0, 1e-12, min_half_width=floor)
+
+    @pytest.mark.parametrize("tau", [0.0, 2.0])
+    def test_negative_floor_counts_as_0(self, tau):
+        # At tau = 0 a floor of -5 used to size the row by it and raise NumPy's "negative dimensions".
+        row, want = scaled_bessel_row(tau, 1e-12, min_half_width=-5), scaled_bessel_row(tau, 1e-12)
+        assert (row.window, row.tail_mass.hex(), row.values.tobytes()) == (want.window, want.tail_mass.hex(), want.values.tobytes())
+
+    def test_rows_and_sequences_copy_the_callers_array(self):
+        # Both froze the caller's own float64 array, so a later write to it raised.
+        for make in (lambda a: bessel.LatticeSequence(0, a), lambda a: bessel.KernelSlice(window=1, values=a, tail_mass=0.0)):
+            a = np.array([1.0, 2.0])
+            held = make(a)
+            assert a.flags.writeable and not held.values.flags.writeable
+            a[0] = 3.0
+            assert held.values.tolist() == [1.0, 2.0]
 
     @settings(max_examples=40, deadline=None)
     @given(tau=st.floats(min_value=1e-3, max_value=200.0, allow_nan=False))
@@ -350,10 +368,9 @@ def _checked_recurrence_row(tau: float, m: int, rescales: list[int]) -> np.ndarr
 
 class TestRecurrenceBranches:
     def test_both_loops_keep_the_checked_loops_bits(self, monkeypatch):
-        # Every row runs once without a threshold test.  Only where the normalising sum passes the threshold
-        # and a value does too is it run again with the test, so a row that rescales makes two exact_sum calls
-        # and every other row one.  Either way the values, the window and tail_mass are those of the loop that
-        # tests every step.
+        # Every row runs once without a threshold test.  Only where its largest value, row[0] or row[1], passes
+        # the threshold is it run again with the test; either way each returned row makes one exact_sum call,
+        # and the values, the window and tail_mass are those of the loop that tests every step.
         sums, exact_sum = [], bessel.exact_sum
 
         def counting_sum(values):
@@ -370,6 +387,8 @@ class TestRecurrenceBranches:
         cases += [(1.0, 1e-100, 0), (3.0, 1e-100, 0), (2.0, 1e-307, 0), (1e-60, 1e-12, 0)]
         # A row whose sum passes the threshold while its values stay below it, and rows with 10 and 2 rescales.
         cases += [(1e5, 1e-150, 0), (0.002, 1e-300, 0), (4.0, 1e-200, 0)]
+        # A row whose last step alone passes the threshold: row[0] is above it, row[1] below.
+        cases += [(5e-10, 1e-12, 0)]
         direct = [(tau, bessel._start_index(tau, eps, floor)[1]) for tau, eps, floor in cases]
         # The a-priori boundary m(m + 1) = 570 tau that chose the loop before rows learnt it from their sum:
         # the smallest floor whose row crossed it and the one below, and the last m below it and the first above.
@@ -386,22 +405,22 @@ class TestRecurrenceBranches:
                 edge -= 1
             direct += [(tau, edge), (tau, edge + 1)]
 
-        calls, counts = [], {}
+        rescaled, counts = [], {}
         for tau, m in direct:
             del sums[:]
             row = bessel._recurrence_row(tau, m)
-            calls.append(len(sums))
+            assert len(sums) == (row is not None)  # one normalising sum per returned row
             rescales = []
             reference = _checked_recurrence_row(tau, m, rescales)
             counts[tau] = len(rescales)
+            rescaled.append(bool(rescales))
             assert (row is None) == (reference is None)
             if row is not None:
                 assert row.tobytes() == reference.tobytes()
-                assert calls[-1] == (2 if rescales else 1)
             if tau == 1e5:  # at eps 1e-150 the sum alone passes the threshold
-                assert 2.0 * sums[0] > bessel._RESCALE_THRESHOLD and calls[-1] == 1
+                assert 2.0 * sums[0] > bessel._RESCALE_THRESHOLD
         assert [counts[tau] for tau in (1e5, 0.002, 4.0)] == [0, 10, 2]
-        assert 5 < calls.count(1) < len(calls) - 5  # rows that rescale, and more that do not
+        assert 5 < rescaled.count(False) < len(rescaled) - 5  # rows that rescale, and more that do not
 
         def digest(tau, eps, floor):
             row = scaled_bessel_row(tau, eps, floor)
@@ -410,6 +429,45 @@ class TestRecurrenceBranches:
         rows = [digest(*case) for case in cases]
         monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _checked_recurrence_row(tau, m, []))
         assert rows == [digest(*case) for case in cases]
+
+
+def _unchecked_recurrence_row(tau: float, m: int) -> np.ndarray:
+    """The first loop of ``_recurrence_row``, which tests no threshold, unnormalised."""
+    y = np.zeros(m + 1)
+    row = memoryview(y)
+    row[m] = 1.0
+    y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
+    for n in range(m - 1, -1, -1):
+        y_next, y_cur = y_cur, y_next + two_n / tau * y_cur
+        row[n] = y_cur
+        two_n -= 2.0
+    return y
+
+
+class TestRecurrenceMaximum:
+    def test_largest_value_is_in_the_last_two_steps(self):
+        # y_{k-1} = y_{k+1} + (2k / tau) y_k adds a nonnegative term to the value two places up, and rounding is
+        # monotone, so y_{k-1} >= y_{k+1} in binary64, inf included: the largest value is y[0] or y[1], and the
+        # loop that tests every step rescales (or returns None) exactly where that value passes the threshold.
+        # Seeded tau, half below 1e-3 and half above, m from random eps and floors, and tau = 1e-323, whose first
+        # step is inf, with two rows that rescale in the CLI corpus.
+        rng = np.random.default_rng(29)
+        taus = (10.0 ** np.concatenate([rng.uniform(-322.0, -3.0, 100), rng.uniform(-3.0, math.log10(2e7), 100)])).tolist()
+        epss, floors = 10.0 ** rng.uniform(-307.0, -3.0, 200), rng.integers(0, 2000, 200) * (rng.random(200) < 0.25)
+        ms = [bessel._start_index(tau, eps, floor)[1] for tau, eps, floor in zip(taus, epss.tolist(), floors.tolist())]
+        taus, ms = taus + [1e-323, 1e-323, 0.002, 2.0], ms + [1, 23, 492, bessel._start_index(2.0, 1e-307, 0)[1]]
+        crossed = []
+        for tau, m in zip(taus, ms):
+            y = _unchecked_recurrence_row(tau, m)
+            assert (y[:-2] >= y[2:]).all(), (tau, m)
+            top = max(y[0], y[1])
+            assert y.max() == top, (tau, m)
+            rescales = []
+            reference = _checked_recurrence_row(tau, m, rescales)
+            crossed.append(bool(top > bessel._RESCALE_THRESHOLD))
+            assert (reference is None or bool(rescales)) == crossed[-1], (tau, m)
+        assert _unchecked_recurrence_row(1e-323, 23)[22] == math.inf  # the first step overflows
+        assert 20 < crossed.count(False) < len(crossed) - 20  # rows on both sides of the threshold
 
 
 def _longdouble_row(tau: float, m: int) -> np.ndarray:

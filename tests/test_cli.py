@@ -590,6 +590,22 @@ def test_eps_below_the_window_floor_exits_2(tmp_path, capsys, monkeypatch, argv,
     assert f"invalid arguments: eps must be at least about 8.9e-308, got {float(argv[-1])!r}" in err
 
 
+@pytest.mark.parametrize(
+    "eps, message",
+    [("-1", "eps must lie in (0, 2), got -1.0"), ("3", "eps must lie in (0, 2), got 3.0"),
+     ("1e-320", "eps must be at least about 1.8e-307, got 1e-320")],
+)
+def test_evolve_with_forcing_quotes_the_eps_given(tmp_path, capsys, monkeypatch, eps, message, write_sequence_csv):
+    # The homogeneous part gets eps / 2, and these quoted the halved value: -0.5, 1.5 and 5e-321.
+    monkeypatch.chdir(tmp_path)
+    write_sequence_csv(tmp_path / "f.csv", LatticeSequence.from_pairs({-1: 0.25, 0: 1.0, 2: -0.5}))
+    write_sequence_csv(tmp_path / "phi.csv", LatticeSequence.delta(0))
+    (tmp_path / "g.json").write_text(json.dumps({"kind": "separable", "spatial": "phi.csv", "gamma": 2.0, "amplitude": 1.0}))
+    argv = ["evolve", "--t", "1", "--f", "f.csv", "--g", "g.json", "--eps", eps]
+    err = _assert_rejected(capsys, tmp_path / "u.csv", argv)
+    assert f"invalid arguments: {message}" in err
+
+
 def test_evolve_with_forcing_at_t_0_is_f(tmp_path, write_sequence_csv):
     # u(0) = f: the forced part is not evaluated, as duhamel refuses t = 0.
     f_csv, g_json, none_json = tmp_path / "f.csv", tmp_path / "g.json", tmp_path / "none.json"

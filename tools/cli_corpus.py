@@ -121,6 +121,9 @@ def corpus() -> list[list[str]]:
     runs += [["diffdecay", "--grid", "dyadic:16:16"]]
     # A Fourier grid past the cap, refused at once, and the cap itself.
     runs += [["fourier", "--t", "1", "--grid-size", n] for n in ("100000000000", "65536")]
+    # A row whose first recurrence step is inf (2t = 1e-323), taken from the series; eps refusals with a forcing.
+    runs += [["kernel", "--t", "5e-324"]]
+    runs += [["evolve", "--t", "1", *f, *g, "--eps", e] for e in ("-1", "3", "1e-320")]
     return runs
 
 
