@@ -52,6 +52,14 @@ MAX_RECURRENCE_STEPS = 2**25
 # The normalisation rounds each value three times (the sum, the add of b_0
 # and the division), each by at most u = 2^-53, on a window of mass below 1.0001.
 _NORM_ROUNDING = 3.001 * 2.0**-53
+# An upper bound on the l1 norm of any window of a row, unfolded (mass conservation, rounded up).
+# The normalisation divides by row[0] + 2 exact_sum(y[1:]), at least (1 - u)^2 times the sum of
+# the whole row, and each quotient rounds up by at most a factor 1 + u or, where subnormal, by
+# 2^-1075; so a window sums to at most (1 + u) / (1 - u)^2 < 1 + 3.001 u plus at most 2^26 + 1
+# times 2^-1075, below 1 + 4u.  A series row (only at tau below 4e-51, where a step of the rescaling
+# loop overflows) has b_0 = exp(-tau) <= 1 and b_n within a few u of (tau / 2)^n / n!, or of 0 by
+# 2^-1074, for n >= 1, so its window sums to about 1 + tau at most; the tau = 0 row sums to 1.
+ROW_L1_BOUND = 1.0 + 4.0 * 2.0**-53
 # Miller's relative seed error is held below this share of the target.
 _SEED_SHARE = 2.0**-40
 # ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum: in a tight loop the
@@ -170,6 +178,15 @@ class LatticeSequence:
         object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.setflags(write=False)
 
+    @classmethod
+    def _own(cls, offset: int, values: np.ndarray) -> "LatticeSequence":
+        """A sequence on a float64 array that the library has just made and holds nowhere else: read-only, not copied."""
+        seq = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(seq, "offset", offset)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     @property
     def hi(self) -> int:
         return self.offset + len(self.values) - 1
@@ -248,8 +265,7 @@ class KernelSlice:
         return float(self.values[n])
 
     def to_sequence(self) -> LatticeSequence:
-        full = np.concatenate([self.values[:0:-1], self.values])
-        return LatticeSequence(-self.window, full)
+        return LatticeSequence._own(-self.window, np.concatenate([self.values[:0:-1], self.values]))
 
     def mass(self) -> float:
         """b_0 + 2 * sum_{1 <= n <= window} b_n over the carried window."""
@@ -354,6 +370,13 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         elif edge < below:
             ratio = edge / below
             estimate = 4.0 * edge * ratio / (1.0 - ratio)
+        elif n == last and below < 2.0**-1022:
+            # Subnormal values need not fall from one index to the next.  Amos's r_{n+1} gives
+            # 2 sum_{k>n} b_k <= 2 b_n tau / n, and b_n is within 2^-1075 and a relative 4u of edge
+            # (the quotient's rounding and the normalisation's), so the mass outside is at most
+            # 2 (edge + 2^-1074) tau / (n - 1) for n <= 2^51; the estimate is twice that, as above.
+            # It is charged at the proved window alone, so the bisection below finds the ratio test's windows.
+            estimate = 4.0 * (edge + 2.0**-1074) * tau / (n - 1)
         else:
             return None
         denominator = 1.0 - 2.0 * (estimate + delta)

@@ -40,7 +40,7 @@ def forward_difference(s: LatticeSequence) -> LatticeSequence:
     """First forward difference (grad f)(n) = f(n+1) - f(n); grows the window one step left."""
     padded = np.concatenate([s.values, [0.0]])
     shifted = np.concatenate([[0.0], s.values])
-    return LatticeSequence(s.offset - 1, padded - shifted)
+    return LatticeSequence._own(s.offset - 1, padded - shifted)
 
 
 def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
@@ -49,7 +49,7 @@ def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
     out[:-2] += s.values
     out[1:-1] -= 2.0 * s.values
     out[2:] += s.values
-    return LatticeSequence(s.offset - 1, out)
+    return LatticeSequence._own(s.offset - 1, out)
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
@@ -83,7 +83,7 @@ def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, be
     out = np.zeros(hi - lo + 1)
     out[a.offset - lo : a.offset - lo + len(a.values)] += alpha * a.values
     out[b.offset - lo : b.offset - lo + len(b.values)] += beta * b.values
-    return LatticeSequence(lo, out)
+    return LatticeSequence._own(lo, out)
 
 
 def csv_lines(header: list[str], rows):

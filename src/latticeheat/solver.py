@@ -2,7 +2,10 @@
 
 u(t, n) = (G(t, .) * f)(n) + int_0^t (G(t - s, .) * g(s, .))(n) ds.
 
-The homogeneous part is one windowed convolution with the kernel slice.
+The homogeneous part is one windowed convolution with the kernel slice.  Its
+certificate takes no compensated sum: ||G(t)||_1 is bounded by the row's
+normalisation (``bessel.ROW_L1_BOUND``) and ||f||_1 by one NumPy sum of |f|
+rounded up past its own error.
 The Duhamel part is a composite 8-point Gauss-Legendre rule on a mesh fixed
 before any kernel row, from a bound on the integrand's 16th derivative that
 the heat equation and the kernel's decay give; the error budget is split
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import check_eps, exact_sum
+from .bessel import ROW_L1_BOUND, check_eps, exact_sum
 from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
@@ -142,7 +145,7 @@ class SolutionSnapshot:
 
 def convolve(a: LatticeSequence, b: LatticeSequence) -> LatticeSequence:
     """Direct discrete convolution over the joint support; see ``rounding_bound``."""
-    return LatticeSequence(a.offset + b.offset, np.convolve(a.values, b.values))
+    return LatticeSequence._own(a.offset + b.offset, np.convolve(a.values, b.values))
 
 
 def _gamma(k: int) -> float:
@@ -199,10 +202,27 @@ def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot
 
 
 def _evolve(f: LatticeSequence, t: float, seq: LatticeSequence, tail_mass: float) -> SolutionSnapshot:
-    """``evolve`` with G(t, .) given unfolded, and its tail mass; ||f||_1 is summed once for both terms."""
-    f_l1 = lp_norm(f, 1.0)
-    trunc_error = tail_mass * f_l1 + rounding_bound(len(seq.values), lp_norm(seq, 1.0), len(f.values), f_l1)
+    """``evolve`` with G(t, .) given as an unfolded row, and its tail mass.
+
+    The certificate takes ||G(t)||_1 <= ``ROW_L1_BOUND`` from the row's normalisation and ||f||_1 from
+    ``_l1_bound``; ``rounding_bound`` grows with both norms, so upper bounds keep it a bound.
+    """
+    f_l1 = _l1_bound(f)
+    trunc_error = tail_mass * f_l1 + rounding_bound(len(seq.values), ROW_L1_BOUND, len(f.values), f_l1)
     return SolutionSnapshot(t, convolve(seq, f), 0.0, trunc_error)
+
+
+def _l1_bound(f: LatticeSequence) -> float:
+    """An upper bound on ||f||_1 from one NumPy sum of |f|; where that bound is not finite, ``lp_norm(f, 1.0)``.
+
+    A sum of n nonnegative floats in any order is at least (1 - gamma_(n-1)) times the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2), and 1 / (1 - gamma_(n-1)) <= 1 + gamma_(2n) - (n + 1) u,
+    which leaves room for the roundings of gamma and of 1 + gamma; rounding the product up covers its own.
+    So NaN, inf and a norm past binary64 give ``lp_norm``'s NaN, inf or OverflowError, as they did.
+    """
+    with np.errstate(over="ignore"):  # a sum past binary64 is inf, and lp_norm names it
+        bound = math.nextafter(float(np.abs(f.values).sum()) * (1.0 + _gamma(2 * len(f.values))), math.inf)
+    return bound if bound < math.inf else lp_norm(f, 1.0)
 
 
 def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -322,7 +342,7 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
     values = np.fft.irfft(_symbol(c, r, size), size)  # sum_j K(n + jM) at n mod M
     u = g.amplitude * np.convolve(np.concatenate((values[size - width :], values[: width + 1])), phi)
-    return SolutionSnapshot(t, LatticeSequence(g.spatial.offset - width, u), quad_error, trunc_error)
+    return SolutionSnapshot(t, LatticeSequence._own(g.spatial.offset - width, u), quad_error, trunc_error)
 
 
 def _symbol_l2(r: np.ndarray, size: int, lam: float) -> np.ndarray:

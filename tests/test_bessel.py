@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat import bessel
+from latticeheat import bessel, kernel, solver
 from latticeheat.bessel import (
     NonConvergenceError,
     scaled_bessel_kummer,
@@ -283,6 +284,55 @@ class TestRow:
             assert a.flags.writeable and not held.values.flags.writeable
             a[0] = 3.0
             assert held.values.tolist() == [1.0, 2.0]
+
+    def test_library_results_are_not_copied_again(self, monkeypatch):
+        # Arrays the library has just made are frozen in place: no result below goes through the copying constructor.
+        a = np.array([1.0, 2.0])
+        own = bessel.LatticeSequence._own(3, a)
+        assert own.values is a and not a.flags.writeable and (own.offset, own.hi) == (3, 4)
+        row, f = scaled_bessel_row(2.0, 1e-12), bessel.LatticeSequence(-1, np.array([0.5, -1.0, 2.0]))
+        g = solver.ForcingSpec(f, 2.0, 1.0)
+        copies = []
+        post_init = bessel.LatticeSequence.__post_init__
+        monkeypatch.setattr(bessel.LatticeSequence, "__post_init__", lambda s: copies.append(s) or post_init(s))
+        results = [row.to_sequence(), solver.convolve(f, f), kernel.forward_difference(f), kernel.discrete_laplacian(f)]
+        results += [kernel.add_sequences(f, f, 1.0, -2.0), solver.evolve(f, 1.0).u, solver.duhamel(g, 1.0).u]
+        assert copies == []
+        assert not any(s.values.flags.writeable for s in results)
+
+    def test_window_l1_norm_is_at_most_the_row_bound(self, exact_l1):
+        # Seeded rows, with a quarter at floor 0, then rows that rescale (tau 2 at eps 1e-307, 0.002 at 1e-300,
+        # 1e-60 at floor 2,000), rows from the series (1e-70, 1e-300, 5e-324), rows at tau = 0, and the
+        # widest rows of the tests.
+        rng = np.random.default_rng(30)
+        cases = [(10.0 ** rng.uniform(-6.0, 5.0), 10.0 ** rng.uniform(-16.0, -3.0), int(rng.integers(0, 2000)) * (i % 4 > 0))
+                 for i in range(150)]
+        cases += [(2.0, 1e-307, 0), (0.002, 1e-300, 0), (1e-60, 1e-12, 2000)]
+        cases += [(1e-70, 1e-12, 0), (1e-300, 1e-12, 40), (5e-324, 1e-12, 0), (0.0, 1e-12, 0), (0.0, 1e-12, 50)]
+        cases += [(2e5, 1e-12, 0), (2e6, 1e-16, 0), (5e4, 2.5e-302, 0)]
+        assert bessel._recurrence_row(1e-70, bessel._start_index(1e-70, 1e-12, 0)[1]) is None
+        worst = 0
+        for tau, eps, floor in cases:
+            row = scaled_bessel_row(tau, eps, min_half_width=floor)
+            total = exact_l1(row.values[1:]) * 2 + Fraction(row.values[0])
+            assert total <= Fraction(bessel.ROW_L1_BOUND), (tau, eps, floor)
+            worst = max(worst, total)
+        assert 1 < worst  # the rounding of the normalisation does reach past 1
+
+    def test_subnormal_window_edge_is_bounded_not_refused(self):
+        # At tau = 5e4 and eps 2.5e-302 the proved window's last two values are the same subnormal, which the
+        # ratio test refused ("no window up to 8598 certifies the tail").  The mass outside is charged instead.
+        tau, eps = 5e4, 2.5e-302
+        last, m = bessel._start_index(tau, eps, 0)
+        full = bessel._recurrence_row(tau, m)
+        assert 0.0 < full[last - 1] == full[last] < 2.0**-1022
+        for floor, window in ((0, 8324), (last, last)):  # the search from the proved window down, and that window alone
+            row = scaled_bessel_row(tau, eps, min_half_width=floor)
+            assert row.window == window and row.values.tobytes() == full[: window + 1].tobytes()
+            assert row.tail_mass == math.nextafter(bessel._NORM_ROUNDING, math.inf)
+        # The charge applies at the proved window alone, so windows keep their place: this row's bisection meets two
+        # values of 5e-324 at a probe near 2657, which the ratio test refuses, and ends at 2658 though 2590 certifies.
+        assert scaled_bessel_row(4654.627034500423, 1.179412002121211e-307, min_half_width=2168).window == 2658
 
     @settings(max_examples=40, deadline=None)
     @given(tau=st.floats(min_value=1e-3, max_value=200.0, allow_nan=False))

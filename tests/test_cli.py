@@ -343,6 +343,13 @@ def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
     assert read_sequence_csv(out).hi == kernel.heat_kernel(0.5, 1e-100).window == 60
 
 
+def test_subnormal_window_edge_kernel_exits_0(tmp_path):
+    # The proved window's last two values are one subnormal; this run used to exit 1, "no window up to 8598 certifies".
+    out = tmp_path / "k.csv"
+    assert run(["kernel", "--t", "25000", "--eps", "2.5e-302", "--out", str(out)]) == 0
+    assert read_sequence_csv(out).hi == kernel.heat_kernel(25000.0, 2.5e-302).window < 8598
+
+
 @pytest.mark.parametrize(
     "grid", ["dyadic:16:inf", "dyadic:0:64", "dyadic:-1:64", "dyadic:inf:inf", "dyadic:nan:64", "dyadic:64:16"]
 )

@@ -1,9 +1,10 @@
 """``evolve``, ``l2_optimality``, the homogeneous ``large_time_profile``, ``LatticeSequence.moment`` and ``lp_norm``
 at general p match, bit for bit, references that form G(t)·f, the moment sums and the norms apart.
 
-Each reference sums ||f||_1 for itself, takes the rounding bound from the two sequences, and sums every norm
-over a ``tolist()`` list, so the library's one ``_evolve`` core, its norm-based ``rounding_bound`` and its
-``exact_sum`` norms are all checked against forms that share none of them.
+Each reference forms the certificate for itself, from ||f||_1 <= (its NumPy sum of |f|) (1 + gamma_2n) rounded
+up and ||G(t)||_1 <= 1 + 2^-51, and sums every norm over a ``tolist()`` list, so the library's one ``_evolve``
+core, its ``rounding_bound`` and its ``exact_sum`` norms are all checked against forms that share none of them.
+Each certificate is also held between the one summed exactly, as it was formed before, and 1 + 1e-9 times that.
 """
 
 import math
@@ -35,9 +36,19 @@ def norm(s: LatticeSequence, p: float) -> float:
     return lp_norm(s, p) if p == math.inf else generator_norm(s.values, p)
 
 
-def two_sequence_rounding_bound(a: LatticeSequence, b: LatticeSequence) -> float:
-    la, lb = len(a.values), len(b.values)
-    return math.nextafter(_gamma(min(la, lb) + 1) * l1(a) * l1(b) + la * lb * math.ulp(0.0), math.inf)
+def rounding_bound(la: int, a_l1: float, lb: int, b_l1: float) -> float:
+    return math.nextafter(_gamma(min(la, lb) + 1) * a_l1 * b_l1 + la * lb * math.ulp(0.0), math.inf)
+
+
+def certificate(f: LatticeSequence, seq: LatticeSequence, tail_mass: float) -> float:
+    """tail_mass ||f||_1 + the convolution's rounding bound, from upper bounds on both norms; checked against
+    the same form from exact sums of both."""
+    n = len(f.values)
+    f_l1 = math.nextafter(float(np.sum(np.abs(f.values))) * (1.0 + 2 * n * 2.0**-53 / (1.0 - 2 * n * 2.0**-53)), math.inf)
+    bound = tail_mass * f_l1 + rounding_bound(len(seq.values), 1.0 + 2.0**-51, n, f_l1)
+    exact = tail_mass * l1(f) + rounding_bound(len(seq.values), l1(seq), n, l1(f))
+    assert exact <= bound <= exact * (1.0 + 1e-9)
+    return bound
 
 
 def reference_evolve(f: LatticeSequence, t: float, eps: float) -> tuple[int, bytes, float]:
@@ -46,18 +57,18 @@ def reference_evolve(f: LatticeSequence, t: float, eps: float) -> tuple[int, byt
     kernel = heat_kernel(t, eps)
     seq = kernel.to_sequence()
     u = np.convolve(seq.values, f.values)
-    return seq.offset + f.offset, u.tobytes(), kernel.tail_mass * l1(f) + two_sequence_rounding_bound(seq, f)
+    return seq.offset + f.offset, u.tobytes(), certificate(f, seq, kernel.tail_mass)
 
 
 def reference_profile_points(f: LatticeSequence, p: float, t_grid, eps: float):
     weight = lambda t: t ** (0.5 * (1.0 - (0.0 if p == math.inf else 1.0 / p)))
-    m, f_l1 = f.mass(), l1(f)
+    m = f.mass()
     points = []
     for t in sorted(t_grid):
         kernel = heat_kernel(t, eps)
         seq = kernel.to_sequence()
         u = LatticeSequence(seq.offset + f.offset, np.convolve(seq.values, f.values))
-        u_err = kernel.tail_mass * f_l1 + two_sequence_rounding_bound(seq, f)
+        u_err = certificate(f, seq, kernel.tail_mass)
         diff = add_sequences(u, seq, 1.0, -m)
         points.append((t, weight(t) * norm(diff, p), weight(t) * (u_err + kernel.tail_mass * abs(m))))
     return points

@@ -112,12 +112,41 @@ class TestRoundingBound:
             assert l1_distance(snap.u, exact) <= Fraction(snap.trunc_error)
 
 
+class TestDataL1Bound:
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 1000, 1024, 5000, 100_000])
+    def test_bounds_the_exact_sum(self, size, exact_l1):
+        # Signed values log-uniform over 600 decades, uniform in [0, 1), subnormal, and summing near the top of binary64.
+        rng = np.random.default_rng(size)
+        signs = rng.choice([-1.0, 1.0], size)
+        cases = [signs * 10.0 ** rng.uniform(-300.0, 300.0, size), rng.uniform(0.0, 1.0, size)]
+        cases += [signs * np.ldexp(rng.uniform(0.0, 1.0, size), -1060), signs * np.ldexp(rng.integers(0, 4, size), -1074)]
+        cases += [rng.uniform(0.5, 1.0, size) * (1.7e308 / size)]
+        for values in cases:
+            bound, exact = solver_module._l1_bound(LatticeSequence(0, values)), exact_l1(values)
+            assert math.isfinite(bound)
+            assert exact <= Fraction(bound) <= exact * (1 + Fraction(1, 10**9)) + Fraction(2, 2**1074)
+
+    def test_a_bound_past_binary64_is_lp_norms(self):
+        top = np.finfo(float).max
+        # The NumPy sum is finite, its bound is not: lp_norm's value, here exact.
+        assert solver_module._l1_bound(LatticeSequence(0, np.array([top / 2, -top / 2]))) == top
+        with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
+            solver_module._l1_bound(LatticeSequence(0, np.full(3, 1e308)))
+        assert math.isnan(solver_module._l1_bound(LatticeSequence(0, np.array([1.0, math.nan, math.inf]))))
+        assert solver_module._l1_bound(LatticeSequence(0, np.array([1.0, -math.inf]))) == math.inf
+
+
 class TestEvolve:
     def test_sums_each_l1_norm_once(self, monkeypatch):
+        # ||f||_1 is bounded from one NumPy sum and ||G(t)||_1 by the row's normalisation, so finite data take no
+        # compensated sum; data whose bound passes binary64 take lp_norm's, once, and keep its error.
         calls = []
         monkeypatch.setattr(solver_module, "lp_norm", lambda s, p: calls.append(p) or lp_norm(s, p))
         evolve(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 4: -2.0}), 3.0)
-        assert calls == [1.0, 1.0]  # ||f||_1 and the kernel row's, for truncation and rounding both
+        assert calls == []
+        with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
+            evolve(LatticeSequence(0, np.full(3, 1e308)), 1.0)
+        assert calls == [1.0]
 
     def test_time_zero_is_identity(self):
         f = LatticeSequence.from_pairs({0: 1.0, 3: -2.0})

@@ -46,6 +46,9 @@ INPUTS = {
     # Laplacian norms are formed in several blocks.
     "bump.csv": "n,value\n" + "".join(f"{n},{(10**6 - n * n) ** 4 / 10**24!r}\n" for n in range(-1000, 1000)),
     "bump.json": '{"kind": "separable", "spatial": "bump.csv", "gamma": 2.0, "amplitude": 0.0009765625}',  # l1 norm near 0.8
+    # Signed data on 1,000 sites, each value exact in binary: the widest input of the benchmark's evolve ops.
+    "sites1000.csv": "n,value\n" + "".join(f"{n},{(n * 37 % 101 - 50) / 64!r}\n" for n in range(-500, 500)),
+    "subnormal.csv": "n,value\n" + "".join(f"{n},{v * 2.0**-1074!r}\n" for n, v in enumerate((3, -1, 0, 7, 2, -5))),
 }
 
 
@@ -124,6 +127,10 @@ def corpus() -> list[list[str]]:
     # A row whose first recurrence step is inf (2t = 1e-323), taken from the series; eps refusals with a forcing.
     runs += [["kernel", "--t", "5e-324"]]
     runs += [["evolve", "--t", "1", *f, *g, "--eps", e] for e in ("-1", "3", "1e-320")]
+    # Evolve certificates from bounded norms: the benchmark's widest shape and subnormal data.  A row whose proved
+    # window ends on two equal subnormal values.
+    runs += [["evolve", "--t", "1000", "--f", "inputs/sites1000.csv"], ["evolve", "--t", "3", "--f", "inputs/subnormal.csv"]]
+    runs += [["kernel", "--t", "25000", "--eps", "2.5e-302"]]
     return runs
 
 
