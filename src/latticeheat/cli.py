@@ -66,9 +66,11 @@ def _svg_text(xs, ys, title: str, loglog: bool) -> str:
 
 
 def _outputs(out: Path, header: list[str], rows, meta: dict | None = None, svg: tuple | None = None):
-    """Every file a run writes, as the (path, lines) pairs ``run`` writes: the CSV of ``rows`` at ``out``, the
-    sidecar ``meta`` at ``<out>.json`` and the plot ``svg`` = (xs, ys, title, loglog) at ``<out>.svg``."""
-    outputs: list[tuple[Path, Iterable[str]]] = [(out, csv_lines(header, rows))]
+    """Every file a run writes, as the (path, lines) pairs ``run`` writes: the CSV of ``rows`` (or of its lines, given
+    as one str) at ``out``, the sidecar ``meta`` at ``<out>.json`` and the plot ``svg`` = (xs, ys, title, loglog) at
+    ``<out>.svg``."""
+    csv = [",".join(header) + "\n", rows] if isinstance(rows, str) else csv_lines(header, rows)
+    outputs: list[tuple[Path, Iterable[str]]] = [(out, csv)]
     if meta is not None:
         outputs.append((out.with_name(out.name + ".json"), [json.dumps(meta, sort_keys=True, indent=2) + "\n"]))
     if svg is not None:
@@ -144,7 +146,7 @@ def _execute(args: argparse.Namespace) -> list[tuple[Path, Iterable[str]]]:
         text = list(map(str, memoryview(row.values)))  # the row is symmetric: each |n| formatted once
         ns = range(-row.window, row.window + 1)
         svg = (ns, row.to_sequence().values, f"G(t={args.t})", False) if args.plot else None
-        return _outputs(out, ["n", "value"], ((n, text[abs(n)]) for n in ns), svg=svg)
+        return _outputs(out, ["n", "value"], "".join(map("{},{}\n".format, ns, text[:0:-1] + text)), svg=svg)
 
     if cmd in ("evolve", "duhamel"):
         f = read_sequence_csv(args.f) if cmd == "evolve" else None  # f is read before g

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import check_order, exact_sum, power_weighted
+from .bessel import MAX_RECURRENCE_STEPS, _start_index, check_order, exact_sum, power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 
 K_MAX = 64
 ROOTS_K_MAX = 12
+# A predicted floor N keeps N^order below exp(709), inside binary64 (whose largest log is 709.78).
+_LOG_WEIGHT_MAX = 709.0
 
 
 class RootIsolationError(ArithmeticError):
@@ -263,15 +265,72 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
     return math.inf if grow >= 1.0 else edge * grow / (1.0 - grow)
 
 
+def _predicted_floor(t: float, order: int, tol: float) -> int | None:
+    """The least window N whose order-weighted Bernstein tail is at most tol / 2, or None where no row holds one.
+
+    b_n(tau) <= exp(-g(n)), g(n) = n^2 / (2 (tau + n/3)) at tau = 2t (Bernstein, as in ``bessel._start_index``).
+    With s = n / (3 tau + n), g(n) = 3 n s / 2 and g'(n) = 3 s (2 - s) / 2 grows with n, so g is convex and the
+    term n^order exp(-g(n)) falls from n to n + 1 by at least exp(order / n - g'(n)); from n = N + 1 on, by at
+    least r = exp(order / (N + 1) - g'(N + 1)).  Where r < 1, 2 sum_{n > N} n^order exp(-g(n)) is at most twice
+    the term at N + 1 over 1 - r, which is exp(L(N + 1) - g(N + 1)) tol / 2 for
+    L(n) = log 2 + order log n - log(1 - r) - log(tol / 2); so N meets the target where L(N + 1) <= g(N + 1).
+    That bound falls as N grows, so bisection finds the least such N.  Its first probes are ceil(n) - 1 and its
+    neighbours, for n after four steps of n <- g^-1(L(n)) from order + 2 sqrt(order tau) + 1 (where r < 1
+    already); they usually settle it, and the result is the same without them.  A row holds N if N^order stays
+    within binary64 (it is ``weighted_tail_bound``'s edge weight) and a row at eps 1e-16 floored at N takes at
+    most ``MAX_RECURRENCE_STEPS`` steps.  A refused t has no floor either.
+    """
+    tau = 2.0 * t
+    if not 0.0 <= tau < math.inf:  # heat_kernel refuses t, as it does without a floor
+        return None
+    tau, log_target = float(tau), math.log(tol) - math.log(2.0)  # Python floats run to inf without a warning
+
+    def logs(n: float) -> tuple[float, float]:
+        """(L(n), g(n)), with L(n) = inf where r >= 1 at n."""
+        s = n / (3.0 * tau + n)
+        x = order / n - 1.5 * s * (2.0 - s)
+        big_l = math.log(2.0) + order * math.log(n) - math.log(-math.expm1(x)) - log_target if x < 0.0 else math.inf
+        return big_l, 1.5 * n * s
+
+    def meets(window: int) -> bool:
+        big_l, g = logs(window + 1)
+        return big_l <= g
+
+    n = order + 2.0 * math.sqrt(order) * math.sqrt(tau) + 1.0
+    for _ in range(4):
+        big_l = logs(n)[0]
+        if not 0.0 < big_l < math.inf:
+            break
+        n = big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)  # g(n) = big_l
+    lo = 0
+    hi = limit = min(MAX_RECURRENCE_STEPS, int(math.exp(_LOG_WEIGHT_MAX / order)))
+    guess = math.ceil(min(n, limit)) - 1
+    probes = iter((guess, guess - 1, guess + 1))
+    while lo < hi:  # the least N in [lo, hi] that meets the bound, if hi does
+        mid = next((p for p in probes if lo <= p < hi), (lo + hi) // 2)
+        lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+    if lo == limit and not meets(lo):
+        return None
+    if tau and _start_index(tau, 1e-16, lo)[1] > MAX_RECURRENCE_STEPS:  # the tau = 0 row runs no recurrence
+        return None
+    return lo
+
+
 def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> KernelSlice:
-    """The first row of G(t, .) whose order-weighted tail is at most tol, in one chain for every order:
-    the row at eps 1e-16, then each next window floored at max(N + 8, int(1.3 N)), at most 60 rows.
+    """The first row of G(t, .) whose order-weighted tail is at most tol, in one chain of rows at eps 1e-16:
+    the first floored at ``_predicted_floor`` where ``rows`` is empty and order > 0 (at order 0 the eps row
+    certifies its own tail), then each next window floored at max(N + 8, int(1.3 N)), at most 60 rows.
     ``rows`` holds the rows built so far, takes each new one and is scanned from the first.
     """
     check_order(order)
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     for i in range(60):
         if i == len(rows):
-            floor = max(rows[-1].window + 8, int(rows[-1].window * 1.3)) if rows else None
+            if rows:
+                floor = max(rows[-1].window + 8, int(rows[-1].window * 1.3))
+            else:
+                floor = _predicted_floor(t, order, tol) if order else None
             rows.append(heat_kernel(t, 1e-16, min_half_width=floor))
         if weighted_tail_bound(rows[i], order) <= tol:
             return rows[i]
@@ -279,13 +338,22 @@ def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> Ke
 
 
 def heat_kernel_for_moment(t: float, order: int, tol: float) -> KernelSlice:
-    """Kernel slice wide enough that the order-weighted tail is below tol."""
+    """Kernel slice wide enough that the order-weighted tail is below tol.
+
+    Its first row is floored where the Bernstein bound predicts the weighted tail meets tol (``_predicted_floor``),
+    so one row usually certifies; a row that does not is widened as in ``moment_table``'s chain.  A tol that is NaN
+    or not positive raises ValueError before any row is built.
+    """
     return _moment_row(t, order, tol, [])
 
 
 def moment_table(t: float, k_max: int) -> list[list]:
-    """Rows [k, even_moment, poly_value, odd_moment] for k <= k_max, order 2k at tol max(1e-12, 1e-10 p_k(2t));
-    the orders share one chain of rows, so each row is built once and each order gets the row it would alone."""
+    """Rows [k, even_moment, poly_value, odd_moment] for k <= k_max, order 2k at tol max(1e-12, 1e-10 p_k(2t)).
+
+    The orders share one chain of rows, so each row is built once.  The chain starts at order 0, whose first row
+    takes no predicted floor, so every order gets the first row of the unfloored chain that meets its tol; that
+    row can be narrower than the one ``heat_kernel_for_moment`` gives it alone.
+    """
     rows, table = [], []
     for k, poly in enumerate(moment_polynomials(k_max)):
         expected = poly_eval(poly, 2.0 * t)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from latticeheat import solver
+from latticeheat import moments, solver
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
 from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel
@@ -57,22 +57,36 @@ def test_duhamel_certificate_covers_quad_vec(gamma, t, epsilons):
         assert distance <= certificate
 
 
-def test_weighted_tail_bound_covers_the_ive_tail():
-    # At the rows the moment table picks (tol max(1e-12, 1e-10 p_k(2t)) for order 2k), against
-    # 2 sum_{n > N} n^order ive(n, 2t) summed directly.  The bound is tight: the ratio reaches 0.989.
+def test_weighted_tail_bound_covers_the_ive_tail(monkeypatch):
+    # At the rows heat_kernel_for_moment gives order 2k at the moment table's tol max(1e-12, 1e-10 p_k(2t)) and
+    # order 12 at the benchmark's tol 1e-10 max(1, (2t)^6), against 2 sum_{n > N} n^order ive(n, 2t) summed
+    # directly.  A call builds one row wherever its first row, floored where the Bernstein tail predicts, certifies.
+    # The bound is tight: the ratio reaches 0.989.
+    built = []
+    monkeypatch.setattr(moments, "heat_kernel", lambda *args, **kw: built.append(heat_kernel(*args, **kw)) or built[-1])
     polys = moment_polynomials(12)
+    widened = calls = 0
     for t in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        cases = [(2 * k, max(1e-12, 1e-10 * poly_eval(polys[k], 2.0 * t))) for k in range(1, 13)]
         ratios = []
-        for k in range(1, 13):
-            row = heat_kernel_for_moment(t, 2 * k, max(1e-12, 1e-10 * poly_eval(polys[k], 2.0 * t)))
-            bound = weighted_tail_bound(row, 2 * k)
+        for order, tol in cases + [(12, 1e-10 * max(1.0, (2.0 * t) ** 6))]:
+            built.clear()
+            row = heat_kernel_for_moment(t, order, tol)
+            calls += 1
+            if weighted_tail_bound(built[0], order) <= tol:
+                assert len(built) == 1 and built[0] is row
+            else:
+                widened += 1
+            bound = weighted_tail_bound(row, order)
+            assert bound <= tol
             n = np.arange(row.window + 1, row.window + 65 + 8 * math.ceil(math.sqrt(2.0 * t)))
-            terms = n.astype(float) ** (2 * k) * special.ive(n, 2.0 * t)
+            terms = n.astype(float) ** order * special.ive(n, 2.0 * t)
             tail = 2.0 * math.fsum(terms.tolist())
             assert terms[-1] <= 1e-20 * tail  # the sum reaches far enough past the window
             assert tail <= bound
             ratios.append(tail / bound)
-        print(f"weighted tail t={t:g}, orders 2..24: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))
+        print(f"weighted tail t={t:g}, orders 2..24 and 12: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))
+    print(f"first row widened in {widened} of {calls} calls")
 
 
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")

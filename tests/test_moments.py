@@ -3,13 +3,15 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latticeheat import moments
-from latticeheat.kernel import KernelSlice, LatticeSequence
+from latticeheat.bessel import MAX_RECURRENCE_STEPS, _start_index, check_order
+from latticeheat.kernel import KernelSlice, LatticeSequence, heat_kernel
 from latticeheat.moments import (
     ROOTS_K_MAX,
     IntPolynomial,
@@ -458,11 +460,59 @@ class TestKernelMoments:
         row = heat_kernel_for_moment(1.0, 2, 1e-10)
         monkeypatch.setattr(moments, "heat_kernel", None)  # a refused order builds no row
         calls = [lambda: LatticeSequence(-3, np.ones(7)).moment(order), lambda: kernel_moment(row, order),
-                 lambda: weighted_tail_bound(row, order), lambda: heat_kernel_for_moment(1.0, order, 1e-10)]
+                 lambda: weighted_tail_bound(row, order), lambda: heat_kernel_for_moment(1.0, order, 1e-10),
+                 lambda: heat_kernel_for_moment(1.0, order, math.nan)]  # the order is checked before tol
         for call in calls:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
         assert len(message) < 100
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1e-10, -math.inf], ids=repr)
+    def test_a_tol_that_is_nan_or_not_positive_builds_no_row(self, monkeypatch, tol):
+        # A NaN tol once widened rows without end: no weighted tail is at most NaN.
+        monkeypatch.setattr(moments, "heat_kernel", None)
+        for order in (0, 2, 13):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'tol must be positive, got {tol!r}')}$"):
+                heat_kernel_for_moment(1.0, order, tol)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0], ids=repr)
+    def test_refused_input_raises_as_it_did(self, t):
+        # Each call raises what the walk without a predicted floor raised: the order's error, else the tol's (new),
+        # else the first row's; and no floor search runs long on any of them.
+        for order in (-1, 0.5, 10**6, 1e300):
+            for tol in (-1.0, 0.0, math.nan, math.inf):
+                try:
+                    check_order(order)
+                    if not tol > 0.0:
+                        raise ValueError(f"tol must be positive, got {tol!r}")
+                    heat_kernel(t, 1e-16)
+                except ValueError as exc:
+                    expected = str(exc)
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    heat_kernel_for_moment(t, order, tol)
+                assert time.perf_counter() - start < 1.0
+
+    def test_no_floor_past_the_recurrence_cap(self):
+        # At t = 3e12 the eps-1e-16 row fits MAX_RECURRENCE_STEPS (32.6 million steps), but a row floored where the
+        # order-2 tail meets 1e-10 would not: there is no floor, and the walk starts at the eps row as before.
+        assert _start_index(6e12, 1e-16, 0)[1] <= MAX_RECURRENCE_STEPS
+        assert moments._predicted_floor(3e12, 2, 1e-10) is None
+        floor = moments._predicted_floor(2.5e12, 2, 1e-10)
+        assert _start_index(5e12, 1e-16, 0)[0] < floor and _start_index(5e12, 1e-16, floor)[1] <= MAX_RECURRENCE_STEPS
+
+    @pytest.mark.parametrize("order", [10**6, 1e300, 1000], ids=repr)
+    def test_no_floor_a_row_can_hold_starts_the_walk_as_before(self, order):
+        # N^order leaves binary64 at every floor the Bernstein tail asks for, so the walk starts at the eps-1e-16 row
+        # and its weight overflows there, as before; a floor would have named another window.
+        assert moments._predicted_floor(1.0, order, 1e-10) is None
+        first = heat_kernel(1.0, 1e-16)
+        with pytest.raises(OverflowError) as expected:
+            weighted_tail_bound(first, order)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+            heat_kernel_for_moment(1.0, order, 1e-10)
+        assert time.perf_counter() - start < 1.0
 
     def test_continuum_ratio(self):
         polys = moment_polynomials(4)

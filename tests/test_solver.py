@@ -135,6 +135,18 @@ class TestDataL1Bound:
         assert math.isnan(solver_module._l1_bound(LatticeSequence(0, np.array([1.0, math.nan, math.inf]))))
         assert solver_module._l1_bound(LatticeSequence(0, np.array([1.0, -math.inf]))) == math.inf
 
+    def test_a_rounded_down_fallback_is_rounded_up(self, exact_l1):
+        # lp_norm rounds top + 2^969 down to top: the bound's next float is inf, so the norm is refused, not
+        # certified 2^969 short.  A fallback that is not exact is rounded up one ulp.
+        top = np.finfo(float).max
+        f = LatticeSequence(0, np.array([top, 2.0**969]))
+        for call in (lambda: solver_module._l1_bound(f), lambda: evolve(f, 1.0)):
+            with pytest.raises(OverflowError, match="^the l1 norm of a sequence on 2 sites exceeds binary64 range$"):
+                call()
+        values = np.array([math.nextafter(top, 0.0), -(2.0**969)])  # the NumPy bound passes binary64, the norm does not
+        assert solver_module._l1_bound(LatticeSequence(0, values)) == top
+        assert Fraction(float(values[0])) < exact_l1(values) < Fraction(top)
+
 
 class TestEvolve:
     def test_sums_each_l1_norm_once(self, monkeypatch):
