@@ -423,7 +423,9 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
     # Each step adds a nonnegative term two places up and rounding is monotone, so no value tops row[0] or row[1].
     if max(row[0], row[1]) > _RESCALE_THRESHOLD:
         # Tiny tau, eps near 1e-300 or a wide floor: run again from the top, rescaling as it goes.
-        y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
+        # A stored value is at most 1e250, so three factors take it below 2^-1075, to +0.0: each rescale
+        # multiplies the values up to the third-last rescale before it, and the rest are +0.0 already.
+        y_next, y_cur, two_n, rescales = 0.0, 1.0, 2.0 * m, [m + 1] * 3
         for n in range(m, 0, -1):
             y_prev = y_next + (two_n / tau) * y_cur
             if y_prev > _RESCALE_THRESHOLD:
@@ -431,7 +433,8 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
                     return None
                 y_prev *= _RESCALE_FACTOR
                 y_cur *= _RESCALE_FACTOR
-                y[n:] *= _RESCALE_FACTOR
+                y[n : rescales[-3]] *= _RESCALE_FACTOR
+                rescales.append(n)
             row[n - 1] = y_prev
             y_next, y_cur = y_cur, y_prev
             two_n -= 2.0

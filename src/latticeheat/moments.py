@@ -9,10 +9,9 @@ the kernel obeys sum_n n^{2k} G(t, n) = p_k(2t) while odd moments vanish
 by symmetry.  Root finding takes exact integer signs at dyadic points
 a / 2^e: the smallest negative zeros sit within 1e-3 of the zero at the
 origin, where floating point sign tests are unreliable.  Float estimates
-of the roots only pick the grid cells that bisection would end in; two
-exact signs per cell verify them, and where they do not, Sturm isolation
-and bisection run.  The Sturm chain is built by integer pseudo-division,
-so no rational arithmetic is needed.
+of the roots pick cells of one fine grid, two exact signs per cell verify
+them, and the roots at any coarser tolerance follow from the cell indices
+in closed form; a polynomial whose cells do not verify is refused.
 """
 
 from __future__ import annotations
@@ -44,7 +43,12 @@ _LOG_WEIGHT_MAX = 709.0
 
 
 class RootIsolationError(ArithmeticError):
-    """Root isolation found a number of real roots different from the degree."""
+    """The roots of a polynomial do not verify in cells of the fine grid, so ``poly_real_roots`` refuses it.
+
+    Every polynomial with a root off (-(deg + 2), 0), a complex or repeated root, or a root on a fine grid point
+    is refused, and so is one with two roots in one cell, a root its binary64 estimate misses by a cell, or a
+    coefficient past binary64.  No moment polynomial p_1 .. p_12 is.
+    """
 
 
 @dataclass(frozen=True)
@@ -92,32 +96,6 @@ def poly_eval(p: IntPolynomial, x: float) -> float:
     return acc
 
 
-def _sturm_chain(coeffs: list[int]) -> list[IntPolynomial]:
-    """Sturm sequence of the polynomial by integer pseudo-division (Knuth, TAOCP 2, 4.6.1).
-
-    A step replaces a with |lc(b)| a - sign(lc(b)) lc(a) x^shift b, a positive
-    multiple of the rational step, and each remainder is divided by the
-    negated gcd of its coefficients.  So every member is a positive multiple
-    of the rational chain's, and every sign count is the same.
-    """
-    chain = [coeffs, [i * coeffs[i] for i in range(1, len(coeffs))]]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        while len(a) >= len(b) and any(a):
-            factor, shift = sign * a[-1], len(a) - len(b)
-            a = [scale * c for c in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= factor * c
-            while a and a[-1] == 0:
-                a.pop()
-        if not any(a):
-            break
-        g = -math.gcd(*a)
-        chain.append([c // g for c in a])
-    return [IntPolynomial(tuple(c)) for c in chain]
-
-
 def _dyadic_sign(poly: IntPolynomial, a: int, e: int) -> int:
     """Sign of poly(a / 2^e), from the integer sum of c_i a^i 2^(e (deg - i))."""
     acc = 0
@@ -126,22 +104,20 @@ def _dyadic_sign(poly: IntPolynomial, a: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[IntPolynomial], a: int, e: int) -> int:
-    signs = [s for s in (_dyadic_sign(poly, a, e) for poly in chain) if s != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
 def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     """All real roots of a moment polynomial, sorted ascending.
 
-    The root at the origin is returned exactly; the roots of q, p without its
-    zero roots, are refined in [-(deg + 2), 0].  Every interval Sturm-count
-    subdivision and bisection with exact signs at dyadic points visit has width
-    (deg + 2) 2^-e, and bisection stops at the first level E with
-    (deg + 2) 2^-E <= tol / 4, so a root is the midpoint of a cell of the grid
-    (deg + 2) j / 2^E.  ``_cell_roots`` first takes those cells from float
-    estimates and checks each by two exact signs, which gives the same floats;
-    where a check fails, Sturm isolation and bisection (``_sturm_roots``) run.
+    The root at the origin is returned exactly.  The d roots of q, p without its
+    zero roots, are taken once, from cells j_1 < ... < j_d of the fine grid
+    bound (j, j + 1] / 2^F in [-bound, 0], bound = deg + 2 and F the first level
+    with bound 2^-F <= 1e-12 / 4, the finest any accepted tol asks for
+    (``_cell_roots``).  Sturm isolation of [-bound, 0] and exact bisection to the
+    first level L with bound 2^-L <= tol / 4 would halve an interval until it
+    holds one root and then follow that root's cell down to level L.  With every
+    root strictly inside its own fine cell, that ends in the ancestor j_i >> s of
+    j_i at depth F - s, s = min(F - L, (j_i ^ j_k).bit_length() - 1 over its
+    neighbours k), so the root is that cell's midpoint and the float is Sturm's
+    bit for bit.  Raises RootIsolationError where the fine cells do not verify.
     """
     if p.degree > ROOTS_K_MAX:
         raise ValueError(f"root finding capped at degree {ROOTS_K_MAX}")
@@ -154,23 +130,28 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     bound, level = p.degree + 2, 0
     while math.ldexp(bound, -level) > tol / 4:
         level += 1
-    roots = _cell_roots(q, bound, level)
-    if roots is None:
-        roots = _sturm_roots(q, bound, level)
+    fine = level  # tol >= 1e-12, so the fine level is level or finer
+    while math.ldexp(bound, -fine) > 1e-12 / 4:
+        fine += 1
+    cells = _cell_roots(q, bound, fine)
+    # The cells are negative, so j ^ k is nonnegative and j >> s floors: it is the cell at depth F - s holding j.
+    splits = [(j ^ k).bit_length() - 1 for j, k in zip(cells, cells[1:])]
+    roots = []
+    for j, left, right in zip(cells, [fine, *splits], [*splits, fine]):
+        s = min(fine - level, left, right)
+        roots.append(bound * (2 * (j >> s) + 1) / (1 << (fine - s + 1)))
     return roots + [0.0] if zeros else roots
 
 
-def _cell_roots(q: IntPolynomial, bound: int, level: int) -> list[float] | None:
-    """The roots ``_sturm_roots`` returns, from verified cells of its last grid, or None.
+def _cell_roots(q: IntPolynomial, bound: int, level: int) -> list[int]:
+    """The cells j_1 < ... < j_d, bound (j, j + 1] / 2^level, that hold the d roots of q (q(0) != 0), verified.
 
-    The d roots of q (q(0) != 0) are estimated in binary64 (``np.roots`` and two
-    Newton steps) and snapped to cells bound (j, j + 1] / 2^level.  The cells are
-    accepted only if they strictly increase, lie in [-bound, 0] and q has nonzero,
-    opposite exact signs at both ends of each.  Then each of the d cells holds an
-    odd number of roots of a degree-d polynomial, so exactly one, simple, and no
-    root is on a grid point: the Sturm count is d, isolation ends by the last
-    level, bisection never meets a zero sign, and it ends in the same cell, whose
-    midpoint (2j + 1) bound / 2^(level + 1) is its float bit for bit.
+    The roots are estimated in binary64 (``np.roots`` and two Newton steps) and
+    snapped to cells.  The cells are accepted only if they strictly increase, lie
+    in [-bound, 0] and q has nonzero, opposite exact signs at both ends of each.
+    Then each of the d cells holds an odd number of roots of a degree-d
+    polynomial, so exactly one, simple, and no root is on a grid point.  Raises
+    RootIsolationError otherwise.
     """
     try:
         c = np.array([float(x) for x in reversed(q.coeffs)])
@@ -180,58 +161,18 @@ def _cell_roots(q: IntPolynomial, bound: int, level: int) -> list[float] | None:
                 powers = np.vander(x, len(c))
                 x = x - (powers @ c) / (powers[:, 1:] @ dc)
     except (OverflowError, np.linalg.LinAlgError):  # a coefficient past binary64, or no eigenvalues
-        return None
+        x = np.array([])
     # Estimates in [-bound, 0) give cells in [-bound, 0]; NaN fails both tests.  A wrong estimate fails the signs.
-    if len(x) != q.degree or not np.all((-bound <= x) & (x < 0)):
-        return None
-    cells = [math.floor(math.ldexp(v, level) / bound) for v in sorted(x.tolist())]
-    if any(i >= j for i, j in zip(cells, cells[1:])):
-        return None
-    for j in cells:
-        if _dyadic_sign(q, bound * j, level) * _dyadic_sign(q, bound * (j + 1), level) != -1:
-            return None
-    return [bound * (2 * j + 1) / (1 << (level + 1)) for j in cells]
-
-
-def _sturm_roots(q: IntPolynomial, bound: int, level: int) -> list[float]:
-    """The roots of q (q(0) != 0) in [-bound, 0] by Sturm isolation and exact bisection to the
-    given level: the path ``_cell_roots`` falls back to."""
-    chain = _sturm_chain(list(q.coeffs))
-    # Every point visited is a dyadic a / 2^e, held as the integers (a, e).
-    lo, hi = -bound, 0
-    v_lo, v_hi = _sign_changes(chain, lo, 0), _sign_changes(chain, hi, 0)
-    if v_lo - v_hi != q.degree:
-        raise RootIsolationError(f"isolated {v_lo - v_hi} real roots in [{float(lo)}, 0], expected {q.degree}")
-
-    # Each interval carries the sign changes at both ends, so a split counts only its midpoint.
-    isolated: list[tuple[int, int, int]] = []
-    stack = [(lo, hi, 0, v_lo, v_hi)]
-    while stack:
-        a, b, e, v_a, v_b = stack.pop()
-        if v_a - v_b == 1:
-            isolated.append((a, b, e))
-        elif v_a - v_b > 1:
-            mid = a + b
-            v_mid = _sign_changes(chain, mid, e + 1)
-            stack += [(2 * a, mid, e + 1, v_a, v_mid), (mid, 2 * b, e + 1, v_mid, v_b)]
-
-    roots: list[float] = []
-    for a, b, e in isolated:
-        # Sturm counts roots in (a, b], so a may be another root; bisect on the sign at b, where 0 marks the root.
-        sb = _dyadic_sign(q, b, e)
-        if sb == 0:
-            a = b
-        while a < b and e < level:
-            a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
-            sm = _dyadic_sign(q, mid, e)
-            if sm == 0:
-                a = b = mid
-            elif sm == sb:
-                b = mid
-            else:
-                a = mid
-        roots.append((a + b) / (1 << (e + 1)))
-    return sorted(roots)
+    if len(x) == q.degree and np.all((-bound <= x) & (x < 0)):
+        cells = [math.floor(math.ldexp(v, level) / bound) for v in sorted(x.tolist())]
+        if all(i < j for i, j in zip(cells, cells[1:])) and all(
+            _dyadic_sign(q, bound * j, level) * _dyadic_sign(q, bound * (j + 1), level) == -1 for j in cells
+        ):
+            return cells
+    raise RootIsolationError(
+        f"the roots of a degree-{q.degree} polynomial do not verify at fine level {level}: "
+        f"no {q.degree} cells of [-{bound}, 0] with opposite, nonzero exact signs at their ends"
+    )
 
 
 def kernel_moment(slice: KernelSlice, order: int) -> float:

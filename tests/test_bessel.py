@@ -439,6 +439,8 @@ class TestRecurrenceBranches:
         cases += [(1e5, 1e-150, 0), (0.002, 1e-300, 0), (4.0, 1e-200, 0)]
         # A row whose last step alone passes the threshold: row[0] is above it, row[1] below.
         cases += [(5e-10, 1e-12, 0)]
+        # A wide floor: hundreds of rescales, where each multiplies only the values since the third-last before it.
+        cases += [(2.0, 1e-16, 25_000)]
         direct = [(tau, bessel._start_index(tau, eps, floor)[1]) for tau, eps, floor in cases]
         # The a-priori boundary m(m + 1) = 570 tau that chose the loop before rows learnt it from their sum:
         # the smallest floor whose row crossed it and the one below, and the last m below it and the first above.

@@ -17,7 +17,6 @@ from latticeheat.moments import (
     IntPolynomial,
     RootIsolationError,
     _dyadic_sign,
-    _sturm_chain,
     heat_kernel_for_moment,
     kernel_moment,
     moment_polynomials,
@@ -160,19 +159,30 @@ class TestRoots:
                     assert abs(g - w) <= tol, (k, tol, g, w)
 
     def test_root_on_a_bisection_midpoint_is_exact(self):
-        # t (4t + 3): bisection of (-4, 0] visits -2, -1, -0.5 and then hits -0.75 exactly.
-        assert poly_real_roots(IntPolynomial((0, 3, 4)), 1e-12) == [-0.75, 0.0]
+        # t (4t + 3): bisection of (-4, 0] visits -2, -1, -0.5 and then hits -0.75 exactly, so the reference
+        # returns it; -0.75 is a point of the fine grid, so its cells do not verify and poly_real_roots refuses.
+        p = IntPolynomial((0, 3, 4))
+        assert sturm_path(p, 1e-12) == [-0.75, 0.0]
+        with pytest.raises(RootIsolationError, match="degree-1 polynomial do not verify at fine level 44"):
+            poly_real_roots(p, 1e-12)
 
     @pytest.mark.parametrize("coeffs, exact", [((1, 4, 3), (-1, Fraction(-1, 3))), ((2, 3, 1), (-2, -1))])
     def test_root_at_the_left_end_of_an_isolating_interval_is_kept(self, coeffs, exact):
-        # -1 is a point of every grid: it closes the isolating interval of -2 and opens that of -1/3.
-        roots = poly_real_roots(IntPolynomial(coeffs), 1e-12)
+        # -1 is a point of every grid: it closes the reference's isolating interval of -2 and opens that of
+        # -1/3, and the reference keeps both roots.  On a grid point, it is refused by the verified cells.
+        roots = sturm_path(IntPolynomial(coeffs), 1e-12)
         assert len(roots) == 2
         assert all(abs(Fraction(r) - x) <= 1e-12 for r, x in zip(roots, exact))
+        with pytest.raises(RootIsolationError):
+            poly_real_roots(IntPolynomial(coeffs), 1e-12)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6])
     def test_seeded_roots_on_grid_points_are_all_found(self, tol):
+        # The reference finds every root.  poly_real_roots refuses wherever a root is on a point of the fine
+        # grid (deg + 2) j / 2^F, F >= 44: the dyadic roots below, and integers that (deg + 2) / 2^e divides;
+        # elsewhere it returns the reference's floats or refuses.
         rng = random.Random(15)
+        on_grid = []
         for _ in range(60):
             deg = rng.randint(2, 8)
             exact = set()
@@ -184,9 +194,17 @@ class TestRoots:
                     b = rng.choice((3, 5))
                     exact.add(Fraction(-rng.randint(0, b * (deg + 2) - 1), b))
             p = with_roots(rng.choice((1, -2)), [(x.numerator, x.denominator) for x in exact])
-            roots = poly_real_roots(p, tol)
+            roots = sturm_path(p, tol)
             assert len(roots) == deg, (p, roots)
             assert all(abs(Fraction(r) - x) <= tol for r, x in zip(roots, sorted(exact))), (p, roots)
+            # x is a point of the grid of some level, here at most 4 and so below F, iff x / (deg + 2) is dyadic.
+            on_grid.append(any(x and (x / (deg + 2)).denominator.bit_count() == 1 for x in exact))
+            if on_grid[-1]:
+                with pytest.raises(RootIsolationError):
+                    poly_real_roots(p, tol)
+            else:
+                checked_outcome(p, tol)
+        assert 0 < on_grid.count(True) < len(on_grid)
 
     def test_dyadic_sign_matches_rational_evaluation(self):
         mixed = [IntPolynomial((3, -7, 0, 5, -2)), IntPolynomial((-1, 0, 0, 0, 0, 0, 1 << 40))]
@@ -196,6 +214,78 @@ class TestRoots:
                     x = Fraction(a, 2**e)
                     value = sum(c * x**i for i, c in enumerate(poly.coeffs))
                     assert _dyadic_sign(poly, a, e) == (value > 0) - (value < 0)
+
+
+def _sturm_chain(coeffs: list[int]) -> list[IntPolynomial]:
+    """Sturm sequence of the polynomial by integer pseudo-division (Knuth, TAOCP 2, 4.6.1).
+
+    A step replaces a with |lc(b)| a - sign(lc(b)) lc(a) x^shift b, a positive
+    multiple of the rational step, and each remainder is divided by the
+    negated gcd of its coefficients.  So every member is a positive multiple
+    of the rational chain's, and every sign count is the same.
+    """
+    chain = [coeffs, [i * coeffs[i] for i in range(1, len(coeffs))]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b) and any(a):
+            factor, shift = sign * a[-1], len(a) - len(b)
+            a = [scale * c for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and a[-1] == 0:
+                a.pop()
+        if not any(a):
+            break
+        g = -math.gcd(*a)
+        chain.append([c // g for c in a])
+    return [IntPolynomial(tuple(c)) for c in chain]
+
+
+def _sign_changes(chain: list[IntPolynomial], a: int, e: int) -> int:
+    signs = [s for s in (_dyadic_sign(poly, a, e) for poly in chain) if s != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def _sturm_roots(q: IntPolynomial, bound: int, level: int) -> list[float]:
+    """The roots of q (q(0) != 0) in [-bound, 0] by Sturm isolation and exact bisection to the
+    given level: the reference that ``poly_real_roots``' verified cells reproduce."""
+    chain = _sturm_chain(list(q.coeffs))
+    # Every point visited is a dyadic a / 2^e, held as the integers (a, e).
+    lo, hi = -bound, 0
+    v_lo, v_hi = _sign_changes(chain, lo, 0), _sign_changes(chain, hi, 0)
+    if v_lo - v_hi != q.degree:
+        raise RootIsolationError(f"isolated {v_lo - v_hi} real roots in [{float(lo)}, 0], expected {q.degree}")
+
+    # Each interval carries the sign changes at both ends, so a split counts only its midpoint.
+    isolated: list[tuple[int, int, int]] = []
+    stack = [(lo, hi, 0, v_lo, v_hi)]
+    while stack:
+        a, b, e, v_a, v_b = stack.pop()
+        if v_a - v_b == 1:
+            isolated.append((a, b, e))
+        elif v_a - v_b > 1:
+            mid = a + b
+            v_mid = _sign_changes(chain, mid, e + 1)
+            stack += [(2 * a, mid, e + 1, v_a, v_mid), (mid, 2 * b, e + 1, v_mid, v_b)]
+
+    roots: list[float] = []
+    for a, b, e in isolated:
+        # Sturm counts roots in (a, b], so a may be another root; bisect on the sign at b, where 0 marks the root.
+        sb = _dyadic_sign(q, b, e)
+        if sb == 0:
+            a = b
+        while a < b and e < level:
+            a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
+            sm = _dyadic_sign(q, mid, e)
+            if sm == 0:
+                a = b = mid
+            elif sm == sb:
+                b = mid
+            else:
+                a = mid
+        roots.append((a + b) / (1 << (e + 1)))
+    return sorted(roots)
 
 
 def _rational_sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
@@ -240,22 +330,29 @@ class TestSturmChain:
 
     def test_subdivision_evaluates_the_chain_once_per_point(self, monkeypatch):
         seen = []
-        sign_changes = moments._sign_changes
+        sign_changes = _sign_changes
 
         def recording(chain, a, e):
             seen.append(Fraction(a, 2**e))
             return sign_changes(chain, a, e)
 
-        monkeypatch.setattr(moments, "_sign_changes", recording)
+        monkeypatch.setitem(globals(), "_sign_changes", recording)
         sturm_path(moment_polynomials(ROOTS_K_MAX)[ROOTS_K_MAX], 1e-12)
         assert len(seen) > 2 and len(seen) == len(set(seen))
 
 
 def sturm_path(p, tol):
-    """``poly_real_roots`` with the verified cells refused, so its Sturm isolation and bisection run."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moments, "_cell_roots", lambda q, bound, level: None)
-        return poly_real_roots(p, tol)
+    """The reference: ``poly_real_roots`` as it was with Sturm isolation and bisection (``_sturm_roots``),
+    the path that the verified cells now reproduce or refuse."""
+    zeros = next((i for i, c in enumerate(p.coeffs) if c), len(p.coeffs))
+    q = IntPolynomial(p.coeffs[zeros:])
+    if q.degree < 1:
+        return [0.0] if zeros else []
+    bound, level = p.degree + 2, 0
+    while math.ldexp(bound, -level) > tol / 4:
+        level += 1
+    roots = _sturm_roots(q, bound, level)
+    return roots + [0.0] if zeros else roots
 
 
 def roots_outcome(find, p, tol):
@@ -306,8 +403,29 @@ EDGE_POLYS = [
 ]
 
 
+def checked_outcome(p, tol):
+    """``poly_real_roots``' roots as hex strings, asserted equal to the reference's, or None where it raises
+    ``RootIsolationError``."""
+    try:
+        roots = [r.hex() for r in poly_real_roots(p, tol)]
+    except RootIsolationError:
+        return None
+    assert roots == roots_outcome(sturm_path, p, tol), (p, tol)
+    return roots
+
+
+# tol = 10^(-e/4), e = 0 .. 48: the tolerances at which every moment polynomial keeps the reference's floats.
+GRID_TOLS = [10 ** (-e / 4) for e in range(49)]
+
+
 class TestVerifiedCells:
-    """``poly_real_roots`` against its Sturm isolation and bisection, the path it falls back to."""
+    """``poly_real_roots`` against the reference Sturm isolation and bisection: the same floats, or a refusal."""
+
+    @pytest.mark.parametrize("tol", GRID_TOLS)
+    @pytest.mark.parametrize("k", range(1, ROOTS_K_MAX + 1))
+    def test_moment_polynomial_roots_are_the_sturm_paths_floats(self, k, tol):
+        p = moment_polynomials(k)[k]
+        assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol)
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_moment_polynomials_match_the_sturm_path(self, tol):
@@ -316,25 +434,14 @@ class TestVerifiedCells:
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_edge_cases_match_the_sturm_path(self, tol):
-        for p in EDGE_POLYS:
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol), p
+        outcomes = [checked_outcome(p, tol) for p in EDGE_POLYS]
+        assert None in outcomes and outcomes.count(None) < len(outcomes)
 
-    def test_seeded_polynomials_match_the_sturm_path(self, monkeypatch):
-        verified = []
-        cell_roots = moments._cell_roots
-
-        def recording(q, bound, level):
-            roots = cell_roots(q, bound, level)
-            verified.append(roots is not None)
-            return roots
-
-        monkeypatch.setattr(moments, "_cell_roots", recording)
-        for i, p in enumerate(RANDOM_POLYS):
-            tol = TOLS[i % len(TOLS)]
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol), (p, tol)
-        # Both paths run: the cells are verified for some polynomials and refused for others.
-        taken = sum(verified)  # one call per polynomial of degree >= 1, as sturm_path refuses the cells unrecorded
-        assert 30 < taken < len(RANDOM_POLYS) - 30
+    def test_seeded_polynomials_match_the_sturm_path(self):
+        # Each polynomial at each tol gets the reference's floats or a refusal, never other floats.
+        outcomes = [checked_outcome(p, tol) for p in RANDOM_POLYS for tol in TOLS]
+        refused = outcomes.count(None)
+        assert 30 < refused < len(outcomes) - 30
 
     @pytest.mark.parametrize(
         "coeffs, expected",
@@ -343,16 +450,26 @@ class TestVerifiedCells:
             ((0, 0, 5), [0.0]),
             ((7,), []),
             ((0, 0, 3, 4), [-0.7499999999999574, 0.0]),
-            ((3, 0), (RootIsolationError, "isolated 0 real roots in [-3.0, 0], expected 1")),
+            (
+                (3, 0),
+                (
+                    RootIsolationError,
+                    "the roots of a degree-1 polynomial do not verify at fine level 44: "
+                    "no 1 cells of [-3, 0] with opposite, nonzero exact signs at their ends",
+                ),
+            ),
         ],
     )
     def test_zero_roots_and_constants(self, coeffs, expected):
-        # Both paths share the stripping of zero roots, so its outputs are pinned.
+        # Both paths strip the zero roots alike, so its outputs are pinned; a zero leading coefficient is refused.
         p = IntPolynomial(coeffs)
         want = [r.hex() for r in expected] if isinstance(expected, list) else expected
-        assert roots_outcome(poly_real_roots, p, 1e-12) == roots_outcome(sturm_path, p, 1e-12) == want
+        assert roots_outcome(poly_real_roots, p, 1e-12) == want
+        refusal = (RootIsolationError, "isolated 0 real roots in [-3.0, 0], expected 1")
+        assert roots_outcome(sturm_path, p, 1e-12) == (want if isinstance(expected, list) else refusal)
 
     def test_moment_polynomials_never_reach_the_sturm_path(self, monkeypatch):
+        # Two exact signs per root of q at every tol: the cells are taken once, at the fine level.
         signs = []
         dyadic_sign = moments._dyadic_sign
 
@@ -360,15 +477,12 @@ class TestVerifiedCells:
             signs.append(a)
             return dyadic_sign(poly, a, e)
 
-        def refused(coeffs):
-            raise AssertionError("the Sturm path ran")
-
         monkeypatch.setattr(moments, "_dyadic_sign", counting)
-        monkeypatch.setattr(moments, "_sturm_chain", refused)
         for p in moment_polynomials(ROOTS_K_MAX)[2:]:
-            signs.clear()
-            assert len(poly_real_roots(p, 1e-12)) == p.degree
-            assert len(signs) <= 2 * (p.degree - 1)
+            for tol in GRID_TOLS:
+                signs.clear()
+                assert len(poly_real_roots(p, tol)) == p.degree
+                assert len(signs) <= 2 * (p.degree - 1), (p.degree, tol)
 
 
 class TestKernelMoments:
