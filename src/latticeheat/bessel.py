@@ -62,11 +62,15 @@ _NORM_ROUNDING = 3.001 * 2.0**-53
 ROW_L1_BOUND = 1.0 + 4.0 * 2.0**-53
 # Miller's relative seed error is held below this share of the target.
 _SEED_SHARE = 2.0**-40
-# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum: in a tight loop the
-# extraction's seven NumPy calls beat fsum from about 320 values, but between other
-# work, as in an ``evolve`` of 320 to 1,000 points, they cost more than they save.
+# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum.  The extraction's seven
+# NumPy calls take 8-18 us at any length up to 1,023; fsum's cost per value depends on the
+# data: 38-64 ns on an unfolded row, 61-95 ns on its squares, 76-114 ns on order-12 moment
+# terms, and 17-30 ns on uniform data or on the unnormalised row that ``_recurrence_row``
+# sums (2-core Intel Xeon, two phases of the host).  So 320 is about where the library's
+# norms and moments cross over.  An earlier cutoff of 1,024 rested on ``evolve`` readings
+# no wider than that benchmark's spread between two copies of one tree.
 # It extracts _SUM_BLOCK values per pass, so its one temporary is at most 32 KiB.
-_EXACT_SUM_MIN = 1024
+_EXACT_SUM_MIN = 320
 _SUM_BLOCK = 4096
 # The longest table of libm powers that ``power_weighted`` keeps for one order (see there).
 _POWER_TABLE_CAP = 2**13
@@ -370,12 +374,13 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
         elif edge < below:
             ratio = edge / below
             estimate = 4.0 * edge * ratio / (1.0 - ratio)
-        elif n == last and below < 2.0**-1022:
+        elif below < 2.0**-1022:
             # Subnormal values need not fall from one index to the next.  Amos's r_{n+1} gives
             # 2 sum_{k>n} b_k <= 2 b_n tau / n, and b_n is within 2^-1075 and a relative 4u of edge
             # (the quotient's rounding and the normalisation's), so the mass outside is at most
             # 2 (edge + 2^-1074) tau / (n - 1) for n <= 2^51; the estimate is twice that, as above.
-            # It is charged at the proved window alone, so the bisection below finds the ratio test's windows.
+            # It is charged at every probe where the ratio test cannot be taken, so a pair of equal
+            # subnormals does not refuse a window whose neighbours certify.
             estimate = 4.0 * (edge + 2.0**-1074) * tau / (n - 1)
         else:
             return None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latticeheat.kernel import csv_lines
+from latticeheat.kernel import LatticeSequence, csv_lines, heat_kernel
 
 
 @pytest.fixture
@@ -30,3 +30,23 @@ def exact_l1():
         return Fraction(total, 2**1074)
 
     return exact
+
+
+@pytest.fixture
+def semigroup_l2():
+    """||G(t) * f||_2^2 through the semigroup, with no special-function library, and a bound on its error.
+
+    G(t) * G(t) = G(2t) and G is even, so ||G(t) * f||_2^2 = sum_k R_f(k) G(2t, k), R_f(k) = sum_j f(j) f(j + k)
+    the autocorrelation of f; for f = delta it is G(2t, 0) = e^{-4t} I_0(4t).  The sum is formed exactly, as a
+    Fraction, over the row at 2t.  That row is within its ``tail_mass`` of G(2t) in l1 and |R_f(k)| <= R_f(0), so
+    the result is within R_f(0) tail_mass of the exact norm, which is the bound returned.
+    """
+
+    def oracle(f: LatticeSequence, t: float, eps: float) -> tuple[Fraction, float]:
+        row = heat_kernel(2.0 * t, eps)
+        values = [Fraction(v) for v in f.values.tolist()]
+        autocorrelation = [sum(a * b for a, b in zip(values, values[k:])) for k in range(len(values))]
+        total = sum(r * Fraction(row.value(k)) * (2 if k else 1) for k, r in enumerate(autocorrelation))
+        return total, float(autocorrelation[0]) * row.tail_mass * (1.0 + 2.0**-50)
+
+    return oracle

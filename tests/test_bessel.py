@@ -330,9 +330,10 @@ class TestRow:
             row = scaled_bessel_row(tau, eps, min_half_width=floor)
             assert row.window == window and row.values.tobytes() == full[: window + 1].tobytes()
             assert row.tail_mass == math.nextafter(bessel._NORM_ROUNDING, math.inf)
-        # The charge applies at the proved window alone, so windows keep their place: this row's bisection meets two
-        # values of 5e-324 at a probe near 2657, which the ratio test refuses, and ends at 2658 though 2590 certifies.
-        assert scaled_bessel_row(4654.627034500423, 1.179412002121211e-307, min_half_width=2168).window == 2658
+        # The charge applies at every probe, so the windows that certify are those from the first one on: this row's
+        # bisection meets two values of 5e-324 at a probe near 2657, which the ratio test alone refused, sending the
+        # search up to 2658; it now finds 2590, the first window the ratio test certifies.
+        assert scaled_bessel_row(4654.627034500423, 1.179412002121211e-307, min_half_width=2168).window == 2590
 
     @settings(max_examples=40, deadline=None)
     @given(tau=st.floats(min_value=1e-3, max_value=200.0, allow_nan=False))

@@ -6,6 +6,7 @@ and not only a failed one.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,7 @@ import pytest
 from latticeheat import moments, solver
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
 from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
-from latticeheat.solver import ForcingSpec, duhamel
-
-integrate = pytest.importorskip("scipy.integrate")
-special = pytest.importorskip("scipy.special")
+from latticeheat.solver import ForcingSpec, duhamel, evolve
 
 PHI = LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 1: 0.25, 2: -0.5, 3: 0.125})
 
@@ -27,6 +25,8 @@ def duhamel_reference(gamma: float, t: float) -> LatticeSequence:
     The window leaves out less than 1e-17 of every G(t-s) mass, and the
     requested 1e-12 sup-norm accuracy is far below every certificate checked.
     """
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
     half = heat_kernel(t, 1e-17).window + 10
     n = np.arange(-half, half + 1)
 
@@ -58,6 +58,7 @@ def test_duhamel_certificate_covers_quad_vec(gamma, t, epsilons):
 
 
 def test_weighted_tail_bound_covers_the_ive_tail(monkeypatch):
+    special = pytest.importorskip("scipy.special")
     # At the rows heat_kernel_for_moment gives order 2k at the moment table's tol max(1e-12, 1e-10 p_k(2t)) and
     # order 12 at the benchmark's tol 1e-10 max(1, (2t)^6), against 2 sum_{n > N} n^order ive(n, 2t) summed
     # directly.  A call builds one row wherever its first row, floored where the Bernstein tail predicts, certifies.
@@ -87,6 +88,34 @@ def test_weighted_tail_bound_covers_the_ive_tail(monkeypatch):
             ratios.append(tail / bound)
         print(f"weighted tail t={t:g}, orders 2..24 and 12: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))
     print(f"first row widened in {widened} of {calls} calls")
+
+
+# One signed 50-site sequence, each value exact in binary.
+SIGNED_50 = LatticeSequence(-20, np.array([(n * 37 % 41 - 20) / 16 for n in range(50)]))
+
+
+@pytest.mark.parametrize("f", [None, SIGNED_50], ids=["delta", "signed50"])
+def test_l2_norm_meets_the_semigroup_identity(semigroup_l2, f):
+    # ||G(t)||_2^2 = G(2t, 0) and ||G(t) * f||_2^2 = sum_k R_f(k) G(2t, k), from t = 16 (87 values, summed by
+    # fsum) to 1e6 (20,445, by the extraction).  The library's l1 error E (the row's tail_mass, or evolve's
+    # trunc_error) moves the squared norm by at most E (2 max|u| + E); the squares, the correctly rounded sum and
+    # the square root take a relative 4u and 2^-1075 per subnormal square.  The oracle's own bound is added.
+    eps = 1e-12
+    for t in (16.0, 300.0, 2500.0, 65536.0, 1e6):
+        if f is None:
+            row = heat_kernel(t, eps)
+            u, error = row.to_sequence(), row.tail_mass
+        else:
+            snap = evolve(f, t, eps)
+            u, error = snap.u, snap.trunc_error
+        norm = lp_norm(u, 2.0)
+        exact, oracle_error = semigroup_l2(f or LatticeSequence.delta(), t, eps)
+        top = float(np.max(np.abs(u.values)))
+        rounding = 4.01 * 2.0**-53 * norm * norm + len(u.values) * 2.0**-1074
+        bound = (error * (2.0 * top + error) + rounding + oracle_error) * (1.0 + 2.0**-50)
+        distance = abs(Fraction(norm) ** 2 - exact)
+        print(f"l2 semigroup t={t:g} {len(u.values)} values: error/bound = {float(distance) / bound:.3g}")
+        assert distance <= bound
 
 
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")

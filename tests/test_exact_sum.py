@@ -117,21 +117,60 @@ def test_strided_views():
 
 
 def test_kernel_sums_take_the_fast_path(fallbacks):
-    for t in (5e4, 1e5):
+    # At t = 300 and 2,500 the unfolded rows hold 357 and 1,023 values; at t = 300 the folded row's sums (the
+    # moments and the mass, 179 and 178 values) stay below the cutoff and go to fsum, as every shorter sum does.
+    for t in (300.0, 2500.0, 5e4, 1e5):
         row = heat_kernel(t, 1e-12)
-        assert row.window >= _EXACT_SUM_MIN
         seq = row.to_sequence()
-        fallbacks.clear()
+        assert len(seq.values) >= _EXACT_SUM_MIN
+
+        def check(find, reference, length):
+            fallbacks.clear()
+            assert find() == reference, (t, length)
+            assert len(fallbacks) == (length < _EXACT_SUM_MIN), (t, length)  # the references are not counted
+
         for order in range(0, 13, 2):
             terms = bessel.power_weighted(row.values, 0, order)
             terms[1:] *= 2.0
-            assert moments.kernel_moment(row, order) == FSUM(terms.tolist())
-        assert lp_norm(seq, 1.0) == FSUM(np.abs(seq.values).tolist())
-        assert lp_norm(seq, 2.0) == math.sqrt(FSUM((seq.values * seq.values).tolist()))
-        assert row.mass() == row.values[0] + 2.0 * FSUM(row.values[1:].tolist())
-        assert seq.mass() == FSUM(seq.values.tolist())
-        assert seq.moment(2) == FSUM([float(n) ** 2 * v for n, v in zip(seq.indices(), seq.values.tolist())])
-        assert not fallbacks, t  # the FSUM references are not counted
+            check(lambda: moments.kernel_moment(row, order), FSUM(terms.tolist()), len(terms))
+        check(lambda: lp_norm(seq, 1.0), FSUM(np.abs(seq.values).tolist()), len(seq.values))
+        check(lambda: lp_norm(seq, 2.0), math.sqrt(FSUM((seq.values * seq.values).tolist())), len(seq.values))
+        check(row.mass, row.values[0] + 2.0 * FSUM(row.values[1:].tolist()), row.window)
+        check(seq.mass, FSUM(seq.values.tolist()), len(seq.values))
+        moment = FSUM([float(n) ** 2 * v for n, v in zip(seq.indices(), seq.values.tolist())])
+        check(lambda: seq.moment(2), moment, len(seq.values))
+
+
+def kernel_shaped(length):
+    """Arrays of the given length shaped as the library's sums: the centre of an unfolded row, its squares, its first
+    difference, signed and absolute, the doubled moment terms at orders 2..12, and an unnormalised
+    ``_recurrence_row`` as its normalisation sums it."""
+    row = heat_kernel(2500.0, 1e-12)  # window 511, so every array below has at least 512 values
+    unfolded = row.to_sequence().values
+    centre = unfolded[row.window - length // 2 :][:length]
+    yield centre
+    yield centre * centre
+    step = np.diff(unfolded[: length + 1])  # from the left end, so the sum does not telescope to zero
+    yield step
+    yield np.abs(step)
+    for order in range(2, 13):
+        terms = bessel.power_weighted(row.values, 0, order)
+        terms[1:] *= 2.0
+        yield terms[:length]
+    summed = []
+    with pytest.MonkeyPatch.context() as patch:  # the recurrence at tau = 300 from index length, summed from index 1
+        patch.setattr(bessel, "exact_sum", lambda y: summed.append(y.copy()) or 1.0)
+        bessel._recurrence_row(300.0, length)
+    yield summed[0]
+
+
+@pytest.mark.parametrize("length", [_EXACT_SUM_MIN - 1, _EXACT_SUM_MIN, _EXACT_SUM_MIN + 1])
+def test_kernel_shaped_sums_at_the_cutoff(fallbacks, length):
+    for x in kernel_shaped(length):
+        assert len(x) == length
+        fallbacks.clear()
+        assert exact_sum(x).hex() == FSUM(x.tolist()).hex()
+        assert len(fallbacks) == (length < _EXACT_SUM_MIN)
 
 
 def test_kernel_sums_over_the_parameter_range():

@@ -147,14 +147,14 @@ def test_l2_optimality_keeps_its_bits(eps):
 
 def general_p_data():
     """Seeded kernel rows, their differences and signed arrays scaled by 1e-100, 1 and 1e100, with lengths
-    of 1,023, 1,024 and 5,000 around exact_sum's cutoff among them."""
+    of 319 and 320 around exact_sum's cutoff, and 1,023, 1,024 and 5,000 around its earlier one, among them."""
     rng = np.random.default_rng(20266)
     for t in (1e-2, 1.0, 1e2, 1e4):
         seq = heat_kernel(t, 1e-12).to_sequence()
         yield seq.values
         yield forward_difference(seq).values
     row = heat_kernel(1e5, 1e-12).to_sequence().values  # 6,465 points
-    for size in (1023, 1024, 5000):
+    for size in (1023, 1024, 5000, 319, 320):
         start = int(rng.integers(0, len(row) - size))
         yield row[start : start + size]
         yield np.diff(row[start : start + size + 1])

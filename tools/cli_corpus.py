@@ -131,6 +131,10 @@ def corpus() -> list[list[str]]:
     # window ends on two equal subnormal values.
     runs += [["evolve", "--t", "1000", "--f", "inputs/sites1000.csv"], ["evolve", "--t", "3", "--f", "inputs/subnormal.csv"]]
     runs += [["kernel", "--t", "25000", "--eps", "2.5e-302"]]
+    # Sums of 233 to 1,309 values, around exact_sum's cutoff of 320: norms of rows and differences, and moments.
+    band = ["--grid", "dyadic:128:4096"]
+    runs += [["decay", "--p", "2", *band], ["diffdecay", "--order", "2", "--p", "1", *band]]
+    runs += [["moments", "--t", "2500", "--kmax", "12"]]
     return runs
 
 
