@@ -288,6 +288,12 @@ def _budget(eps: float) -> tuple[float, float]:
     return eps, math.inf
 
 
+def _bernstein_reach(tau: float, big_l: float) -> float:
+    """The n with n^2 = 2 big_l (tau + n/3): from there on, Bernstein's bound exp(-n^2 / (2 (tau + n/3))) is at
+    most exp(-big_l)."""
+    return big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)
+
+
 def _start_index(tau: float, eps: float, floor: int) -> tuple[int, int]:
     """(N, m): the window search succeeds by N >= floor, and the recurrence starts at m > N.
 
@@ -302,13 +308,9 @@ def _start_index(tau: float, eps: float, floor: int) -> tuple[int, int]:
     which m holds below _SEED_SHARE times the target.
     """
     target = _budget(eps)[0]
-
-    def bernstein(big_l: float) -> float:  # the n with n^2 = 2 big_l (tau + n/3)
-        return big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)
-
     big_l = math.log(16.0 / target)
-    n1 = max(2, math.ceil(bernstein(big_l)))
-    n = max(floor, math.ceil(bernstein(big_l + math.log(max(1.0, tau / (n1 - 1))))) + 1)
+    n1 = max(2, math.ceil(_bernstein_reach(tau, big_l)))
+    n = max(floor, math.ceil(_bernstein_reach(tau, big_l + math.log(max(1.0, tau / (n1 - 1))))) + 1)
     # Every factor k >= n is below exp(-2 asinh(n / tau)); where k <= tau, below
     # exp(-2 asinh(1) k / tau), as asinh(x) / x decreases, and sum_{k=n}^{m} k >= (m^2 - n^2) / 2.
     big_d = -math.log(_SEED_SHARE * target)

@@ -10,8 +10,8 @@ by symmetry.  Root finding takes exact integer signs at dyadic points
 a / 2^e: the smallest negative zeros sit within 1e-3 of the zero at the
 origin, where floating point sign tests are unreliable.  Float estimates
 of the roots pick cells of one fine grid, two exact signs per cell verify
-them, and the roots at any coarser tolerance follow from the cell indices
-in closed form; a polynomial whose cells do not verify is refused.
+them, and each root is its cell's midpoint; a polynomial whose cells do not
+verify is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_RECURRENCE_STEPS, _start_index, check_order, exact_sum, power_weighted
+from .bessel import MAX_RECURRENCE_STEPS, _bernstein_reach, _start_index, check_order, exact_sum, power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -105,19 +105,12 @@ def _dyadic_sign(poly: IntPolynomial, a: int, e: int) -> int:
 
 
 def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
-    """All real roots of a moment polynomial, sorted ascending.
+    """All real roots of a moment polynomial, sorted ascending, each within 1e-12 and so within any accepted tol.
 
-    The root at the origin is returned exactly.  The d roots of q, p without its
-    zero roots, are taken once, from cells j_1 < ... < j_d of the fine grid
-    bound (j, j + 1] / 2^F in [-bound, 0], bound = deg + 2 and F the first level
-    with bound 2^-F <= 1e-12 / 4, the finest any accepted tol asks for
-    (``_cell_roots``).  Sturm isolation of [-bound, 0] and exact bisection to the
-    first level L with bound 2^-L <= tol / 4 would halve an interval until it
-    holds one root and then follow that root's cell down to level L.  With every
-    root strictly inside its own fine cell, that ends in the ancestor j_i >> s of
-    j_i at depth F - s, s = min(F - L, (j_i ^ j_k).bit_length() - 1 over its
-    neighbours k), so the root is that cell's midpoint and the float is Sturm's
-    bit for bit.  Raises RootIsolationError where the fine cells do not verify.
+    The root at the origin is returned exactly.  Each of the d roots of q, p without its zero roots, is the
+    midpoint of its cell j_1 < ... < j_d of the fine grid bound (j, j + 1] / 2^F in [-bound, 0], bound = deg + 2
+    and F the first level with bound 2^-F <= 1e-12 / 4 (``_cell_roots``): the float that Sturm isolation and
+    exact bisection to level F give.  Raises RootIsolationError where the fine cells do not verify.
     """
     if p.degree > ROOTS_K_MAX:
         raise ValueError(f"root finding capped at degree {ROOTS_K_MAX}")
@@ -127,19 +120,10 @@ def poly_real_roots(p: IntPolynomial, tol: float) -> list[float]:
     q = IntPolynomial(p.coeffs[zeros:])
     if q.degree < 1:
         return [0.0] if zeros else []
-    bound, level = p.degree + 2, 0
-    while math.ldexp(bound, -level) > tol / 4:
-        level += 1
-    fine = level  # tol >= 1e-12, so the fine level is level or finer
+    bound, fine = p.degree + 2, 0
     while math.ldexp(bound, -fine) > 1e-12 / 4:
         fine += 1
-    cells = _cell_roots(q, bound, fine)
-    # The cells are negative, so j ^ k is nonnegative and j >> s floors: it is the cell at depth F - s holding j.
-    splits = [(j ^ k).bit_length() - 1 for j, k in zip(cells, cells[1:])]
-    roots = []
-    for j, left, right in zip(cells, [fine, *splits], [*splits, fine]):
-        s = min(fine - level, left, right)
-        roots.append(bound * (2 * (j >> s) + 1) / (1 << (fine - s + 1)))
+    roots = [bound * (2 * j + 1) / (1 << (fine + 1)) for j in _cell_roots(q, bound, fine)]
     return roots + [0.0] if zeros else roots
 
 
@@ -242,7 +226,7 @@ def _predicted_floor(t: float, order: int, tol: float) -> int | None:
         big_l = logs(n)[0]
         if not 0.0 < big_l < math.inf:
             break
-        n = big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)  # g(n) = big_l
+        n = _bernstein_reach(tau, big_l)  # g(n) = big_l
     lo = 0
     hi = limit = min(MAX_RECURRENCE_STEPS, int(math.exp(_LOG_WEIGHT_MAX / order)))
     guess = math.ceil(min(n, limit)) - 1

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from latticeheat import moments, solver
+from latticeheat.analysis import kernel_decay, l2_optimality
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
 from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel, evolve
@@ -100,8 +101,9 @@ def test_l2_norm_meets_the_semigroup_identity(semigroup_l2, f):
     # fsum) to 1e6 (20,445, by the extraction).  The library's l1 error E (the row's tail_mass, or evolve's
     # trunc_error) moves the squared norm by at most E (2 max|u| + E); the squares, the correctly rounded sum and
     # the square root take a relative 4u and 2^-1075 per subnormal square.  The oracle's own bound is added.
-    eps = 1e-12
-    for t in (16.0, 300.0, 2500.0, 65536.0, 1e6):
+    # The p = 2 reports on these times, kernel_decay for G and l2_optimality for G * f, give the same floats.
+    eps, times, norms = 1e-12, (16.0, 300.0, 2500.0, 10000.0, 65536.0, 1e6), {}
+    for t in times:
         if f is None:
             row = heat_kernel(t, eps)
             u, error = row.to_sequence(), row.tail_mass
@@ -116,6 +118,9 @@ def test_l2_norm_meets_the_semigroup_identity(semigroup_l2, f):
         distance = abs(Fraction(norm) ** 2 - exact)
         print(f"l2 semigroup t={t:g} {len(u.values)} values: error/bound = {float(distance) / bound:.3g}")
         assert distance <= bound
+        norms[t] = norm
+    report = kernel_decay(2.0, "G", times, eps) if f is None else l2_optimality(f, times, eps)
+    assert dict(report.pairs + report.dropped) == norms
 
 
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")

@@ -1,5 +1,6 @@
 """Tests for the moment polynomial family, its zeros, and kernel moments."""
 
+import functools
 import math
 import random
 import re
@@ -178,9 +179,9 @@ class TestRoots:
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6])
     def test_seeded_roots_on_grid_points_are_all_found(self, tol):
-        # The reference finds every root.  poly_real_roots refuses wherever a root is on a point of the fine
-        # grid (deg + 2) j / 2^F, F >= 44: the dyadic roots below, and integers that (deg + 2) / 2^e divides;
-        # elsewhere it returns the reference's floats or refuses.
+        # The reference finds every root within tol.  poly_real_roots refuses wherever a root is on a point of the
+        # fine grid (deg + 2) j / 2^F, F >= 44: the dyadic roots below, and integers that (deg + 2) / 2^e divides;
+        # elsewhere it returns the reference's floats at 1e-12 or refuses, and at tol the same.
         rng = random.Random(15)
         on_grid = []
         for _ in range(60):
@@ -199,11 +200,8 @@ class TestRoots:
             assert all(abs(Fraction(r) - x) <= tol for r, x in zip(roots, sorted(exact))), (p, roots)
             # x is a point of the grid of some level, here at most 4 and so below F, iff x / (deg + 2) is dyadic.
             on_grid.append(any(x and (x / (deg + 2)).denominator.bit_count() == 1 for x in exact))
-            if on_grid[-1]:
-                with pytest.raises(RootIsolationError):
-                    poly_real_roots(p, tol)
-            else:
-                checked_outcome(p, tol)
+            outcome = checked_outcome(p, tol)
+            assert not on_grid[-1] or outcome is None, (p, outcome)
         assert 0 < on_grid.count(True) < len(on_grid)
 
     def test_dyadic_sign_matches_rational_evaluation(self):
@@ -403,34 +401,41 @@ EDGE_POLYS = [
 ]
 
 
+@functools.cache
+def reference_outcome(p):
+    """The reference's outcome at tol = 1e-12, computed once per polynomial."""
+    return roots_outcome(sturm_path, p, 1e-12)
+
+
 def checked_outcome(p, tol):
-    """``poly_real_roots``' roots as hex strings, asserted equal to the reference's, or None where it raises
-    ``RootIsolationError``."""
+    """``poly_real_roots``' roots as hex strings, or None where it raises ``RootIsolationError``.  Either is
+    asserted equal to the outcome at tol = 1e-12, and roots are asserted equal to the reference's at 1e-12."""
     try:
         roots = [r.hex() for r in poly_real_roots(p, tol)]
-    except RootIsolationError:
+    except RootIsolationError as exc:
+        assert roots_outcome(poly_real_roots, p, 1e-12) == (RootIsolationError, str(exc)), (p, tol)
         return None
-    assert roots == roots_outcome(sturm_path, p, tol), (p, tol)
+    assert roots == roots_outcome(poly_real_roots, p, 1e-12) == reference_outcome(p), (p, tol)
     return roots
 
 
-# tol = 10^(-e/4), e = 0 .. 48: the tolerances at which every moment polynomial keeps the reference's floats.
+# tol = 10^(-e/4), e = 0 .. 48: every one gives the roots at 1e-12, the reference's floats there.
 GRID_TOLS = [10 ** (-e / 4) for e in range(49)]
 
 
 class TestVerifiedCells:
-    """``poly_real_roots`` against the reference Sturm isolation and bisection: the same floats, or a refusal."""
+    """``poly_real_roots`` at tol = 1e-12 against the reference Sturm isolation and bisection (the same floats, or
+    a refusal), and at every other accepted tol against its own outcome at 1e-12."""
 
     @pytest.mark.parametrize("tol", GRID_TOLS)
     @pytest.mark.parametrize("k", range(1, ROOTS_K_MAX + 1))
     def test_moment_polynomial_roots_are_the_sturm_paths_floats(self, k, tol):
-        p = moment_polynomials(k)[k]
-        assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol)
+        assert checked_outcome(moment_polynomials(k)[k], tol) is not None
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_moment_polynomials_match_the_sturm_path(self, tol):
         for p in moment_polynomials(ROOTS_K_MAX):
-            assert roots_outcome(poly_real_roots, p, tol) == roots_outcome(sturm_path, p, tol)
+            assert checked_outcome(p, tol) is not None
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_edge_cases_match_the_sturm_path(self, tol):
@@ -438,7 +443,7 @@ class TestVerifiedCells:
         assert None in outcomes and outcomes.count(None) < len(outcomes)
 
     def test_seeded_polynomials_match_the_sturm_path(self):
-        # Each polynomial at each tol gets the reference's floats or a refusal, never other floats.
+        # Each polynomial gets the reference's floats at 1e-12 or a refusal, and the same at every tol.
         outcomes = [checked_outcome(p, tol) for p in RANDOM_POLYS for tol in TOLS]
         refused = outcomes.count(None)
         assert 30 < refused < len(outcomes) - 30

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import solver as solver_module
+from latticeheat.analysis import l2_optimality, large_time_profile
 from latticeheat.kernel import LatticeSequence, add_sequences, discrete_laplacian, heat_kernel, lp_norm
 from latticeheat.solver import (
     _C8,
@@ -132,8 +133,10 @@ class TestDataL1Bound:
         assert solver_module._l1_bound(LatticeSequence(0, np.array([top / 2, -top / 2]))) == top
         with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
             solver_module._l1_bound(LatticeSequence(0, np.full(3, 1e308)))
-        assert math.isnan(solver_module._l1_bound(LatticeSequence(0, np.array([1.0, math.nan, math.inf]))))
-        assert solver_module._l1_bound(LatticeSequence(0, np.array([1.0, -math.inf]))) == math.inf
+        with pytest.raises(ValueError, match="^the data on 3 sites hold a NaN or an infinity$"):
+            solver_module._l1_bound(LatticeSequence(0, np.array([1.0, math.nan, math.inf])))
+        with pytest.raises(ValueError, match="^the data on 2 sites hold a NaN or an infinity$"):
+            solver_module._l1_bound(LatticeSequence(0, np.array([1.0, -math.inf])))
 
     def test_a_rounded_down_fallback_is_rounded_up(self, exact_l1):
         # lp_norm rounds top + 2^969 down to top: the bound's next float is inf, so the norm is refused, not
@@ -159,6 +162,22 @@ class TestEvolve:
         with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
             evolve(LatticeSequence(0, np.full(3, 1e308)), 1.0)
         assert calls == [1.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_data_with_a_nan_or_an_infinity_get_no_certificate(self, bad):
+        # Every caller of _evolve raises ValueError.  The reports refuse infinite data first, since an infinite mass
+        # fails their nonzero-mass check; NaN data reach the refusal in _l1_bound.
+        f, grid, refused = LatticeSequence(-1, np.array([0.5, bad, 1.0])), [16.0, 32.0], "^the data on 3 sites hold a NaN"
+        calls = [
+            (lambda: evolve(f, 1.0), refused),
+            (lambda: solve(f, None, 1.0), refused),
+            (lambda: solve(f, ForcingSpec(LatticeSequence.delta(), 2.0, 1.0), 1.0), refused),
+            (lambda: l2_optimality(f, grid), None),
+            (lambda: large_time_profile(f, None, 2.0, grid), None),
+        ]
+        for call, match in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_time_zero_is_identity(self):
         f = LatticeSequence.from_pairs({0: 1.0, 3: -2.0})
