@@ -62,11 +62,12 @@ _NORM_ROUNDING = 3.001 * 2.0**-53
 ROW_L1_BOUND = 1.0 + 4.0 * 2.0**-53
 # Miller's relative seed error is held below this share of the target.
 _SEED_SHARE = 2.0**-40
-# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum.  The extraction's seven
-# NumPy calls take 8-18 us at any length up to 1,023; fsum's cost per value depends on the
-# data: 38-64 ns on an unfolded row, 61-95 ns on its squares, 76-114 ns on order-12 moment
-# terms, and 17-30 ns on uniform data or on the unnormalised row that ``_recurrence_row``
-# sums (2-core Intel Xeon, two phases of the host).  So 320 is about where the library's
+# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum.  The extraction's eight
+# NumPy calls take 8-18 us at any length up to 1,023 (its max and min as direct ufunc
+# reductions, 0.3-0.8 us less than through ``ndarray.max`` / ``min``); fsum's cost per
+# value depends on the data: 38-64 ns on an unfolded row, 61-95 ns on its squares, 76-114 ns
+# on order-12 moment terms, and 17-30 ns on uniform data or on the unnormalised row that
+# ``_recurrence_row`` sums (2-core Intel Xeon, two phases of the host).  So 320 is about where the library's
 # norms and moments cross over.  An earlier cutoff of 1,024 rested on ``evolve`` readings
 # no wider than that benchmark's spread between two copies of one tree.
 # It extracts _SUM_BLOCK values per pass, so its one temporary is at most 32 KiB.
@@ -148,15 +149,15 @@ def exact_sum(values: np.ndarray) -> float:
     """
     n = len(values)
     if n >= _EXACT_SUM_MIN:
-        x = np.asarray(values)
         # M below 2^(999 - bit_length(n)), so sigma <= 2^1000; NaN, inf and all zeros fail too.
-        if 0.0 < (top := max(x.max(), -x.min())) < math.ldexp(1.0, 999 - n.bit_length()):
+        top = max(np.maximum.reduce(values), -np.minimum.reduce(values))
+        if 0.0 < top < math.ldexp(1.0, 999 - n.bit_length()):
             k = math.frexp(top)[1] + n.bit_length() + 1
             sigma = math.ldexp(1.0, k)
             buf = np.empty(min(n, _SUM_BLOCK))
             head = tail = 0.0
             for i in range(0, n, _SUM_BLOCK):
-                part = x[i : i + _SUM_BLOCK]
+                part = values[i : i + _SUM_BLOCK]
                 q = buf[: len(part)]
                 np.add(part, sigma, out=q)
                 q -= sigma
@@ -413,25 +414,29 @@ def _recurrence_row(tau: float, m: int) -> np.ndarray | None:
     """Normalized b_0 .. b_m by backward recurrence; None if a step overflows, ArithmeticError if too long."""
     # Backward three-term recurrence y_{n-1} = y_{n+1} + (2n/tau) y_n seeded
     # with (1, 0) at the top; the seed error decays geometrically downward.
-    try:
-        y = np.zeros(m + 1)
+    try:  # 2(n + 1) at index n, exact for n <= 2^25: the coefficient of the step that stores y_n, times tau
+        y = np.arange(2.0, 2.0 * m + 3.0, 2.0)
     except MemoryError:  # m <= MAX_RECURRENCE_STEPS, far below the largest array dimension
         raise ArithmeticError(f"the row at tau={tau!r} needs {m + 1} recurrence values, more than can be allocated") from None
     # Steps are stored and summed through a memoryview, which moves Python
     # floats in and out of the row without making a NumPy scalar for each.
-    # two_n = 2n is exact for n <= 2^25, so two_n / tau rounds as 2.0 * n / tau.
     row = memoryview(y)
-    row[m] = 1.0
-    y_next, y_cur, two_n = 0.0, 1.0, 2.0 * m
-    for n in range(m - 1, -1, -1):
-        y_next, y_cur = y_cur, y_next + two_n / tau * y_cur
-        row[n] = y_cur
-        two_n -= 2.0
-    # Each step adds a nonnegative term two places up and rounding is monotone, so no value tops row[0] or row[1].
-    if max(row[0], row[1]) > _RESCALE_THRESHOLD:
-        # Tiny tau, eps near 1e-300 or a wide floor: run again from the top, rescaling as it goes.
+    # The first step stores 2m / tau; past the threshold, the checked loop below runs anyway, so this one is skipped.
+    if (top := 2.0 * m / tau) <= _RESCALE_THRESHOLD:
+        y /= tau  # each coefficient rounds as 2(n + 1) / tau in the step; none is above 2(m + 1) / tau, so none overflows
+        row[m] = 1.0
+        y_next, y_cur, n = 0.0, 1.0, m
+        for c in row[m - 1 :: -1]:  # each step reads its coefficient from the slot it then overwrites with y_n
+            y_next, y_cur = y_cur, y_next + c * y_cur
+            n -= 1
+            row[n] = y_cur
+        # Each step adds a nonnegative term two places up and rounding is monotone, so no value tops row[0] or row[1].
+        top = max(row[0], row[1])
+    if top > _RESCALE_THRESHOLD:
+        # Tiny tau, eps near 1e-300 or a wide floor: run from the top with a test at every step, rescaling as it goes.
         # A stored value is at most 1e250, so three factors take it below 2^-1075, to +0.0: each rescale
         # multiplies the values up to the third-last rescale before it, and the rest are +0.0 already.
+        row[m] = 1.0
         y_next, y_cur, two_n, rescales = 0.0, 1.0, 2.0 * m, [m + 1] * 3
         for n in range(m, 0, -1):
             y_prev = y_next + (two_n / tau) * y_cur

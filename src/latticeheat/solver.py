@@ -194,9 +194,13 @@ def _laplacian_norms(phi: np.ndarray) -> list[float]:
 
 
 def evolve(f: LatticeSequence, t: float, eps: float = 1e-12) -> SolutionSnapshot:
-    """Homogeneous evolution u_f(t, .) = G(t, .) * f with certified truncation."""
+    """Homogeneous evolution u_f(t, .) = G(t, .) * f with certified truncation; u is f itself at t = 0.
+
+    Data holding a NaN or an infinity raise ValueError at every t, t = 0 included.
+    """
     kernel = heat_kernel(t, eps)  # which checks t and eps at t = 0 too
     if t == 0.0:
+        _check_finite(f)
         return SolutionSnapshot(t=0.0, u=f, quad_error=0.0, trunc_error=0.0)
     return _evolve(f, t, kernel.to_sequence(), kernel.tail_mass)
 
@@ -226,14 +230,19 @@ def _l1_bound(f: LatticeSequence) -> float:
         bound = math.nextafter(float(np.abs(f.values).sum()) * (1.0 + _gamma(2 * len(f.values))), math.inf)
     if bound < math.inf:
         return bound
-    if not np.isfinite(f.values).all():
-        raise ValueError(f"the data on {len(f.values)} sites hold a NaN or an infinity")
+    _check_finite(f)
     norm = lp_norm(f, 1.0)
     if math.fsum(memoryview(np.append(np.abs(f.values), -norm))) != 0.0:
         norm = math.nextafter(norm, math.inf)
         if norm == math.inf:
             raise OverflowError(f"the l1 norm of a sequence on {len(f.values)} sites exceeds binary64 range")
     return norm
+
+
+def _check_finite(f: LatticeSequence) -> None:
+    """Refuse data holding a NaN or an infinity, so that no certificate is formed from them."""
+    if not np.isfinite(f.values).all():
+        raise ValueError(f"the data on {len(f.values)} sites hold a NaN or an infinity")
 
 
 def _mesh(g: ForcingSpec, t: float, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -196,14 +196,14 @@ class TestRow:
 
     def test_failed_allocation_raises(self, monkeypatch):
         # tau = 2e10 needs about 1.7e6 values, below the step cap; the allocation is refused here, never attempted.
-        real_zeros = np.zeros
+        real_arange = np.arange
 
-        def zeros(shape, *args, **kwargs):
-            if shape > 10**6:
-                raise MemoryError(f"refused {shape} values")
-            return real_zeros(shape, *args, **kwargs)
+        def arange(start, stop, step=1):  # the recurrence's row holds 2(n + 1) at index n
+            if (stop - start) / step > 10**6:
+                raise MemoryError(f"refused {(stop - start) / step:.0f} values")
+            return real_arange(start, stop, step)
 
-        monkeypatch.setattr(bessel.np, "zeros", zeros)
+        monkeypatch.setattr(bessel.np, "arange", arange)
         with pytest.raises(ArithmeticError, match=r"tau=20000000000\.0 needs \d+ recurrence values"):
             scaled_bessel_row(2e10, 1e-12)
 
@@ -482,6 +482,59 @@ class TestRecurrenceBranches:
         rows = [digest(*case) for case in cases]
         monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _checked_recurrence_row(tau, m, []))
         assert rows == [digest(*case) for case in cases]
+
+    def test_first_pass_is_skipped_where_its_first_step_passes_the_threshold(self, monkeypatch):
+        # The first pass stores 2m / tau first.  For each (eps, floor), the adjacent floats tau on either side of
+        # 2m / tau = 1e250, with m the row's own: above it the pass is skipped, so the row is not divided by tau,
+        # and at or below it the pass runs.  Either way the row is the checked loop's: here None, as a later step
+        # overflows and the row comes from the series.  Further past the threshold, at tau = 1.03e-250 (m = 23),
+        # the pass is skipped and the checked loop rescales to the end.
+        divisions, real_arange = [], np.arange
+
+        class Recording(np.ndarray):
+            def __itruediv__(self, other):
+                divisions.append(other)
+                return super().__itruediv__(other)
+
+        monkeypatch.setattr(bessel.np, "arange", lambda *args: real_arange(*args).view(Recording))
+        threshold, cases = bessel._RESCALE_THRESHOLD, [(1.0346932049082891e-250, 1e-12, 0, True)]
+        for eps, floor in ((1e-3, 0), (1e-12, 0), (1e-300, 0), (1e-12, 3000)):
+            lo, hi = 1e-260, 1e-230  # 2m / tau is above the threshold at lo and below it at hi
+            while math.nextafter(lo, 1.0) < hi:
+                mid = max(math.nextafter(lo, 1.0), min(math.sqrt(lo) * math.sqrt(hi), math.nextafter(hi, 0.0)))
+                m = bessel._start_index(mid, eps, floor)[1]
+                lo, hi = (mid, hi) if 2.0 * m / mid > threshold else (lo, mid)
+            cases += [(lo, eps, floor, True), (hi, eps, floor, False)]
+        returned = []
+        for tau, eps, floor, skipped in cases:
+            m = bessel._start_index(tau, eps, floor)[1]
+            assert (2.0 * m / tau > threshold) == skipped
+            del divisions[:]
+            row = bessel._recurrence_row(tau, m)
+            assert (divisions[:1] == [tau]) != skipped, (tau, eps, floor)  # then the normalisation's, if it returns
+            reference = _checked_recurrence_row(tau, m, [])
+            assert (row is None) == (reference is None)
+            if row is not None:
+                assert row.tobytes() == reference.tobytes()
+                returned.append(tau)
+        assert returned == [1.0346932049082891e-250]
+        rows = [case[:3] for case in cases]
+
+        def digest(tau, eps, floor):
+            row = scaled_bessel_row(tau, eps, floor)
+            return row.window, row.tail_mass, row.values.tobytes()
+
+        found = [digest(*case) for case in rows]
+        monkeypatch.setattr(bessel, "_recurrence_row", lambda tau, m: _checked_recurrence_row(tau, m, []))
+        assert found == [digest(*case) for case in rows]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [5e-324, 2e-200, 1e-60, 5e-10])
+    def test_no_row_warns(self, tau):
+        # No coefficient 2(n + 1) / tau is formed where the first step passes the threshold (5e-324, where it would
+        # overflow, and 2e-200), and none overflows where it does not (1e-60 rescales on the way down, 5e-10 only
+        # at its last step).
+        scaled_bessel_row(tau, 1e-12)
 
 
 def _unchecked_recurrence_row(tau: float, m: int) -> np.ndarray:

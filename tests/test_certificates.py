@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from latticeheat import moments, solver
-from latticeheat.analysis import kernel_decay, l2_optimality
+from latticeheat.analysis import kernel_decay, l2_optimality, large_time_profile
+from latticeheat.bessel import ROW_L1_BOUND
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
 from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel, evolve
@@ -102,13 +103,13 @@ def test_l2_norm_meets_the_semigroup_identity(semigroup_l2, f):
     # trunc_error) moves the squared norm by at most E (2 max|u| + E); the squares, the correctly rounded sum and
     # the square root take a relative 4u and 2^-1075 per subnormal square.  The oracle's own bound is added.
     # The p = 2 reports on these times, kernel_decay for G and l2_optimality for G * f, give the same floats.
-    eps, times, norms = 1e-12, (16.0, 300.0, 2500.0, 10000.0, 65536.0, 1e6), {}
+    eps, times, norms, snaps = 1e-12, (16.0, 300.0, 2500.0, 10000.0, 65536.0, 1e6), {}, {}
     for t in times:
         if f is None:
             row = heat_kernel(t, eps)
             u, error = row.to_sequence(), row.tail_mass
         else:
-            snap = evolve(f, t, eps)
+            snap = snaps[t] = evolve(f, t, eps)
             u, error = snap.u, snap.trunc_error
         norm = lp_norm(u, 2.0)
         exact, oracle_error = semigroup_l2(f or LatticeSequence.delta(), t, eps)
@@ -121,6 +122,29 @@ def test_l2_norm_meets_the_semigroup_identity(semigroup_l2, f):
         norms[t] = norm
     report = kernel_decay(2.0, "G", times, eps) if f is None else l2_optimality(f, times, eps)
     assert dict(report.pairs + report.dropped) == norms
+    if f is None:
+        return
+    # converge --p 2: large_time_profile's point is t^(1/4) ||u - M G(t)||_2, and u - M G(t) is G(t) * (f - M delta).
+    # Besides evolve's trunc_error, E takes |M| times the row's tail_mass and the difference's two roundings (the
+    # product M b_n and the sum, u each, and 2^-1075 per subnormal product); the point's product with t^(1/4) and
+    # the division by it add a relative 4u to the squared norm.
+    mass = f.mass()
+    h = add_sequences(f, LatticeSequence.delta(), 1.0, -mass)
+    assert Fraction(h.value(0)) == Fraction(f.value(0)) - Fraction(mass)  # f - M delta, exactly
+    profile = large_time_profile(f, None, 2.0, times, eps)
+    for t, value in profile.pairs + profile.dropped:
+        row = heat_kernel(t, eps)
+        diff = add_sequences(snaps[t].u, row.to_sequence(), 1.0, -mass)
+        rounded = 2.0**-53 * (abs(mass) * ROW_L1_BOUND + lp_norm(diff, 1.0)) + len(diff.values) * 2.0**-1074
+        error = snaps[t].trunc_error + abs(mass) * row.tail_mass + rounded
+        norm = value / t**0.25
+        exact, oracle_error = semigroup_l2(h, t, eps)
+        top = float(np.max(np.abs(diff.values)))
+        rounding = 8.02 * 2.0**-53 * norm * norm + len(diff.values) * 2.0**-1074
+        bound = (error * (2.0 * top + error) + rounding + oracle_error) * (1.0 + 2.0**-50)
+        distance = abs(Fraction(norm) ** 2 - exact)
+        print(f"l2 semigroup profile t={t:g} {len(diff.values)} values: error/bound = {float(distance) / bound:.3g}")
+        assert distance <= bound
 
 
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")

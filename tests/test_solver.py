@@ -165,13 +165,14 @@ class TestEvolve:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     def test_data_with_a_nan_or_an_infinity_get_no_certificate(self, bad):
-        # Every caller of _evolve raises ValueError.  The reports refuse infinite data first, since an infinite mass
-        # fails their nonzero-mass check; NaN data reach the refusal in _l1_bound.
+        # Every caller of _evolve raises ValueError, and so do evolve and solve at t = 0, where u would be f itself.
+        # The reports refuse infinite data first, since an infinite mass fails their nonzero-mass check; NaN data
+        # reach the refusal in _l1_bound.
         f, grid, refused = LatticeSequence(-1, np.array([0.5, bad, 1.0])), [16.0, 32.0], "^the data on 3 sites hold a NaN"
-        calls = [
-            (lambda: evolve(f, 1.0), refused),
-            (lambda: solve(f, None, 1.0), refused),
-            (lambda: solve(f, ForcingSpec(LatticeSequence.delta(), 2.0, 1.0), 1.0), refused),
+        forcing = ForcingSpec(LatticeSequence.delta(), 2.0, 1.0)
+        calls = [(lambda t=t: evolve(f, t), refused) for t in (0.0, 1.0)]
+        calls += [(lambda t=t, g=g: solve(f, g, t), refused) for t in (0.0, 1.0) for g in (None, forcing)]
+        calls += [
             (lambda: l2_optimality(f, grid), None),
             (lambda: large_time_profile(f, None, 2.0, grid), None),
         ]
