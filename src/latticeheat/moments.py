@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_RECURRENCE_STEPS, _bernstein_reach, _start_index, check_order, exact_sum, power_weighted
+from .bessel import MAX_RECURRENCE_STEPS, _bernstein_reach, check_order, exact_sum, power_weighted
 from .kernel import KernelSlice, heat_kernel
 
 __all__ = [
@@ -191,7 +191,7 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
 
 
 def _predicted_floor(t: float, order: int, tol: float) -> int | None:
-    """The least window N whose order-weighted Bernstein tail is at most tol / 2, or None where no row holds one.
+    """The least window N >= 2 whose order-weighted Bernstein tail is at most tol / 2, or None where t is refused.
 
     b_n(tau) <= exp(-g(n)), g(n) = n^2 / (2 (tau + n/3)) at tau = 2t (Bernstein, as in ``bessel._start_index``).
     With s = n / (3 tau + n), g(n) = 3 n s / 2 and g'(n) = 3 s (2 - s) / 2 grows with n, so g is convex and the
@@ -201,9 +201,10 @@ def _predicted_floor(t: float, order: int, tol: float) -> int | None:
     L(n) = log 2 + order log n - log(1 - r) - log(tol / 2); so N meets the target where L(N + 1) <= g(N + 1).
     That bound falls as N grows, so bisection finds the least such N.  Its first probes are ceil(n) - 1 and its
     neighbours, for n after four steps of n <- g^-1(L(n)) from order + 2 sqrt(order tau) + 1 (where r < 1
-    already); they usually settle it, and the result is the same without them.  A row holds N if N^order stays
-    within binary64 (it is ``weighted_tail_bound``'s edge weight) and a row at eps 1e-16 floored at N takes at
-    most ``MAX_RECURRENCE_STEPS`` steps.  A refused t has no floor either.
+    already); they usually settle it, and the result is the same without them.  The search stops at the widest
+    window whose N^order stays within binary64 (it is ``weighted_tail_bound``'s edge weight) and at
+    ``MAX_RECURRENCE_STEPS``, and returns that limit where no window meets the target; it starts at 2, the
+    least window ``weighted_tail_bound`` takes.
     """
     tau = 2.0 * t
     if not 0.0 <= tau < math.inf:  # heat_kernel refuses t, as it does without a floor
@@ -227,61 +228,48 @@ def _predicted_floor(t: float, order: int, tol: float) -> int | None:
         if not 0.0 < big_l < math.inf:
             break
         n = _bernstein_reach(tau, big_l)  # g(n) = big_l
-    lo = 0
-    hi = limit = min(MAX_RECURRENCE_STEPS, int(math.exp(_LOG_WEIGHT_MAX / order)))
-    guess = math.ceil(min(n, limit)) - 1
+    weight_limit = math.exp(_LOG_WEIGHT_MAX / order) if order else math.inf
+    lo, hi = 2, max(2, int(min(MAX_RECURRENCE_STEPS, weight_limit)))
+    guess = math.ceil(min(n, hi)) - 1
     probes = iter((guess, guess - 1, guess + 1))
-    while lo < hi:  # the least N in [lo, hi] that meets the bound, if hi does
+    while lo < hi:  # the least N in [lo, hi] that meets the bound, else hi
         mid = next((p for p in probes if lo <= p < hi), (lo + hi) // 2)
         lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
-    if lo == limit and not meets(lo):
-        return None
-    if tau and _start_index(tau, 1e-16, lo)[1] > MAX_RECURRENCE_STEPS:  # the tau = 0 row runs no recurrence
-        return None
     return lo
 
 
-def _moment_row(t: float, order: int, tol: float, rows: list[KernelSlice]) -> KernelSlice:
-    """The first row of G(t, .) whose order-weighted tail is at most tol, in one chain of rows at eps 1e-16:
-    the first floored at ``_predicted_floor`` where ``rows`` is empty and order > 0 (at order 0 the eps row
-    certifies its own tail), then each next window floored at max(N + 8, int(1.3 N)), at most 60 rows.
-    ``rows`` holds the rows built so far, takes each new one and is scanned from the first.
+def heat_kernel_for_moment(t: float, order: int, tol: float) -> KernelSlice:
+    """The row of G(t, .) at eps 1e-16 floored at ``_predicted_floor``, whose order-weighted tail is at most tol.
+
+    One row is built.  A tol that is NaN or not positive raises ValueError before any row is built, and a row
+    whose ``weighted_tail_bound`` is not at most tol raises ArithmeticError.
     """
     check_order(order)
     if not tol > 0.0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol!r}")
-    for i in range(60):
-        if i == len(rows):
-            if rows:
-                floor = max(rows[-1].window + 8, int(rows[-1].window * 1.3))
-            else:
-                floor = _predicted_floor(t, order, tol) if order else None
-            rows.append(heat_kernel(t, 1e-16, min_half_width=floor))
-        if weighted_tail_bound(rows[i], order) <= tol:
-            return rows[i]
-    raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
+    row = heat_kernel(t, 1e-16, min_half_width=_predicted_floor(t, order, tol))
+    _check_tail(row, t, order, tol)
+    return row
 
 
-def heat_kernel_for_moment(t: float, order: int, tol: float) -> KernelSlice:
-    """Kernel slice wide enough that the order-weighted tail is below tol.
-
-    Its first row is floored where the Bernstein bound predicts the weighted tail meets tol (``_predicted_floor``),
-    so one row usually certifies; a row that does not is widened as in ``moment_table``'s chain.  A tol that is NaN
-    or not positive raises ValueError before any row is built.
-    """
-    return _moment_row(t, order, tol, [])
+def _check_tail(row: KernelSlice, t: float, order: int, tol: float) -> None:
+    """Refuse a row whose order-weighted tail bound is not at most tol."""
+    if not weighted_tail_bound(row, order) <= tol:
+        raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
 
 
 def moment_table(t: float, k_max: int) -> list[list]:
     """Rows [k, even_moment, poly_value, odd_moment] for k <= k_max, order 2k at tol max(1e-12, 1e-10 p_k(2t)).
 
-    The orders share one chain of rows, so each row is built once.  The chain starts at order 0, whose first row
-    takes no predicted floor, so every order gets the first row of the unfloored chain that meets its tol; that
-    row can be narrower than the one ``heat_kernel_for_moment`` gives it alone.
+    Every order is summed over one row, ``heat_kernel_for_moment``'s for order 2 k_max, and each order's tail is
+    certified on it.  So a table is not the start of a longer one: its top row fixes the window of every order.
     """
-    rows, table = [], []
-    for k, poly in enumerate(moment_polynomials(k_max)):
-        expected = poly_eval(poly, 2.0 * t)
-        kernel = _moment_row(t, 2 * k, max(1e-12, 1e-10 * expected), rows)
-        table.append([k, kernel_moment(kernel, 2 * k), expected, kernel_moment(kernel, 2 * k + 1)])
+    polys = moment_polynomials(k_max)
+    expected = [poly_eval(poly, 2.0 * t) for poly in polys]
+    tols = [max(1e-12, 1e-10 * value) for value in expected]
+    row = heat_kernel_for_moment(t, 2 * k_max, tols[-1])
+    table = []
+    for k, (value, tol) in enumerate(zip(expected, tols)):
+        _check_tail(row, t, 2 * k, tol)
+        table.append([k, kernel_moment(row, 2 * k), value, kernel_moment(row, 2 * k + 1)])
     return table

@@ -217,26 +217,21 @@ def _evolve(f: LatticeSequence, t: float, seq: LatticeSequence, tail_mass: float
 
 
 def _l1_bound(f: LatticeSequence) -> float:
-    """An upper bound on ||f||_1 from one NumPy sum of |f|; where that bound is not finite, ``lp_norm(f, 1.0)``.
+    """An upper bound on ||f||_1 from one NumPy sum of |f|.
 
     A sum of n nonnegative floats in any order is at least (1 - gamma_(n-1)) times the exact one (Higham,
     Accuracy and Stability of Numerical Algorithms, 4.2), and 1 / (1 - gamma_(n-1)) <= 1 + gamma_(2n) - (n + 1) u,
     which leaves room for the roundings of gamma and of 1 + gamma; rounding the product up covers its own.
-    Data holding a NaN or an infinity raise ValueError, so no certificate is formed from them.  ``lp_norm``'s value
-    is correctly rounded and may lie below the exact norm, so it is rounded up one ulp unless fsum finds it exact;
-    where that passes binary64, as where ``lp_norm`` does, OverflowError names the norm.
+    Data holding a NaN or an infinity raise ValueError, so no certificate is formed from them.  Where the bound
+    passes binary64, OverflowError names the norm in ``lp_norm``'s words; that refuses only norms within a relative
+    gamma_(2n) of the largest float or past it.
     """
-    with np.errstate(over="ignore"):  # a sum past binary64 is inf, and lp_norm names it
+    with np.errstate(over="ignore"):  # a sum past binary64 is inf, and the error below names it
         bound = math.nextafter(float(np.abs(f.values).sum()) * (1.0 + _gamma(2 * len(f.values))), math.inf)
     if bound < math.inf:
         return bound
     _check_finite(f)
-    norm = lp_norm(f, 1.0)
-    if math.fsum(memoryview(np.append(np.abs(f.values), -norm))) != 0.0:
-        norm = math.nextafter(norm, math.inf)
-        if norm == math.inf:
-            raise OverflowError(f"the l1 norm of a sequence on {len(f.values)} sites exceeds binary64 range")
-    return norm
+    raise OverflowError(f"the l1 norm of a sequence on {len(f.values)} sites exceeds binary64 range")
 
 
 def _check_finite(f: LatticeSequence) -> None:

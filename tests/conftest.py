@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latticeheat.kernel import LatticeSequence, csv_lines, heat_kernel
+from latticeheat.moments import K_MAX, moment_polynomials
 
 
 @pytest.fixture
@@ -28,6 +29,24 @@ def exact_l1():
             num, den = v.as_integer_ratio()
             total += num << (1075 - den.bit_length())
         return Fraction(total, 2**1074)
+
+    return exact
+
+
+@pytest.fixture
+def exact_moment():
+    """p_k(2t) as a Fraction, the exact even moment sum_n n^{2k} G(t, n) of the kernel.
+
+    2t = a / b with b a power of two, so p_k(2t) = (sum_i c_i a^i b^(k - i)) / b^k, an integer Horner sum.
+    """
+    polys = moment_polynomials(K_MAX)
+
+    def exact(k: int, t: float) -> Fraction:
+        a, b = (2.0 * t).as_integer_ratio()
+        acc = 0
+        for shift, c in enumerate(reversed(polys[k].coeffs)):
+            acc = acc * a + c * b**shift
+        return Fraction(acc, b**k)
 
     return exact
 

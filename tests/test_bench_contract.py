@@ -73,5 +73,6 @@ def test_one_traced_round_passes_the_checks(bench, name, tmp_path):
             "bessel.scaled_bessel_row.calls", "bessel.scaled_bessel_row.values", "solver.duhamel.integrand_evals"))
         assert counts == (42, 734, 904)
     if name == "cli_reports":
-        # Seed 1 pins the round's rows; each ``moments`` call builds every row of its chain once.
-        assert metrics["bessel.scaled_bessel_row.calls"]["value"] == 198
+        # Seed 1 pins the round's rows; each ``moments`` call builds one row, under ``heat_kernel_for_moment``.
+        assert metrics["bessel.scaled_bessel_row.calls"]["value"] == 194
+        assert metrics["moments.heat_kernel_for_moment.widenings"]["value"] == 1.0

@@ -6,6 +6,7 @@ and not only a failed one.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from latticeheat import moments, solver
 from latticeheat.analysis import kernel_decay, l2_optimality, large_time_profile
 from latticeheat.bessel import ROW_L1_BOUND
 from latticeheat.kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm
-from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, poly_eval, weighted_tail_bound
+from latticeheat.moments import heat_kernel_for_moment, moment_polynomials, moment_table, poly_eval, weighted_tail_bound
 from latticeheat.solver import ForcingSpec, duhamel, evolve
 
 PHI = LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 1: 0.25, 2: -0.5, 3: 0.125})
@@ -63,23 +64,18 @@ def test_weighted_tail_bound_covers_the_ive_tail(monkeypatch):
     special = pytest.importorskip("scipy.special")
     # At the rows heat_kernel_for_moment gives order 2k at the moment table's tol max(1e-12, 1e-10 p_k(2t)) and
     # order 12 at the benchmark's tol 1e-10 max(1, (2t)^6), against 2 sum_{n > N} n^order ive(n, 2t) summed
-    # directly.  A call builds one row wherever its first row, floored where the Bernstein tail predicts, certifies.
-    # The bound is tight: the ratio reaches 0.989.
+    # directly.  Each call builds one row, floored where the Bernstein tail predicts.  The bound is tight: the
+    # ratio reaches 0.989.
     built = []
     monkeypatch.setattr(moments, "heat_kernel", lambda *args, **kw: built.append(heat_kernel(*args, **kw)) or built[-1])
     polys = moment_polynomials(12)
-    widened = calls = 0
     for t in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
         cases = [(2 * k, max(1e-12, 1e-10 * poly_eval(polys[k], 2.0 * t))) for k in range(1, 13)]
         ratios = []
         for order, tol in cases + [(12, 1e-10 * max(1.0, (2.0 * t) ** 6))]:
             built.clear()
             row = heat_kernel_for_moment(t, order, tol)
-            calls += 1
-            if weighted_tail_bound(built[0], order) <= tol:
-                assert len(built) == 1 and built[0] is row
-            else:
-                widened += 1
+            assert len(built) == 1 and built[0] is row
             bound = weighted_tail_bound(row, order)
             assert bound <= tol
             n = np.arange(row.window + 1, row.window + 65 + 8 * math.ceil(math.sqrt(2.0 * t)))
@@ -89,7 +85,34 @@ def test_weighted_tail_bound_covers_the_ive_tail(monkeypatch):
             assert tail <= bound
             ratios.append(tail / bound)
         print(f"weighted tail t={t:g}, orders 2..24 and 12: tail/bound = " + " ".join(f"{r:.3f}" for r in ratios))
-    print(f"first row widened in {widened} of {calls} calls")
+
+
+_rng = random.Random(38)
+# t = 0 and 1e-300, the last tables inside binary64's weights at t = 1e3 and 100, the widest rows, and seeded (t, k_max)
+# with t log-uniform in 1e-3..1e6.
+MOMENT_TABLES = [(0.0, 0), (0.0, 64), (1e-300, 5), (1e3, 54), (100.0, 64), (1e5, 34), (1e6, 35)]
+MOMENT_TABLES += [(10.0 ** _rng.uniform(-3.0, 6.0), _rng.randint(0, 40)) for _ in range(40)]
+
+
+def test_moment_table_lies_within_its_tol_of_the_exact_moments(exact_moment):
+    # Each even moment against p_k(2t), exact, within its order's tol max(1e-12, 1e-10 poly_value); tables whose
+    # weights leave binary64 are refused and have no cells to check.
+    ratios = []
+    for t, k_max in MOMENT_TABLES:
+        try:
+            table = moment_table(t, k_max)
+        except (OverflowError, ArithmeticError):
+            assert t >= 1e5 and k_max > 34, (t, k_max)
+            continue
+        worst = 0.0
+        for k, even, poly_value, odd in table:
+            tol = max(1e-12, 1e-10 * poly_value)
+            worst = max(worst, float(abs(Fraction(even) - exact_moment(k, t)) / Fraction(tol)))
+            assert odd == 0.0
+        assert worst <= 1.0, (t, k_max)
+        ratios.append(worst)
+    print(f"moment tables: {len(ratios)} of {len(MOMENT_TABLES)}, largest error/tol {max(ratios):.3g}")
+    assert len(ratios) >= 40
 
 
 # One signed 50-site sequence, each value exact in binary.

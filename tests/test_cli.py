@@ -312,19 +312,32 @@ def test_memory_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_moments_past_the_odd_order_overflow_guard(tmp_path):
-    # n^105 overflows on the t = 1e3 window, but odd moments are 0.0 without any power.
-    out, shorter = tmp_path / "m.csv", tmp_path / "m51.csv"
-    assert run(["moments", "--t", "1e3", "--kmax", "52", "--out", str(out)]) == 0
-    assert run(["moments", "--t", "1e3", "--kmax", "51", "--out", str(shorter)]) == 0
-    rows = out.read_text().splitlines()
-    assert len(rows) == 54 and all(row.endswith(",0.0") for row in rows[1:])
-    assert rows[:53] == shorter.read_text().splitlines()
+    # n^107 overflows on the t = 1e3 window of kmax 53 (779), but odd moments are 0.0 without any power.
+    out, shorter = tmp_path / "m.csv", tmp_path / "m52.csv"
+    assert run(["moments", "--t", "1e3", "--kmax", "53", "--out", str(out)]) == 0
+    assert run(["moments", "--t", "1e3", "--kmax", "52", "--out", str(shorter)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()]
+    assert len(rows) == 55 and all(row[3] == "0.0" for row in rows[1:])
+    # Each table sums over the row of its own top order, so the shorter one is not its start: the k, poly_value and
+    # odd_moment columns agree, and each even moment lies within its tol, max(1e-12, 1e-10 poly_value), of the other.
+    short = [row.split(",") for row in shorter.read_text().splitlines()]
+    assert [[k, p, o] for k, _, p, o in rows[:54]] == [[k, p, o] for k, _, p, o in short]
+    assert any(a[1] != b[1] for a, b in zip(rows[1:], short[1:]))
+    for (_, a, p, _), (_, b, _, _) in zip(rows[1:], short[1:]):
+        assert abs(float(a) - float(b)) <= 2.0 * max(1e-12, 1e-10 * float(p))
 
 
 def test_moments_past_the_weighted_tail_overflow_guard_exits_1(tmp_path, capsys):
     # The weighted tail of order 106 on the t = 1e3 window used to fail as "(34, 'Numerical result out of range')".
-    err = _assert_rejected(capsys, tmp_path / "m.csv", ["moments", "--t", "1e3", "--kmax", "53"], code=1)
-    assert "computation failed: n^106 exceeds binary64 range on window 824" in err
+    for argv, message in [
+        # The eps row at t = 1e6 (window 11,863) is already past the widest window whose n^76 is finite (11,270).
+        (["moments", "--t", "1e6", "--kmax", "38"], "n^76 exceeds binary64 range on window 11863"),
+        # The widest window whose n^110 is finite, 629, does not certify order 110's tail.
+        (["moments", "--t", "1e3", "--kmax", "55"],
+         "could not certify weighted tail <= 1.5994306810969627e+260 at t=1000.0, order=110"),
+    ]:
+        err = _assert_rejected(capsys, tmp_path / "m.csv", argv, code=1)
+        assert f"computation failed: {message}" in err
 
 
 def test_over_long_recurrence_exits_1_at_once(tmp_path, capsys, monkeypatch):
@@ -357,6 +370,35 @@ def test_unbounded_or_empty_grid_exits_2(tmp_path, capsys, grid):
     # dyadic:16:inf used to build its grid until the process ran out of memory.
     err = _assert_rejected(capsys, tmp_path / "d.csv", ["decay", "--grid", grid])
     assert "grid bounds" in err
+
+
+@pytest.mark.parametrize("grid", ["foo:1:2", "dyadic:16", "dyadic:16:64:4"])
+def test_malformed_grid_exits_2(tmp_path, capsys, grid):
+    err = _assert_rejected(capsys, tmp_path / "d.csv", ["decay", "--grid", grid])
+    assert f"argument --grid: grid must look like dyadic:A:B, got {grid!r}" in err
+
+
+def test_header_only_csv_is_the_zero_sequence(tmp_path, capsys):
+    # No data rows leave the zero sequence at 0: its evolution is zero, and a profile needs a nonzero mass.
+    f_csv = tmp_path / "h.csv"
+    f_csv.write_text("n,value\n")
+    f = read_sequence_csv(f_csv)
+    assert (f.offset, f.values.tolist()) == (0, [0.0])
+    out = tmp_path / "u.csv"
+    assert run(["evolve", "--t", "1", "--f", str(f_csv), "--out", str(out)]) == 0
+    assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"0.0"}
+    err = _assert_rejected(capsys, tmp_path / "c.csv", ["converge", "--f", str(f_csv)])
+    assert "invalid arguments: homogeneous profile requires nonzero mass" in err
+
+
+def test_blank_lines_in_a_csv_are_skipped(tmp_path):
+    spaced, plain = tmp_path / "b.csv", tmp_path / "p.csv"
+    spaced.write_text("n,value\n\n0,1.0\n\n\n2,-0.5\n\n")
+    plain.write_text("n,value\n0,1.0\n2,-0.5\n")
+    for name, f_csv in (("b", spaced), ("p", plain)):
+        assert run(["evolve", "--t", "1", "--f", str(f_csv), "--out", str(tmp_path / f"{name}.out.csv")]) == 0
+    for suffix in ("out.csv", "out.csv.json"):
+        assert (tmp_path / f"b.{suffix}").read_bytes() == (tmp_path / f"p.{suffix}").read_bytes()
 
 
 def test_unallocatable_kernel_exits_1(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """``moments.moment_table`` against the per-order table loop, bit for bit.
 
-The reference below builds the table one order at a time, each order walking
-its own fresh chain of rows and summing each moment over a per-term list.
-``moment_table`` shares one chain across the orders and forms the terms in
-NumPy, so every cell, and every error with its message, must be the same.
-The weights come from ``bessel.power_weighted``'s table of libm powers, so the
-moments must keep those bits whatever the table already holds.
+The reference below takes the one row ``heat_kernel_for_moment`` gives the top
+order, then goes through the orders one at a time, checking each order's
+weighted tail on that row and summing each moment over a per-term list.
+``moment_table`` forms the terms in NumPy, so every cell, and every error with
+its message, must be the same.  The weights come from ``bessel.power_weighted``'s
+table of libm powers, so the moments must keep those bits whatever the table
+already holds.
 """
 
 import math
@@ -20,17 +21,6 @@ from latticeheat.bessel import LatticeSequence
 from latticeheat.moments import kernel_moment, moment_polynomials, moment_table, poly_eval
 
 
-def fresh_walk(t, order, tol):
-    """The row for one order from a chain of its own: eps 1e-16, then floors max(N + 8, int(1.3 N))."""
-    slice = moments.heat_kernel(t, 1e-16)
-    for _ in range(60):
-        if moments.weighted_tail_bound(slice, order) <= tol:
-            return slice
-        wider = max(slice.window + 8, int(slice.window * 1.3))
-        slice = moments.heat_kernel(t, 1e-16, min_half_width=wider)
-    raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={order}")
-
-
 def listed_moment(slice, order):
     """``kernel_moment`` with one Python float ** int and one multiply per term, summed over a list."""
     if order % 2:
@@ -41,33 +31,30 @@ def listed_moment(slice, order):
 
 
 def per_order_rows(t, k_max):
-    """The table one order at a time, yielding each row as it is made."""
-    for k, poly in enumerate(moment_polynomials(k_max)):
-        expected = poly_eval(poly, 2.0 * t)
-        row = fresh_walk(t, 2 * k, max(1e-12, 1e-10 * expected))
-        yield [k, listed_moment(row, 2 * k), expected, listed_moment(row, 2 * k + 1)]
+    """The table one order at a time over the top order's row."""
+    polys = moment_polynomials(k_max)
+    expected = [poly_eval(poly, 2.0 * t) for poly in polys]
+    tols = [max(1e-12, 1e-10 * value) for value in expected]
+    row = moments.heat_kernel_for_moment(t, 2 * k_max, tols[-1])
+    table = []
+    for k, (value, tol) in enumerate(zip(expected, tols)):
+        if not moments.weighted_tail_bound(row, 2 * k) <= tol:
+            raise ArithmeticError(f"could not certify weighted tail <= {tol} at t={t}, order={2 * k}")
+        table.append([k, listed_moment(row, 2 * k), value, listed_moment(row, 2 * k + 1)])
+    return table
 
 
-def outcome(rows):
-    """(the rows with every float as its hex, the error's type and message or None)."""
-    cells = []
+def outcome(call):
+    """(the rows with every float as its hex, or None; the error's type and message, or None)."""
     try:
-        for k, *values in rows:
-            cells.append([k, *(v.hex() for v in values)])
+        rows = call()
     except (ValueError, ArithmeticError) as exc:
-        return cells, (type(exc), str(exc))
-    return cells, None
-
-
-def table_outcome(t, k_max):
-    try:
-        return outcome(moment_table(t, k_max))
-    except (ValueError, ArithmeticError) as exc:
-        return [], (type(exc), str(exc))
+        return None, (type(exc), str(exc))
+    return [[k, *(v.hex() for v in values)] for k, *values in rows], None
 
 
 _rng = random.Random(13)
-# t = 0, both sides of each overflow limit (53 at t = 1e3, 35 at 1e6), refusals before any row, and seeded
+# t = 0, overflow limits (54 and 55 at t = 1e3, 34 and 35 at 1e6), refusals before any row, and seeded
 # (t, k_max) with t log-uniform in 1e-3..1e5 and k_max up to the polynomials' cap and past it.
 CASES = [(0.0, 3), (0.0, 64), (-1.0, 65), (-1.0, 3), (1.0, 65), (1.0, -1), (0.5, 50), (1e3, 53), (1e6, 35)]
 CASES += [(10.0 ** _rng.uniform(-3.0, 5.0), _rng.randint(0, 65)) for _ in range(16)]
@@ -75,13 +62,7 @@ CASES += [(10.0 ** _rng.uniform(-3.0, 5.0), _rng.randint(0, 65)) for _ in range(
 
 @pytest.mark.parametrize("t, k_max", CASES)
 def test_table_keeps_the_bits_of_the_per_order_loop(t, k_max):
-    ref_cells, ref_error = outcome(per_order_rows(t, k_max))
-    cells, error = table_outcome(t, k_max)
-    assert error == ref_error
-    if error is None:
-        assert cells == ref_cells
-    elif ref_cells:  # the orders made before the error, from a table that stops just short of it
-        assert table_outcome(t, len(ref_cells) - 1) == (ref_cells, None)
+    assert outcome(lambda: moment_table(t, k_max)) == outcome(lambda: per_order_rows(t, k_max))
 
 
 def test_kernel_moment_keeps_the_bits_of_the_listed_sum():
@@ -102,29 +83,34 @@ def test_builds_each_row_once(monkeypatch):
         return row(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "scaled_bessel_row", counting)
-    list(per_order_rows(0.5, 50))
-    assert len(calls) == 163
-    calls.clear()
-    moment_table(0.5, 50)
-    assert len(calls) == 5
+    for t, k_max in [(0.5, 50), (0.0, 0), (1e-300, 5), (1e5, 34)]:
+        calls.clear()
+        moment_table(t, k_max)
+        assert calls == [2.0 * t]
 
 
-def test_a_chain_that_certifies_nothing_fails_as_before(monkeypatch):
-    # With no tail ever small enough, every walk runs to the end of its chain; the stub rows cost nothing.
+def test_a_row_that_certifies_nothing_fails_at_the_top_order(monkeypatch):
+    # With no tail ever small enough, the table stops at its one row, floored for the top order; the stub costs nothing.
     floors = []
 
     def stub(t, eps, min_half_width=None):
         floors.append(min_half_width)
-        return SimpleNamespace(window=min_half_width or 3)
+        return SimpleNamespace(window=min_half_width)
 
     monkeypatch.setattr(moments, "weighted_tail_bound", lambda slice, order: math.inf)
     monkeypatch.setattr(moments, "heat_kernel", stub)
-    ref_cells, ref_error = outcome(per_order_rows(0.5, 4))
-    ref_floors, floors[:] = floors[:], []
-    assert ref_error == (ArithmeticError, "could not certify weighted tail <= 1e-10 at t=0.5, order=0")
-    assert table_outcome(0.5, 4) == (ref_cells, ref_error)
-    # The table builds the 60 rows it checks; the fresh walk also built a 61st that it never checked.
-    assert len(floors) == 60 and floors == ref_floors[:60]
+    tol = 1e-10 * poly_eval(moment_polynomials(4)[4], 1.0)
+    message = f"could not certify weighted tail <= {tol} at t=0.5, order=8"
+    assert outcome(lambda: moment_table(0.5, 4)) == (None, (ArithmeticError, message))
+    assert floors == [moments._predicted_floor(0.5, 8, tol)]
+
+
+def test_every_order_is_certified_on_the_row(monkeypatch):
+    # The top order's row certifies, a lower order's tail does not: the table names that order.
+    bound = moments.weighted_tail_bound
+    monkeypatch.setattr(moments, "weighted_tail_bound", lambda row, order: bound(row, order) if order != 4 else math.inf)
+    message = f"could not certify weighted tail <= {1e-10 * poly_eval(moment_polynomials(2)[2], 1.0)} at t=0.5, order=4"
+    assert outcome(lambda: moment_table(0.5, 4)) == (None, (ArithmeticError, message))
 
 
 # ``bessel.power_weighted`` keeps one table of libm powers per order; each test below starts
@@ -149,14 +135,14 @@ def test_kernel_moment_keeps_the_bits_in_every_state_of_the_power_table(tables, 
             assert len(tables[order]) == longest
 
 
-@pytest.mark.parametrize("t, stored", [(1e5, True), (1e6, False)])  # windows 3,751-6,338 and 11,863-20,047
+@pytest.mark.parametrize("t, stored", [(1e5, True), (1e6, False)])  # windows 6,309 and 20,016
 def test_moment_table_keeps_its_bits_cold_and_warm(tables, monkeypatch, t, stored):
     with monkeypatch.context() as m:
         m.setattr(bessel, "_POWER_TABLE_CAP", 0)  # every window past the cap: the direct powers
-        direct = outcome(moment_table(t, 34))
+        direct = outcome(lambda: moment_table(t, 34))
     assert not tables
-    cold = outcome(moment_table(t, 34))
-    assert bool(tables) == stored and outcome(moment_table(t, 34)) == cold == direct
+    cold = outcome(lambda: moment_table(t, 34))
+    assert bool(tables) == stored and outcome(lambda: moment_table(t, 34)) == cold == direct
 
 
 def test_lattice_moment_across_the_origin_keeps_its_bits(tables):

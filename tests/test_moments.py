@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latticeheat import moments
+from latticeheat import bessel, moments
 from latticeheat.bessel import MAX_RECURRENCE_STEPS, _start_index, check_order
 from latticeheat.kernel import KernelSlice, LatticeSequence, heat_kernel
 from latticeheat.moments import (
@@ -528,14 +528,14 @@ class TestKernelMoments:
             kernel_moment(kernel, 10**6)
 
     def test_odd_order_returns_before_the_overflow_guard(self):
-        # Window 20,047 is the slice of `moments --t 1e6 --kmax 35`; the odd order 71 returns 0.0 without a weight.
+        # 20,047^71 passes binary64, but the odd order 71 returns 0.0 without a weight.
         kernel = KernelSlice(window=20_047, values=np.full(20_048, 1e-5), tail_mass=0.0)
         assert kernel_moment(kernel, 71) == 0.0
         with pytest.raises(OverflowError):
             kernel_moment(kernel, 10**6)
 
     def test_weighted_tail_overflow_guard_names_order_and_window(self):
-        # Window 824 is the slice of `moments --t 1e3 --kmax 53`, where 824^106 would overflow.
+        # 824^106 would overflow, and 824^104 does not.
         kernel = KernelSlice(window=824, values=np.geomspace(0.5, 1e-300, 825), tail_mass=0.0)
         assert math.isfinite(weighted_tail_bound(kernel, 104))
         with pytest.raises(OverflowError, match=r"n\^106 exceeds binary64 range on window 824"):
@@ -543,7 +543,7 @@ class TestKernelMoments:
 
     @pytest.mark.filterwarnings("error")
     def test_weights_inside_binary64_are_summed_however_near_its_edge(self):
-        # Window 262 is the slice of `moments --t 100 --kmax 63`: 262^126 is about 1.5e304, and 262^128 overflows.
+        # 262^126 is about 1.5e304, and 262^128 overflows.
         kernel = KernelSlice(window=262, values=np.geomspace(0.5, 1e-300, 263), tail_mass=0.0)
         assert math.isfinite(kernel_moment(kernel, 126))
         assert math.isfinite(weighted_tail_bound(kernel, 126))
@@ -612,19 +612,25 @@ class TestKernelMoments:
                     heat_kernel_for_moment(t, order, tol)
                 assert time.perf_counter() - start < 1.0
 
-    def test_no_floor_past_the_recurrence_cap(self):
-        # At t = 3e12 the eps-1e-16 row fits MAX_RECURRENCE_STEPS (32.6 million steps), but a row floored where the
-        # order-2 tail meets 1e-10 would not: there is no floor, and the walk starts at the eps row as before.
+    def test_a_floor_past_the_recurrence_cap_is_refused_before_any_row(self, monkeypatch):
+        # At t = 3e12 the eps-1e-16 row fits MAX_RECURRENCE_STEPS (32.6 million steps), but the row floored where
+        # the order-2 tail meets 1e-10 does not: heat_kernel refuses it before the recurrence runs.
         assert _start_index(6e12, 1e-16, 0)[1] <= MAX_RECURRENCE_STEPS
-        assert moments._predicted_floor(3e12, 2, 1e-10) is None
+        floor = moments._predicted_floor(3e12, 2, 1e-10)
+        steps = _start_index(6e12, 1e-16, floor)[1]
+        assert steps > MAX_RECURRENCE_STEPS
+        monkeypatch.setattr(bessel, "_recurrence_row", None)
+        message = f"the row at tau=6000000000000.0 needs {steps} recurrence steps, more than {MAX_RECURRENCE_STEPS}"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            heat_kernel_for_moment(3e12, 2, 1e-10)
         floor = moments._predicted_floor(2.5e12, 2, 1e-10)
         assert _start_index(5e12, 1e-16, 0)[0] < floor and _start_index(5e12, 1e-16, floor)[1] <= MAX_RECURRENCE_STEPS
 
     @pytest.mark.parametrize("order", [10**6, 1e300, 1000], ids=repr)
-    def test_no_floor_a_row_can_hold_starts_the_walk_as_before(self, order):
-        # N^order leaves binary64 at every floor the Bernstein tail asks for, so the walk starts at the eps-1e-16 row
-        # and its weight overflows there, as before; a floor would have named another window.
-        assert moments._predicted_floor(1.0, order, 1e-10) is None
+    def test_a_floor_past_the_weights_refuses_on_the_eps_row(self, order):
+        # N^order leaves binary64 at every window past 2, so the floor is 2, the row is the eps-1e-16 row, and its
+        # weight overflows there.
+        assert moments._predicted_floor(1.0, order, 1e-10) == 2
         first = heat_kernel(1.0, 1e-16)
         with pytest.raises(OverflowError) as expected:
             weighted_tail_bound(first, order)
@@ -632,6 +638,28 @@ class TestKernelMoments:
         with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
             heat_kernel_for_moment(1.0, order, 1e-10)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("order, tol, window, certified", [
+        (108, 7.271790852365888e+254, 709, True),  # the limit meets tol though Bernstein's bound does not
+        (110, 1.5994306810969627e+260, 629, False),
+    ])
+    def test_where_no_window_meets_the_bound_the_floor_is_the_widest_with_finite_weights(self, order, tol, window,
+                                                                                         certified):
+        # At t = 1e3, exp(709 / order) caps the window, and the Bernstein target is not met below it.
+        assert moments._predicted_floor(1e3, order, tol) == window == int(math.exp(709.0 / order))
+        if certified:
+            assert heat_kernel_for_moment(1e3, order, tol).window == window
+        else:
+            message = f"could not certify weighted tail <= {tol} at t=1000.0, order={order}"
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                heat_kernel_for_moment(1e3, order, tol)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-3])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_the_floor_leaves_two_values_past_the_origin(self, t, order):
+        # weighted_tail_bound is infinite on windows 0 and 1; the eps row at t = 0 is window 0.
+        assert moments._predicted_floor(t, order, 1.0) == 2
+        assert heat_kernel_for_moment(t, order, 1.0).window >= 2
 
     def test_continuum_ratio(self):
         polys = moment_polynomials(4)

@@ -127,41 +127,32 @@ class TestDataL1Bound:
             assert math.isfinite(bound)
             assert exact <= Fraction(bound) <= exact * (1 + Fraction(1, 10**9)) + Fraction(2, 2**1074)
 
-    def test_a_bound_past_binary64_is_lp_norms(self):
+    def test_a_bound_past_binary64_raises(self):
+        # Where the bound passes binary64, lp_norm's OverflowError names the norm, even where the NumPy sum, or the
+        # norm itself, is finite (top / 2 twice sums to top; nextafter(top) + 2^969 rounds to top).
         top = np.finfo(float).max
-        # The NumPy sum is finite, its bound is not: lp_norm's value, here exact.
-        assert solver_module._l1_bound(LatticeSequence(0, np.array([top / 2, -top / 2]))) == top
-        with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
-            solver_module._l1_bound(LatticeSequence(0, np.full(3, 1e308)))
+        for values in ([top / 2, -top / 2], [math.nextafter(top, 0.0), -(2.0**969)], [top, 2.0**969], [1e308] * 3):
+            f = LatticeSequence(0, np.array(values))
+            message = f"^the l1 norm of a sequence on {len(values)} sites exceeds binary64 range$"
+            for call in (lambda: solver_module._l1_bound(f), lambda: evolve(f, 1.0)):
+                with pytest.raises(OverflowError, match=message):
+                    call()
         with pytest.raises(ValueError, match="^the data on 3 sites hold a NaN or an infinity$"):
             solver_module._l1_bound(LatticeSequence(0, np.array([1.0, math.nan, math.inf])))
         with pytest.raises(ValueError, match="^the data on 2 sites hold a NaN or an infinity$"):
             solver_module._l1_bound(LatticeSequence(0, np.array([1.0, -math.inf])))
 
-    def test_a_rounded_down_fallback_is_rounded_up(self, exact_l1):
-        # lp_norm rounds top + 2^969 down to top: the bound's next float is inf, so the norm is refused, not
-        # certified 2^969 short.  A fallback that is not exact is rounded up one ulp.
-        top = np.finfo(float).max
-        f = LatticeSequence(0, np.array([top, 2.0**969]))
-        for call in (lambda: solver_module._l1_bound(f), lambda: evolve(f, 1.0)):
-            with pytest.raises(OverflowError, match="^the l1 norm of a sequence on 2 sites exceeds binary64 range$"):
-                call()
-        values = np.array([math.nextafter(top, 0.0), -(2.0**969)])  # the NumPy bound passes binary64, the norm does not
-        assert solver_module._l1_bound(LatticeSequence(0, values)) == top
-        assert Fraction(float(values[0])) < exact_l1(values) < Fraction(top)
-
 
 class TestEvolve:
     def test_sums_each_l1_norm_once(self, monkeypatch):
-        # ||f||_1 is bounded from one NumPy sum and ||G(t)||_1 by the row's normalisation, so finite data take no
-        # compensated sum; data whose bound passes binary64 take lp_norm's, once, and keep its error.
+        # ||f||_1 is bounded from one NumPy sum and ||G(t)||_1 by the row's normalisation, so no data take a
+        # compensated sum; data whose bound passes binary64 are refused with lp_norm's error, without lp_norm.
         calls = []
         monkeypatch.setattr(solver_module, "lp_norm", lambda s, p: calls.append(p) or lp_norm(s, p))
         evolve(LatticeSequence.from_pairs({-1: 0.5, 0: 1.0, 4: -2.0}), 3.0)
-        assert calls == []
         with pytest.raises(OverflowError, match="the l1 norm of a sequence on 3 sites exceeds binary64 range"):
             evolve(LatticeSequence(0, np.full(3, 1e308)), 1.0)
-        assert calls == [1.0]
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     def test_data_with_a_nan_or_an_infinity_get_no_certificate(self, bad):

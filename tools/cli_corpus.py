@@ -135,6 +135,10 @@ def corpus() -> list[list[str]]:
     band = ["--grid", "dyadic:128:4096"]
     runs += [["decay", "--p", "2", *band], ["diffdecay", "--order", "2", "--p", "1", *band]]
     runs += [["moments", "--t", "2500", "--kmax", "12"]]
+    # Moment tables whose row ends at the origin's neighbours (t = 0 and 1e-300), and the last order whose weights
+    # stay inside binary64 at t = 1e3, and the next.
+    runs += [["moments", "--t", t, "--kmax", k] for t in ("0", "1e-300") for k in ("0", "5")]
+    runs += [["moments", "--t", "1e3", "--kmax", k] for k in ("54", "55")]
     return runs
 
 
