@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bessel import _plan
 from .kernel import (
     LatticeSequence,
+    _tau,
     add_sequences,
     discrete_laplacian,
     forward_difference,
@@ -113,8 +115,15 @@ def _gate(points, label: str, extras=None) -> DecayReport:
 
 def _grid_points(t_grid, eps: float, point):
     """(t, value, certified error) at each sorted grid time, with (value, error) = point(t, G(t, .), its tail mass)."""
+    times = sorted(t_grid)
+    try:  # before any row is built, the largest time's row is planned: its checks and _start_index, no recurrence
+        for t in times[-1:]:
+            _plan(_tau(t), eps)
+    except (ValueError, ArithmeticError):  # refused: the first time refused, ascending, raises what its row would
+        for t in times:
+            _plan(_tau(t), eps)
     points = []
-    for t in sorted(t_grid):
+    for t in times:
         kernel = heat_kernel(t, eps)
         points.append((t, *point(t, kernel.to_sequence(), kernel.tail_mass)))
     return points

@@ -62,9 +62,9 @@ _NORM_ROUNDING = 3.001 * 2.0**-53
 ROW_L1_BOUND = 1.0 + 4.0 * 2.0**-53
 # Miller's relative seed error is held below this share of the target.
 _SEED_SHARE = 2.0**-40
-# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum.  The extraction's eight
-# NumPy calls take 8-18 us at any length up to 1,023 (its max and min as direct ufunc
-# reductions, 0.3-0.8 us less than through ``ndarray.max`` / ``min``); fsum's cost per
+# ``exact_sum`` leaves arrays shorter than _EXACT_SUM_MIN to fsum.  The extraction's seven
+# NumPy calls take 7-18 us at any length up to 1,023 (its max |x| as one direct ufunc
+# reduction of |x|, whose array then holds q: 0.7-1.1 us less than a max and a min); fsum's cost per
 # value depends on the data: 38-64 ns on an unfolded row, 61-95 ns on its squares, 76-114 ns
 # on order-12 moment terms, and 17-30 ns on uniform data or on the unnormalised row that
 # ``_recurrence_row`` sums (2-core Intel Xeon, two phases of the host).  So 320 is about where the library's
@@ -76,6 +76,7 @@ _SUM_BLOCK = 4096
 # The longest table of libm powers that ``power_weighted`` keeps for one order (see there).
 _POWER_TABLE_CAP = 2**13
 _power_tables: dict[int, np.ndarray] = {}
+_NO_POWERS = np.empty(0)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -123,7 +124,7 @@ def power_weighted(values: np.ndarray, first: int, order: int) -> np.ndarray:
     try:
         if not (0 <= first and end <= _POWER_TABLE_CAP and isinstance(order, int) and 0 <= order < 1024):
             return libm_pow(np.arange(float(first), end), float(order)) * values
-        table = _power_tables.get(order, np.empty(0))
+        table = _power_tables.get(order, _NO_POWERS)
         if len(table) < end:
             table = np.concatenate([table, libm_pow(np.arange(float(len(table)), end), float(order))])
             table.setflags(write=False)
@@ -149,20 +150,21 @@ def exact_sum(values: np.ndarray) -> float:
     """
     n = len(values)
     if n >= _EXACT_SUM_MIN:
-        # M below 2^(999 - bit_length(n)), so sigma <= 2^1000; NaN, inf and all zeros fail too.
-        top = max(np.maximum.reduce(values), -np.minimum.reduce(values))
+        # M from |x|, whose array then holds q, up to one block; past it from a max and a min, so no temporary outgrows
+        # a block.  M below 2^(999 - bit_length(n)), so sigma <= 2^1000; NaN, inf and all zeros fail too.
+        q = np.abs(values) if n <= _SUM_BLOCK else None
+        top = np.maximum.reduce(q) if q is not None else max(np.maximum.reduce(values), -np.minimum.reduce(values))
         if 0.0 < top < math.ldexp(1.0, 999 - n.bit_length()):
             k = math.frexp(top)[1] + n.bit_length() + 1
             sigma = math.ldexp(1.0, k)
-            buf = np.empty(min(n, _SUM_BLOCK))
             head = tail = 0.0
             for i in range(0, n, _SUM_BLOCK):
                 part = values[i : i + _SUM_BLOCK]
-                q = buf[: len(part)]
-                np.add(part, sigma, out=q)
+                q = np.add(part, sigma, out=q)
                 q -= sigma
                 head += float(np.add.reduce(q))
                 tail += float(np.add.reduce(np.subtract(part, q, out=q)))  # the r_i, in q's place
+                q = None  # the next block's is made afresh, after this one is freed
             # n 2^-1074 absorbs the rounding of the first term where it is subnormal.
             err = math.ldexp(n * n, k - 105) + math.ldexp(n, -1074)
             lo = head + math.nextafter(tail - err, -math.inf)
@@ -170,6 +172,15 @@ def exact_sum(values: np.ndarray) -> float:
             if lo == hi != 0.0:
                 return lo
     return math.fsum(memoryview(values))
+
+
+def _owned(cls: type, values: np.ndarray, **fields):
+    """A ``LatticeSequence`` or ``KernelSlice`` on a float64 array that the library has just made and holds nowhere
+    else: read-only, not copied."""
+    obj = object.__new__(cls)
+    values.setflags(write=False)
+    obj.__dict__.update(fields, values=values)  # the frozen fields, as __init__ would set them
+    return obj
 
 
 @dataclass(frozen=True)
@@ -182,15 +193,6 @@ class LatticeSequence:
     def __post_init__(self) -> None:  # a read-only copy: the caller's array stays the caller's
         object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.setflags(write=False)
-
-    @classmethod
-    def _own(cls, offset: int, values: np.ndarray) -> "LatticeSequence":
-        """A sequence on a float64 array that the library has just made and holds nowhere else: read-only, not copied."""
-        seq = object.__new__(cls)
-        values.setflags(write=False)
-        object.__setattr__(seq, "offset", offset)
-        object.__setattr__(seq, "values", values)
-        return seq
 
     @property
     def hi(self) -> int:
@@ -270,7 +272,7 @@ class KernelSlice:
         return float(self.values[n])
 
     def to_sequence(self) -> LatticeSequence:
-        return LatticeSequence._own(-self.window, np.concatenate([self.values[:0:-1], self.values]))
+        return _owned(LatticeSequence, np.concatenate([self.values[:0:-1], self.values]), offset=-self.window)
 
     def mass(self) -> float:
         """b_0 + 2 * sum_{1 <= n <= window} b_n over the carried window."""
@@ -327,6 +329,19 @@ def _validate_tau(tau: float) -> None:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
 
 
+def _plan(tau: float, eps: float, min_half_width: int | None = None) -> tuple[int, int, int]:
+    """(floor, N, m) of ``scaled_bessel_row``'s row (N = m = 0 at tau = 0), refused as there, building nothing."""
+    _validate_tau(tau)
+    check_eps(eps)
+    if not -math.inf < (floor := min_half_width or 0) < math.inf:  # NaN fails too
+        raise ValueError(f"min_half_width must be finite, got {floor!r}")
+    floor = max(0, math.ceil(floor))
+    last, m = _start_index(tau, eps, floor) if tau else (0, 0)
+    if m > MAX_RECURRENCE_STEPS:
+        raise ArithmeticError(f"the row at tau={tau!r} needs {reprlib.repr(m)} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
+    return floor, last, m
+
+
 def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None) -> KernelSlice:
     """Evaluate the whole row b_n(tau) by normalized backward recurrence.
 
@@ -339,19 +354,11 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     if no window up to the proved one meets it, if the recurrence needs more than
     ``MAX_RECURRENCE_STEPS`` steps, or if it is too long to allocate.
     """
-    _validate_tau(tau)
-    check_eps(eps)
-    if not -math.inf < (floor := min_half_width or 0) < math.inf:  # NaN fails too
-        raise ValueError(f"min_half_width must be finite, got {floor!r}")
-    floor = max(0, math.ceil(floor))
+    floor, last, m = _plan(tau, eps, min_half_width)
     if tau == 0.0:
         values = np.zeros(floor + 1)
         values[0] = 1.0
-        return KernelSlice(window=floor, values=values, tail_mass=0.0)
-
-    last, m = _start_index(tau, eps, floor)
-    if m > MAX_RECURRENCE_STEPS:
-        raise ArithmeticError(f"the row at tau={tau!r} needs {reprlib.repr(m)} recurrence steps, more than {MAX_RECURRENCE_STEPS}")
+        return _owned(KernelSlice, values, window=floor, tail_mass=0.0)
     b = _recurrence_row(tau, m)
     if b is None:
         b = np.zeros(m + 1)
@@ -407,7 +414,7 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
             lo = mid + 1
         else:
             hi, tail_mass = mid, bound
-    return KernelSlice(window=lo, values=b[: lo + 1], tail_mass=tail_mass)
+    return _owned(KernelSlice, b[: lo + 1].copy(), window=lo, tail_mass=tail_mass)
 
 
 def _recurrence_row(tau: float, m: int) -> np.ndarray | None:

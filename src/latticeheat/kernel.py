@@ -14,7 +14,7 @@ import reprlib
 
 import numpy as np
 
-from .bessel import KernelSlice, LatticeSequence, exact_sum, libm_pow, scaled_bessel_row
+from .bessel import KernelSlice, LatticeSequence, _owned, exact_sum, libm_pow, scaled_bessel_row
 
 __all__ = [
     "KernelSlice",
@@ -31,25 +31,33 @@ __all__ = [
 
 def heat_kernel(t: float, eps: float, min_half_width: int | None = None) -> KernelSlice:
     """The row b_n(2t) as a kernel slice of G(t, .), with certified tail mass at most eps."""
+    return scaled_bessel_row(_tau(t), eps, min_half_width=min_half_width)
+
+
+def _tau(t: float) -> float:
+    """2t for a t that ``heat_kernel`` takes."""
     if not (0.0 <= t and math.isfinite(2.0 * t)):
         raise ValueError(f"t must be nonnegative with 2t finite, got {t!r}")
-    return scaled_bessel_row(2.0 * t, eps, min_half_width=min_half_width)
+    return 2.0 * t
 
 
 def forward_difference(s: LatticeSequence) -> LatticeSequence:
     """First forward difference (grad f)(n) = f(n+1) - f(n); grows the window one step left."""
-    padded = np.concatenate([s.values, [0.0]])
-    shifted = np.concatenate([[0.0], s.values])
-    return LatticeSequence._own(s.offset - 1, padded - shifted)
+    out = np.zeros(len(s.values) + 1)
+    out[:-1] = s.values  # f(n) - 0.0 at the left end is f(n) itself
+    right = out[1:]  # a bound view: no slice assignment copies the difference back
+    right -= s.values
+    return _owned(LatticeSequence, out, offset=s.offset - 1)
 
 
 def discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
     """Second central difference f(n+1) - 2 f(n) + f(n-1); grows one step each side."""
     out = np.zeros(len(s.values) + 2)
-    out[:-2] += s.values
-    out[1:-1] -= 2.0 * s.values
-    out[2:] += s.values
-    return LatticeSequence._own(s.offset - 1, out)
+    left, middle, right = out[:-2], out[1:-1], out[2:]  # bound views, as in forward_difference
+    left += s.values  # onto +0.0, so -0.0 comes out +0.0
+    middle -= 2.0 * s.values
+    right += s.values
+    return _owned(LatticeSequence, out, offset=s.offset - 1)
 
 
 def lp_norm(s: LatticeSequence, p: float) -> float:
@@ -60,8 +68,8 @@ def lp_norm(s: LatticeSequence, p: float) -> float:
     """
     if not p >= 1.0:  # a NaN p is refused too
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
-    if p == math.inf:
-        return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
+    if p == math.inf:  # the ufunc's own reduction, without np.max's wrapper
+        return float(np.maximum.reduce(np.abs(s.values))) if len(s.values) else 0.0
     try:
         if p == 1.0:
             return exact_sum(np.abs(s.values))
@@ -83,7 +91,7 @@ def add_sequences(a: LatticeSequence, b: LatticeSequence, alpha: float = 1.0, be
     out = np.zeros(hi - lo + 1)
     out[a.offset - lo : a.offset - lo + len(a.values)] += alpha * a.values
     out[b.offset - lo : b.offset - lo + len(b.values)] += beta * b.values
-    return LatticeSequence._own(lo, out)
+    return _owned(LatticeSequence, out, offset=lo)
 
 
 def csv_lines(header: list[str], rows):

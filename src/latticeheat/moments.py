@@ -166,7 +166,8 @@ def kernel_moment(slice: KernelSlice, order: int) -> float:
     if order % 2:
         return 0.0
     terms = power_weighted(slice.values, 0, order)
-    terms[1:] *= 2.0
+    doubled = terms[1:]  # a bound view: no slice assignment copies the product back
+    doubled *= 2.0
     return exact_sum(terms)
 
 
@@ -178,14 +179,17 @@ def weighted_tail_bound(slice: KernelSlice, order: int) -> float:
     is not below 1.  Raises OverflowError where ``power_weighted``'s N^order leaves binary64.
     """
     check_order(order)
-    n = slice.window
+    n, values = slice.window, slice.values
     if n < 2:
         return math.inf
-    v_prev, v_edge = slice.value(n - 1), slice.value(n)
+    v_prev, v_edge = float(values[n - 1]), float(values[n])
     if v_edge == 0.0:
         return 0.0
-    # N^order (2 G(t, N)), formed first since it bounds (1 + 1/N)^order; it rounds as (2 N^order) G(t, N) does.
-    edge = float(power_weighted(2.0 * slice.values[n:], n, order)[0])
+    try:  # N^order (2 G(t, N)), formed first since it bounds (1 + 1/N)^order: power_weighted's weight and product
+        edge = 2.0 * v_edge * float(n) ** float(order)
+    except OverflowError:  # that pow overflows in power_weighted too, whose error names the order and the window
+        power_weighted(values[n:], n, order)
+        raise
     grow = v_edge / v_prev * (1.0 + 1.0 / n) ** order
     return math.inf if grow >= 1.0 else edge * grow / (1.0 - grow)
 
@@ -210,21 +214,9 @@ def _predicted_floor(t: float, order: int, tol: float) -> int | None:
     if not 0.0 <= tau < math.inf:  # heat_kernel refuses t, as it does without a floor
         return None
     tau, log_target = float(tau), math.log(tol) - math.log(2.0)  # Python floats run to inf without a warning
-
-    def logs(n: float) -> tuple[float, float]:
-        """(L(n), g(n)), with L(n) = inf where r >= 1 at n."""
-        s = n / (3.0 * tau + n)
-        x = order / n - 1.5 * s * (2.0 - s)
-        big_l = math.log(2.0) + order * math.log(n) - math.log(-math.expm1(x)) - log_target if x < 0.0 else math.inf
-        return big_l, 1.5 * n * s
-
-    def meets(window: int) -> bool:
-        big_l, g = logs(window + 1)
-        return big_l <= g
-
     n = order + 2.0 * math.sqrt(order) * math.sqrt(tau) + 1.0
     for _ in range(4):
-        big_l = logs(n)[0]
+        big_l = _floor_logs(n, tau, order, log_target)[0]
         if not 0.0 < big_l < math.inf:
             break
         n = _bernstein_reach(tau, big_l)  # g(n) = big_l
@@ -232,10 +224,19 @@ def _predicted_floor(t: float, order: int, tol: float) -> int | None:
     lo, hi = 2, max(2, int(min(MAX_RECURRENCE_STEPS, weight_limit)))
     guess = math.ceil(min(n, hi)) - 1
     probes = iter((guess, guess - 1, guess + 1))
-    while lo < hi:  # the least N in [lo, hi] that meets the bound, else hi
+    while lo < hi:  # the least N in [lo, hi] that meets the bound, L(N + 1) <= g(N + 1), else hi
         mid = next((p for p in probes if lo <= p < hi), (lo + hi) // 2)
-        lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+        big_l, g = _floor_logs(mid + 1, tau, order, log_target)
+        lo, hi = (lo, mid) if big_l <= g else (mid + 1, hi)
     return lo
+
+
+def _floor_logs(n: float, tau: float, order: int, log_target: float) -> tuple[float, float]:
+    """(L(n), g(n)) of ``_predicted_floor``, with L(n) = inf where r >= 1 at n."""
+    s = n / (3.0 * tau + n)
+    x = order / n - 1.5 * s * (2.0 - s)
+    big_l = math.log(2.0) + order * math.log(n) - math.log(-math.expm1(x)) - log_target if x < 0.0 else math.inf
+    return big_l, 1.5 * n * s
 
 
 def heat_kernel_for_moment(t: float, order: int, tol: float) -> KernelSlice:

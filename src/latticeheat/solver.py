@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import ROW_L1_BOUND, check_eps, exact_sum
+from .bessel import ROW_L1_BOUND, _owned, check_eps, exact_sum
 from .kernel import LatticeSequence, add_sequences, heat_kernel, lp_norm, read_sequence_csv
 
 __all__ = [
@@ -145,7 +145,7 @@ class SolutionSnapshot:
 
 def convolve(a: LatticeSequence, b: LatticeSequence) -> LatticeSequence:
     """Direct discrete convolution over the joint support; see ``rounding_bound``."""
-    return LatticeSequence._own(a.offset + b.offset, np.convolve(a.values, b.values))
+    return _owned(LatticeSequence, np.convolve(a.values, b.values), offset=a.offset + b.offset)
 
 
 def _gamma(k: int) -> float:
@@ -357,7 +357,7 @@ def duhamel(g: ForcingSpec | None, t: float, eps: float = 1e-10) -> SolutionSnap
         raise QuadratureBudgetError(f"truncation and rounding alone bound the error by {trunc_error:.3g} > eps")
     values = np.fft.irfft(_symbol(c, r, size), size)  # sum_j K(n + jM) at n mod M
     u = g.amplitude * np.convolve(np.concatenate((values[size - width :], values[: width + 1])), phi)
-    return SolutionSnapshot(t, LatticeSequence._own(g.spatial.offset - width, u), quad_error, trunc_error)
+    return SolutionSnapshot(t, _owned(LatticeSequence, u, offset=g.spatial.offset - width), quad_error, trunc_error)
 
 
 def _symbol_l2(r: np.ndarray, size: int, lam: float) -> np.ndarray:

@@ -288,7 +288,7 @@ class TestRow:
     def test_library_results_are_not_copied_again(self, monkeypatch):
         # Arrays the library has just made are frozen in place: no result below goes through the copying constructor.
         a = np.array([1.0, 2.0])
-        own = bessel.LatticeSequence._own(3, a)
+        own = bessel._owned(bessel.LatticeSequence, a, offset=3)
         assert own.values is a and not a.flags.writeable and (own.offset, own.hi) == (3, 4)
         row, f = scaled_bessel_row(2.0, 1e-12), bessel.LatticeSequence(-1, np.array([0.5, -1.0, 2.0]))
         g = solver.ForcingSpec(f, 2.0, 1.0)
@@ -299,6 +299,11 @@ class TestRow:
         results += [kernel.add_sequences(f, f, 1.0, -2.0), solver.evolve(f, 1.0).u, solver.duhamel(g, 1.0).u]
         assert copies == []
         assert not any(s.values.flags.writeable for s in results)
+        # Rows too: each holds one read-only copy of its window, made by the row and not by the constructor.
+        monkeypatch.setattr(bessel.KernelSlice, "__post_init__", lambda s: copies.append(s))
+        rows = [scaled_bessel_row(2.0, 1e-12), scaled_bessel_row(0.0, 1e-12, 3), scaled_bessel_row(1e-300, 1e-12)]
+        assert copies == [] and [r.window for r in rows] == [row.window, 3, 1]
+        assert not any(r.values.flags.writeable or r.values.base is not None for r in rows)
 
     def test_window_l1_norm_is_at_most_the_row_bound(self, exact_l1):
         # Seeded rows, with a quarter at floor 0, then rows that rescale (tau 2 at eps 1e-307, 0.002 at 1e-300,

@@ -349,6 +349,29 @@ def test_over_long_recurrence_exits_1_at_once(tmp_path, capsys, monkeypatch):
     assert "computation failed" in err and "54796881 recurrence steps" in err
 
 
+@pytest.mark.parametrize("argv", [["decay"], ["diffdecay", "--order", "2"], ["converge", "--f", "F"], ["converge", "--g", "G"]])
+def test_grid_reports_refuse_an_over_long_row_before_building_any(tmp_path, capsys, monkeypatch, argv):
+    # dyadic:1:1e308 ends at t = 2^1023, whose 2t is inf; the first time refused, ascending, is t = 2^42, past the
+    # step cap.  Building the rows up to it took 16 s and peaked at 0.6-1.1 GB; now the refusal builds no row.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    (tmp_path / "f.csv").write_text("n,value\n0,1.0\n1,0.5\n")
+    (tmp_path / "g.json").write_text('{"kind": "separable", "spatial": "f.csv", "gamma": 2.0, "amplitude": 1.0}')
+    argv = [str(tmp_path / "f.csv") if a == "F" else str(tmp_path / "g.json") if a == "G" else a for a in argv]
+    monkeypatch.setattr(kernel, "scaled_bessel_row", unreachable)
+    err = _assert_rejected(capsys, tmp_path / "r.csv", [*argv, "--grid", "dyadic:1:1e308"], code=1)
+    assert err == (
+        "lattice-heat: computation failed: the row at tau=8796093022208.0 needs 36240524 recurrence steps, more than 33554432\n"
+    )
+
+
+def test_grid_refusals_keep_their_order(tmp_path, capsys, monkeypatch):
+    # An eps that no row takes is refused as heat_kernel refuses it, before the step cap of a later time.
+    err = _assert_rejected(capsys, tmp_path / "r.csv", ["decay", "--eps", "1.5", "--grid", "dyadic:1:1e308"])
+    assert err == "lattice-heat: invalid arguments: eps must lie in (0, 1), got 1.5\n"
+
+
 def test_tiny_eps_kernel_gets_a_wider_window(tmp_path):
     # At eps 1e-100 the window used to stop at 43 with a zero certificate; the proved start reaches the edge.
     out = tmp_path / "k.csv"

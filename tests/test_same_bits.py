@@ -13,8 +13,19 @@ import random
 import numpy as np
 import pytest
 
+from latticeheat import bessel, moments
 from latticeheat.analysis import _gate, dyadic_grid, l2_optimality, large_time_profile
-from latticeheat.kernel import LatticeSequence, add_sequences, forward_difference, heat_kernel, lp_norm
+from latticeheat.bessel import check_order, libm_pow
+from latticeheat.kernel import (
+    KernelSlice,
+    LatticeSequence,
+    add_sequences,
+    discrete_laplacian,
+    forward_difference,
+    heat_kernel,
+    lp_norm,
+)
+from latticeheat.moments import kernel_moment, weighted_tail_bound
 from latticeheat.solver import _gamma, evolve
 
 
@@ -193,3 +204,225 @@ def test_general_p_norm_keeps_its_bits(p):
 def test_general_p_norm_raises_where_a_power_overflows(p):
     with pytest.raises(OverflowError):
         lp_norm(LatticeSequence(0, np.array([1.0, 1e300, 1.0])), p)
+
+
+# The kernel layer's small-row paths, against the forms they had before their fixed costs were cut: the sup norm
+# through ``np.max``, the differences through concatenation and slice assignment, the moment weights as direct libm
+# powers with the doubling assigned back, the tail bound through ``KernelSlice.value``, the moment floor through its
+# two closures and the window search as it stood.  Outcomes are compared as bytes or ``.hex()``, or as the exception
+# type and message.
+
+
+def reference_lp_norm(s: LatticeSequence, p: float) -> float:
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1 or inf, got {p!r}")
+    if p == math.inf:
+        return float(np.max(np.abs(s.values))) if len(s.values) else 0.0
+    try:
+        if p == 1.0:
+            return math.fsum(np.abs(s.values).tolist())
+        with np.errstate(over="raise"):
+            total = math.fsum((s.values * s.values if p == 2.0 else libm_pow(np.abs(s.values), p)).tolist())
+    except (OverflowError, FloatingPointError):
+        if not np.isfinite(s.values).all():
+            return float(np.max(np.abs(s.values)))
+        raise OverflowError(f"the l{p:g} norm of a sequence on {len(s.values)} sites exceeds binary64 range") from None
+    if total < 2.0**-1022 and (top := float(np.max(np.abs(s.values), initial=0.0))) > 0.0:
+        return top * reference_lp_norm(LatticeSequence(s.offset, s.values / top), p)
+    return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+
+
+def reference_forward_difference(s: LatticeSequence) -> LatticeSequence:
+    return LatticeSequence(s.offset - 1, np.concatenate([s.values, [0.0]]) - np.concatenate([[0.0], s.values]))
+
+
+def reference_discrete_laplacian(s: LatticeSequence) -> LatticeSequence:
+    out = np.zeros(len(s.values) + 2)
+    out[:-2] += s.values
+    out[1:-1] -= 2.0 * s.values
+    out[2:] += s.values
+    return LatticeSequence(s.offset - 1, out)
+
+
+def reference_power_weighted(values: np.ndarray, first: int, order) -> np.ndarray:
+    end = first + len(values)
+    try:
+        return libm_pow(np.arange(float(first), end), float(order)) * values
+    except OverflowError:
+        raise OverflowError(f"n^{order} exceeds binary64 range on window {end - 1}") from None
+
+
+def reference_kernel_moment(row: KernelSlice, order) -> float:
+    check_order(order)
+    if order % 2:
+        return 0.0
+    terms = reference_power_weighted(row.values, 0, order)
+    terms[1:] *= 2.0
+    return math.fsum(terms.tolist())
+
+
+def reference_weighted_tail_bound(row: KernelSlice, order) -> float:
+    check_order(order)
+    n = row.window
+    if n < 2:
+        return math.inf
+    v_prev, v_edge = row.value(n - 1), row.value(n)
+    if v_edge == 0.0:
+        return 0.0
+    edge = float(reference_power_weighted(2.0 * row.values[n:], n, order)[0])
+    grow = v_edge / v_prev * (1.0 + 1.0 / n) ** order
+    return math.inf if grow >= 1.0 else edge * grow / (1.0 - grow)
+
+
+def reference_predicted_floor(t: float, order, tol: float):
+    tau = 2.0 * t
+    if not 0.0 <= tau < math.inf:
+        return None
+    tau, log_target = float(tau), math.log(tol) - math.log(2.0)
+
+    def logs(n):
+        s = n / (3.0 * tau + n)
+        x = order / n - 1.5 * s * (2.0 - s)
+        big_l = math.log(2.0) + order * math.log(n) - math.log(-math.expm1(x)) - log_target if x < 0.0 else math.inf
+        return big_l, 1.5 * n * s
+
+    def meets(window):
+        big_l, g = logs(window + 1)
+        return big_l <= g
+
+    n = order + 2.0 * math.sqrt(order) * math.sqrt(tau) + 1.0
+    for _ in range(4):
+        big_l = logs(n)[0]
+        if not 0.0 < big_l < math.inf:
+            break
+        n = big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * tau * big_l)
+    weight_limit = math.exp(709.0 / order) if order else math.inf
+    lo, hi = 2, max(2, int(min(bessel.MAX_RECURRENCE_STEPS, weight_limit)))
+    guess = math.ceil(min(n, hi)) - 1
+    probes = iter((guess, guess - 1, guess + 1))
+    while lo < hi:
+        mid = next((p for p in probes if lo <= p < hi), (lo + hi) // 2)
+        lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+    return lo
+
+
+def reference_window(tau: float, eps: float, floor: int):
+    """(window, tail_mass) by the bisection over the recurrence row, as ``scaled_bessel_row`` searched it."""
+    last, m = bessel._start_index(tau, eps, floor)
+    b = bessel._recurrence_row(tau, m)
+    if b is None:  # the series rows of the smallest tau, zero from the first value that underflows
+        b = np.zeros(m + 1)
+        for n in range(m + 1):
+            b[n] = bessel.scaled_bessel_series(tau, n)
+            if b[n] == 0.0:
+                break
+    target, cap = bessel._budget(eps)
+    delta = bessel._SEED_SHARE * target
+
+    def certified(n):
+        below, edge = float(b[n - 1]), float(b[n])
+        if below == 0.0:
+            estimate = 0.0
+        elif edge < below:
+            ratio = edge / below
+            estimate = 4.0 * edge * ratio / (1.0 - ratio)
+        elif below < 2.0**-1022:
+            estimate = 4.0 * (edge + 2.0**-1074) * tau / (n - 1)
+        else:
+            return None
+        denominator = 1.0 - 2.0 * (estimate + delta)
+        if denominator <= 0.0:
+            return None
+        core = (estimate + 3.0 * delta) / denominator
+        bound = math.nextafter(core + bessel._NORM_ROUNDING, math.inf)
+        return bound if core <= target and bound <= cap else None
+
+    lo, hi = max(1, floor), last
+    tail_mass = certified(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bound = certified(mid)
+        if bound is None:
+            lo = mid + 1
+        else:
+            hi, tail_mass = mid, bound
+    return lo, tail_mass
+
+
+def outcome(fn):
+    """A float's ``.hex()``, a sequence's offset and bytes, or the exception's type and message."""
+    try:
+        result = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, LatticeSequence):
+        return result.offset, result.values.tobytes()
+    return result if result is None or isinstance(result, int) else result.hex()
+
+
+def edge_data():
+    """Seeded signed data around 1, at 1e-160 (squares below 2^-1022) and 1e155 (squares past binary64), subnormal
+    and signed-zero data, and short arrays holding NaN, infinities, -0.0 and overflowing squares."""
+    rng = np.random.default_rng(3939)
+    for n in (1, 2, 7, 121, 319, 320, 700):
+        yield rng.uniform(-1.0, 1.0, n)
+        yield rng.uniform(0.0, 1.0, n) * 1e-160
+        yield rng.uniform(-1.0, 1.0, n) * 1e155
+        yield rng.uniform(-1.0, 1.0, n) * 2.0**-1070
+        yield rng.choice([-0.0, 0.0, 1.0, -1.0, 5e-324], n)
+    for values in ([math.nan], [1.0, math.nan, -2.0], [math.inf], [-math.inf, 1.0], [math.inf, -math.inf],
+                   [1e308, 1e308, math.inf], [1e300, 2e300, 1e300], [1.3e156, -1.2999999999999902e156],
+                   [-0.0], [0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0], [5e-324], [math.nan, math.inf]):
+        yield np.array(values)
+
+
+def test_norms_and_differences_keep_their_bits():
+    cases = 0
+    for values in edge_data():
+        s = LatticeSequence(-2, values)
+        for p in (1.0, 2.0, math.inf, 3.0):
+            assert outcome(lambda: lp_norm(s, p)) == outcome(lambda: reference_lp_norm(s, p)), (p, values[:4])
+        with np.errstate(over="ignore", invalid="ignore"):  # 2 f(n) past binary64, inf - inf
+            assert outcome(lambda: forward_difference(s)) == outcome(lambda: reference_forward_difference(s))
+            assert outcome(lambda: discrete_laplacian(s)) == outcome(lambda: reference_discrete_laplacian(s))
+        cases += 1
+    empty = LatticeSequence(0, np.array([]))
+    assert [lp_norm(empty, p) for p in (1.0, 2.0, math.inf)] == [0.0, 0.0, 0.0]
+    assert cases == 49
+
+
+def moment_rows():
+    """Seeded kernel rows from t = 1e-3 to 1e5 at eps 1e-12 and 1e-16, floored at 0, 3 and 40, and rows at
+    tau = 1e-300 and tau = 0."""
+    rng = np.random.default_rng(3940)
+    for t in [5e-301, 0.0, *np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 12)).tolist()]:
+        for eps, floor in ((1e-12, 0), (1e-16, 3), (1e-12, 40)):
+            yield heat_kernel(t, eps, floor)
+
+
+ORDERS = (0, 1, 2, 11, 12, 24, 68, 200, 2.0, 3.0, np.int64(12), -1, 1.5, math.nan, math.inf, 10**400)
+
+
+def test_kernel_moments_and_tail_bounds_keep_their_bits():
+    overflows = 0
+    for row in moment_rows():
+        for order in ORDERS:
+            got = outcome(lambda: kernel_moment(row, order))
+            assert got == outcome(lambda: reference_kernel_moment(row, order)), (row.window, order)
+            got = outcome(lambda: weighted_tail_bound(row, order))
+            assert got == outcome(lambda: reference_weighted_tail_bound(row, order)), (row.window, order)
+            overflows += got[0] is OverflowError
+    assert overflows > 0  # n^200 past binary64 on the wider windows
+
+
+def test_predicted_floors_and_windows_keep_their_values():
+    rng = np.random.default_rng(3941)
+    for t in [5e-301, 0.0, -1.0, math.inf, math.nan, *np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 20)).tolist()]:
+        for order in (0, 2, 12, 24, 68):
+            for tol in (1e-12, 1e-10 * max(1.0, (2.0 * t) ** 6) if t == t else 1.0, 1e300):
+                assert moments._predicted_floor(t, order, tol) == reference_predicted_floor(t, order, tol), (t, order, tol)
+    for tau in [1e-300, 1e-60, *np.exp(rng.uniform(math.log(1e-3), math.log(2e5), 30)).tolist()]:
+        for eps, floor in ((1e-3, 0), (1e-12, 0), (1e-16, 0), (1e-300, 0), (1e-12, 50)):
+            row = bessel.scaled_bessel_row(tau, eps, floor)
+            window, tail_mass = reference_window(tau, eps, floor)
+            assert (row.window, row.tail_mass.hex()) == (window, tail_mass.hex()), (tau, eps, floor)
