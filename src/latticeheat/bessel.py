@@ -246,10 +246,11 @@ class KernelSlice:
 
     At tau = 2t this is the kernel slice G(t, n) for |n| <= window.
     ``tail_mass`` bounds the l1 distance over all of Z from the carried row
-    to the exact one: the mass 2 * sum_{n > window} b_n left outside, the
-    error that Miller's seed and the missing mass put inside through the
-    normalisation, and the normalisation's rounding.  The rounding of the
-    recurrence steps themselves is not in it.
+    to the exact one: the mass 2 * sum_{n > window} b_n left outside, bounded
+    from the carried b_window by Amos's ratio bound, the error that Miller's
+    seed and the missing mass put inside through the normalisation, and the
+    normalisation's rounding.  The rounding of the recurrence steps
+    themselves is not in it.
     """
 
     window: int
@@ -301,9 +302,12 @@ def _start_index(tau: float, eps: float, floor: int) -> tuple[int, int]:
     """(N, m): the window search succeeds by N >= floor, and the recurrence starts at m > N.
 
     For X the Skellam law of variance tau, b_n <= P(X >= n) <= exp(-n^2 / (2 (tau + n/3)))
-    (Bernstein), and r_n = b_n / b_{n-1} < tau / (n - 1 + sqrt((n-1)^2 + tau^2)) (Amos, Math.
-    Comp. 28, 1974) gives r_n / (1 - r_n) <= tau / (n - 1); so from N on, the estimate
-    4 b_n r_n / (1 - r_n) of ``scaled_bessel_row`` is at most a quarter of the target.
+    (Bernstein).  ``scaled_bessel_row`` certifies window n by the estimate
+    4 (b_n + 2^-1074) tau / (n + n^2 / (hypot(n, tau) + tau)), from Amos's ratio bound (Math.
+    Comp. 28, 1974) and at most 4 (b_n + 2^-1074) tau / n.  N exceeds n1, the reach of
+    L = log(16 / target), and is at least the reach of L + log(max(1, tau / (n1 - 1))), so
+    b_N tau / N <= target / 16 and the estimate at N is at most a quarter of the target, up to
+    rounding.
     Seeded (1, 0) at (m, m + 1), the recurrence is off from I_n by the relative amount
     K_n I_{m+1} / (I_n K_{m+1}) = prod_{k=n}^{m} (I_{k+1} / I_k) (K_k / K_{k+1}), and both
     ratios are below tau / (k + sqrt(k^2 + tau^2)) = exp(-asinh(k / tau)) (Amos; Gautschi,
@@ -346,8 +350,9 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
     """Evaluate the whole row b_n(tau) by normalized backward recurrence.
 
     The window half-width is chosen automatically as the smallest N whose
-    a-posteriori certificate gives tail_mass <= eps (eps plus the
-    normalisation's rounding for eps below about 6.7e-16); pass
+    certificate, the mass past N bounded from the computed b_N by Amos's
+    ratio bound, gives tail_mass <= eps (eps plus the normalisation's
+    rounding for eps below about 6.7e-16); pass
     ``min_half_width`` to force a wider window (used by moment sums, whose
     tails carry polynomial weights); a floor is a least window, so a fractional one counts as
     its ceiling and a negative one as 0, and NaN or inf raises ValueError.  Raises ArithmeticError
@@ -367,33 +372,22 @@ def scaled_bessel_row(tau: float, eps: float, min_half_width: int | None = None)
             if b[n] == 0.0:
                 break
 
-    # Ratios b_{n+1}/b_n decrease in n, so T = 2 sum_{k>n} b_k <= 2 b_n r / (1 - r),
-    # and the estimate is twice that.  With the seed error below delta at every
-    # n <= last, the normalisation is off by at most T + delta, and the l1
-    # distance is at most (2 T + 2 delta) / (1 - T - delta); the third delta
-    # covers the relative rounding of the estimate itself.
+    # Amos's bound b_{k+1} / b_k < a_k = tau / (k + sqrt(k^2 + tau^2)), falling in k, gives T = 2 sum_{k>n} b_k
+    # <= 2 b_n a_n / (1 - a_n), and a_n / (1 - a_n) = tau / (n + n^2 / (sqrt(n^2 + tau^2) + tau)), where nothing
+    # cancels.  The computed b^_n has b_n <= b^_n (1 + 3u + delta) + 2^-1074 (the normalisation's three roundings,
+    # the seed error, a subnormal quotient; a series row is within a few u), so the estimate below is 2 T up to
+    # those terms and its own rounding: at most 5u in the fraction and 2u in the product, or a few 2^-1074 where
+    # subnormal.  With the seed error below delta at every n <= last, the normalisation is off by at most T + delta,
+    # and the l1 distance is at most (2 T + 2 delta) / (1 - T - delta); the third delta covers those terms, since a
+    # certified estimate is at most the target and delta >= 2^-40 * 8.9e-308.  The recurrence's own rounding is
+    # not in it.
     target, cap = _budget(eps)
     delta = _SEED_SHARE * target
     head = memoryview(b)  # reads Python floats without copying the row
 
     def certified(n: int) -> float | None:
         """tail_mass with the window at n, or None where it misses the budget."""
-        below, edge = head[n - 1], head[n]
-        if below == 0.0:  # b_{n-1} < 2.5e-324: the mass outside, below 2 b_{n-1} tau / (n - 2), is nil
-            estimate = 0.0
-        elif edge < below:
-            ratio = edge / below
-            estimate = 4.0 * edge * ratio / (1.0 - ratio)
-        elif below < 2.0**-1022:
-            # Subnormal values need not fall from one index to the next.  Amos's r_{n+1} gives
-            # 2 sum_{k>n} b_k <= 2 b_n tau / n, and b_n is within 2^-1075 and a relative 4u of edge
-            # (the quotient's rounding and the normalisation's), so the mass outside is at most
-            # 2 (edge + 2^-1074) tau / (n - 1) for n <= 2^51; the estimate is twice that, as above.
-            # It is charged at every probe where the ratio test cannot be taken, so a pair of equal
-            # subnormals does not refuse a window whose neighbours certify.
-            estimate = 4.0 * (edge + 2.0**-1074) * tau / (n - 1)
-        else:
-            return None
+        estimate = 4.0 * (head[n] + 2.0**-1074) * tau / (n + n * n / (math.hypot(n, tau) + tau))
         denominator = 1.0 - 2.0 * (estimate + delta)
         if denominator <= 0.0:
             return None

@@ -609,7 +609,29 @@ class TestLongdoubleOracle:
         assert error <= row.tail_mass
 
 
+# Seeded tau from 1e-3 to 1e6 at eps 1e-3, 1e-12 and 1e-16, and rows whose window edges run through subnormal
+# values to +0.0.
+_TAIL_RNG = np.random.default_rng(40)
+TAIL_CASES = list(zip((10.0 ** _TAIL_RNG.uniform(-3.0, 6.0, 6)).tolist(), [1e-3, 1e-12, 1e-16] * 2))
+TAIL_CASES += [(1.0, 1e-300), (19.0, 1e-300), (2.0, 1e-307)]
+
+
 class TestScipyOracle:
+    @pytest.mark.parametrize("tau, eps", TAIL_CASES)
+    def test_tail_mass_covers_the_mass_outside_every_window(self, tau, eps):
+        # At every floor from the least window to the proved one, tail_mass is at least 2 sum_{k > window} b_k,
+        # summed from ive up to 400 past the recurrence's start: a lower bound on the mass outside.
+        special = pytest.importorskip("scipy.special")
+        least = scaled_bessel_row(tau, eps).window
+        last, m = bessel._start_index(tau, eps, 0)
+        outside = 2.0 * np.cumsum(special.ive(np.arange(m + 400, 0, -1), tau))[::-1]  # 2 sum_{k > n} at n
+        edges = set()
+        for floor in range(least, last + 1):
+            row = scaled_bessel_row(tau, eps, min_half_width=floor)
+            assert row.window == floor and row.tail_mass >= outside[floor], (floor, row.tail_mass, outside[floor])
+            edges.add("zero" if row.values[-1] == 0.0 else "subnormal" if row.values[-1] < 2.0**-1022 else "normal")
+        assert edges == ({"normal", "subnormal", "zero"} if eps < 1e-299 else {"normal"})
+
     @pytest.mark.parametrize("tau", [1e-300, 1e-60, 1e-3, 1.0, 30.0, 350.0, 1e3, 2e4, 2e5, 1e6])
     def test_row_matches_ive(self, tau):
         # Independent of both library oracles, which stop at tau of about 30

@@ -1,6 +1,7 @@
 """Run a seeded set of ``scaled_bessel_row`` calls and write a manifest of what each returned.
 
     python3 tools/row_sweep.py OUT [SRC_DIR]
+    python3 tools/row_sweep.py --compare OLD NEW
 
 The library is imported from SRC_DIR (default: the ``src`` next to this file).  OUT gets one line per
 call: ``tau.hex()``, eps, the floor (``min_half_width``), then the window, ``tail_mass.hex()`` and the
@@ -8,8 +9,9 @@ sha256 of the values' bytes, or the exception's type and message where the call 
 seeded log-uniform tau from 1e-300 to 2e7 at every eps in ``EPSS`` and floor in ``FLOORS``; the rows
 that the tests name for rescaling, the series fallback and the edges of the recurrence's passes; and
 the rows of one seed-1 round of the benchmark's ``kernel_rows`` workload (``bench/workloads.py``).
-Two checkouts compare by a ``diff`` of their manifests; the hashes depend on the host's libm, so
-compare manifests made on one host.
+Two checkouts compare by their manifests: ``--compare`` prints each row whose outcome, window,
+``tail_mass`` or values moved, with the old and new values and the ratio new / old, then how many rows
+moved in each way.  The hashes depend on the host's libm, so compare manifests made on one host.
 """
 
 import hashlib
@@ -87,7 +89,47 @@ def main(out: str, src_dir: str = str(ROOT / "src")) -> None:
     print(f"{len(calls)} rows in {time.perf_counter() - start:.1f} s -> {out}", file=sys.stderr)
 
 
+def parse(line: str) -> tuple[str, tuple]:
+    """(the call, its outcome): (window, tail_mass, hash) for a row, (the exception,) for a refusal."""
+    tau, eps, floor, rest = line.rstrip("\n").split(" ", 3)
+    call, parts = f"{float.fromhex(tau)!r} {eps} {floor}", rest.split(" ")
+    if len(parts) == 3 and parts[0].isdigit():
+        return call, (int(parts[0]), float.fromhex(parts[1]), parts[2])
+    return call, (rest,)
+
+
+def compare(old_path: str, new_path: str) -> None:
+    with open(old_path, encoding="utf-8") as fh:
+        old_rows = [parse(line) for line in fh]
+    with open(new_path, encoding="utf-8") as fh:
+        new_rows = [parse(line) for line in fh]
+    if [call for call, _ in old_rows] != [call for call, _ in new_rows]:
+        sys.exit("the manifests list different calls")
+    counts = dict.fromkeys(["outcome", "window grew", "window shrank", "tail_mass grew", "tail_mass fell", "values"], 0)
+    for (call, old), (_, new) in zip(old_rows, new_rows):
+        if old == new:
+            continue
+        if len(old) == 1 or len(new) == 1:
+            counts["outcome"] += 1
+            print(f"{call}: {' '.join(map(str, old))} -> {' '.join(map(str, new))}")
+            continue
+        moved = []
+        for i, name, fell in ((0, "window", "shrank"), (1, "tail_mass", "fell")):
+            if old[i] != new[i]:
+                counts[f"{name} {'grew' if new[i] > old[i] else fell}"] += 1
+                ratio = f" ({new[i] / old[i]:.9f}x)" if old[i] else ""
+                moved.append(f"{name} {old[i]!r} -> {new[i]!r}{ratio}")
+        if old[2] != new[2]:
+            counts["values"] += 1
+            moved.append("values")
+        print(f"{call}: {', '.join(moved)}")
+    print(f"{len(old_rows)} rows; moved: " + ", ".join(f"{name} {n}" for name, n in counts.items()))
+
+
 if __name__ == "__main__":
-    if not 2 <= len(sys.argv) <= 3:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(*sys.argv[2:])
+    elif 2 <= len(sys.argv) <= 3 and not sys.argv[1].startswith("-"):
+        main(*sys.argv[1:])
+    else:
         sys.exit(__doc__)
-    main(*sys.argv[1:])
